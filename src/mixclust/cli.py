@@ -343,7 +343,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--restarts", type=int, default=10)
     sub.add_argument("--max-iter", dest="max_iter", type=int, default=100)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     sub.add_argument("--out", type=str, required=True, help="output path")
     sub.add_argument("--force", action="store_true",
                      help="overwrite existing outputs")
@@ -365,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("spec", type=str)
     p_sim.add_argument("--replications", type=int, default=None,
                        help="override the scenario's replication count")
+    p_sim.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     _add_common(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -381,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inf.add_argument("--grid-points", type=int, default=601)
     p_inf.add_argument("--c", type=float, default=5.0)
     p_inf.add_argument("--c1", type=float, default=0.1)
-    p_inf.add_argument("--seed", type=int, default=0)
-    p_inf.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p_inf.add_argument("--out", type=str, required=True)
     p_inf.add_argument("--force", action="store_true")
     p_inf.set_defaults(func=cmd_influence)

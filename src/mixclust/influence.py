@@ -6,11 +6,12 @@ component owning the interval), defines the parameter functional
 implicitly through eight stationarity equations: the interval mass, the
 weight identity, the two boundary crossings, and the four downweighted
 moment equations of the two components. :func:`solve_functional` solves
-that system by damped Newton with adaptive quadrature.
+that system by damped Newton with adaptive quadrature, taking its Jacobian
+from the analytic derivative ``A`` of the eight equations.
 
 Differentiating the system under point-mass contamination at ``y`` yields
-an 8x8 linear system ``A @ IF = B(y)`` whose matrix does not depend on the
-contamination point; :func:`influence_at` solves it, and
+an 8x8 linear system ``A @ IF = B(y)`` with the same matrix ``A``, taken at
+the solution; :func:`influence_at` solves it, and
 :func:`numeric_if_oracle` cross-checks it by re-solving the functional
 under explicit epsilon-contamination and extrapolating the difference
 quotients. Influence vectors are ordered
@@ -20,15 +21,15 @@ quotients. Influence vectors are ordered
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from .constraints import ConstraintConfig
 from .errors import ConstraintBoundaryError, GeometryError, SolveError
-
-LOG_2PI = float(np.log(2.0 * np.pi))
+from .gaussian import LOG_2PI
 
 IF_COLUMNS = ("pi1", "pi2", "a", "b", "mu1", "mu2", "s1", "s2")
 
@@ -57,12 +58,10 @@ class TrueDistribution:
         return out
 
     def cdf(self, x):
-        from scipy.stats import norm
-
         x = np.asarray(x, dtype=float)
         out = 0.0
         for w, m, v in zip(self.weights, self.means, self.variances):
-            out = out + w * norm.cdf(x, loc=m, scale=np.sqrt(v))
+            out = out + w * ndtr((x - m) / np.sqrt(v))
         return out
 
     def support(self, spread: float = 12.0) -> tuple[float, float]:
@@ -106,6 +105,10 @@ class _Measure:
             return base
         return (1.0 - self.atom_eps) * base + self.atom_eps * float(a < self.atom_y < b)
 
+    def density(self, x: float) -> float:
+        """Density of the continuous part at x; the atom adds none."""
+        return (1.0 - self.atom_eps) * float(self.dist.pdf(x))
+
     def integrate(self, fn, lo: float, hi: float) -> float:
         if hi <= lo:
             return 0.0
@@ -115,9 +118,24 @@ class _Measure:
         atom = fn(self.atom_y) if lo < self.atom_y < hi else 0.0
         return float((1.0 - self.atom_eps) * val + self.atom_eps * atom)
 
+    def outside(self, fn, a: float, b: float) -> float:
+        """Integral off (a, b), over the law's support widened to contain it."""
+        lo, hi = self.dist.support()
+        return self.integrate(fn, min(lo, a - 1.0), a) + self.integrate(fn, b, max(hi, b + 1.0))
+
 
 def _f_pow_beta(x, mu: float, var: float, beta: float):
     return np.exp(beta * (-0.5 * (LOG_2PI + np.log(var)) - 0.5 * (x - mu) ** 2 / var))
+
+
+def _loc(x, mu: float, var: float, beta: float):
+    """Location integrand f^beta (x - mu)."""
+    return _f_pow_beta(x, mu, var, beta) * (x - mu)
+
+
+def _spread(x, mu: float, var: float, beta: float):
+    """Spread integrand f^beta ((x - mu)^2 / var - 1)."""
+    return _f_pow_beta(x, mu, var, beta) * ((x - mu) ** 2 / var - 1.0)
 
 
 def _kappa(var: float, beta: float) -> float:
@@ -156,6 +174,15 @@ def _crossing_points(pi1: float, pi2: float, mu1: float, mu2: float,
     return (min(r1, r2), max(r1, r2))
 
 
+def _moment_integrals(measure: _Measure, beta: float, a: float, b: float,
+                      mu1: float, mu2: float, v1: float, v2: float) -> tuple:
+    """Location and spread integrals: component 1 on (a, b), component 2 off it."""
+    return (measure.integrate(partial(_loc, mu=mu1, var=v1, beta=beta), a, b),
+            measure.outside(partial(_loc, mu=mu2, var=v2, beta=beta), a, b),
+            measure.integrate(partial(_spread, mu=mu1, var=v1, beta=beta), a, b),
+            measure.outside(partial(_spread, mu=mu2, var=v2, beta=beta), a, b))
+
+
 def _system_residual(u: np.ndarray, measure: _Measure, beta: float) -> np.ndarray:
     """Residuals of the six free equations at u = (mu1, mu2, log v1, log v2, a, b).
 
@@ -170,49 +197,108 @@ def _system_residual(u: np.ndarray, measure: _Measure, beta: float) -> np.ndarra
     pi2 = 1.0 - pi1
     if not (1e-12 < pi1 < 1.0 - 1e-12):
         return np.full(6, 1e6)
-    lo, hi = measure.dist.support()
-    lo = min(lo, a - 1.0)
-    hi = max(hi, b + 1.0)
-
-    def score1(x):
-        return _f_pow_beta(x, mu1, v1, beta) * (x - mu1)
-
-    def score2(x):
-        return _f_pow_beta(x, mu2, v2, beta) * (x - mu2)
-
-    def spread1(x):
-        return _f_pow_beta(x, mu1, v1, beta) * ((x - mu1) ** 2 / v1 - 1.0)
-
-    def spread2(x):
-        return _f_pow_beta(x, mu2, v2, beta) * ((x - mu2) ** 2 / v2 - 1.0)
-
-    inside = measure.integrate
+    loc1, loc2, spr1, spr2 = _moment_integrals(measure, beta, a, b, mu1, mu2, v1, v2)
     r3 = _log_disc_gap(a, pi1, pi2, mu1, mu2, v1, v2)
     r4 = _log_disc_gap(b, pi1, pi2, mu1, mu2, v1, v2)
-    r5 = inside(score1, a, b)
-    r6 = inside(score2, lo, a) + inside(score2, b, hi)
-    r7 = inside(spread1, a, b) + _kappa(v1, beta) * pi1
-    r8 = inside(spread2, lo, a) + inside(spread2, b, hi) + _kappa(v2, beta) * pi2
-    return np.array([r3, r4, r5, r6, r7, r8])
+    r7 = spr1 + _kappa(v1, beta) * pi1
+    r8 = spr2 + _kappa(v2, beta) * pi2
+    return np.array([r3, r4, loc1, loc2, r7, r8])
+
+
+def _stationarity_jacobian(theta: np.ndarray, measure: _Measure,
+                           beta: float) -> np.ndarray:
+    """8x8 derivative of the stationarity system at any parameter point.
+
+    Unknown order: theta = (pi1, pi2, a, b, mu1, mu2, var1, var2). Rows:
+    interval mass, weight identity, the two boundary crossings (twice the
+    discriminant gap), the two location equations and the two spread
+    equations. Integral coefficients differentiate the stationarity
+    integrands in their parameters; boundary terms pick up the measure's
+    density with opposite signs on the interval and its complement.
+    """
+    pi1, pi2, a, b, mu1, mu2, v1, v2 = (float(t) for t in theta)
+    pa, pb = measure.density(a), measure.density(b)
+
+    f1b = partial(_f_pow_beta, mu=mu1, var=v1, beta=beta)
+    f2b = partial(_f_pow_beta, mu=mu2, var=v2, beta=beta)
+    inner = partial(measure.integrate, lo=a, hi=b)
+    outer = partial(measure.outside, a=a, b=b)
+
+    # d/d(mu), d/d(var) of the location integrand f^beta (x - mu).
+    loc_dmu1 = inner(lambda x: f1b(x) * (beta * (x - mu1) ** 2 / v1 - 1.0))
+    loc_dmu2 = outer(lambda x: f2b(x) * (beta * (x - mu2) ** 2 / v2 - 1.0))
+    loc_dv1 = inner(lambda x: 0.5 * beta * f1b(x)
+                    * ((x - mu1) ** 3 / v1**2 - (x - mu1) / v1))
+    loc_dv2 = outer(lambda x: 0.5 * beta * f2b(x)
+                    * ((x - mu2) ** 3 / v2**2 - (x - mu2) / v2))
+
+    # d/d(mu), d/d(var) of the spread integrand f^beta ((x-mu)^2/v - 1),
+    # plus the derivative of the kappa * pi correction in var.
+    spr_dmu1 = inner(lambda x: f1b(x) * (x - mu1) / v1
+                     * (beta * ((x - mu1) ** 2 / v1 - 1.0) - 2.0))
+    spr_dmu2 = outer(lambda x: f2b(x) * (x - mu2) / v2
+                     * (beta * ((x - mu2) ** 2 / v2 - 1.0) - 2.0))
+    spr_dv1 = inner(lambda x: f1b(x) * (0.5 * beta / v1 * ((x - mu1) ** 2 / v1 - 1.0) ** 2
+                                        - (x - mu1) ** 2 / v1**2))
+    spr_dv2 = outer(lambda x: f2b(x) * (0.5 * beta / v2 * ((x - mu2) ** 2 / v2 - 1.0) ** 2
+                                        - (x - mu2) ** 2 / v2**2))
+    kap1, kap2 = _kappa(v1, beta), _kappa(v2, beta)
+    dkap1 = -0.5 * beta * kap1 / v1
+    dkap2 = -0.5 * beta * kap2 / v2
+
+    gap_a = (a - mu1) / v1 - (a - mu2) / v2
+    gap_b = (b - mu1) / v1 - (b - mu2) / v2
+
+    A = np.zeros((8, 8))
+    A[0] = [1.0, 0.0, pa, -pb, 0.0, 0.0, 0.0, 0.0]
+    A[1] = [1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    A[2] = [2.0 / pi1, -2.0 / pi2, -2.0 * gap_a, 0.0,
+            2.0 * (a - mu1) / v1, -2.0 * (a - mu2) / v2,
+            (a - mu1) ** 2 / v1**2 - 1.0 / v1,
+            1.0 / v2 - (a - mu2) ** 2 / v2**2]
+    A[3] = [2.0 / pi1, -2.0 / pi2, 0.0, -2.0 * gap_b,
+            2.0 * (b - mu1) / v1, -2.0 * (b - mu2) / v2,
+            (b - mu1) ** 2 / v1**2 - 1.0 / v1,
+            1.0 / v2 - (b - mu2) ** 2 / v2**2]
+    A[4] = [0.0, 0.0, -_loc(a, mu1, v1, beta) * pa, _loc(b, mu1, v1, beta) * pb,
+            loc_dmu1, 0.0, loc_dv1, 0.0]
+    A[5] = [0.0, 0.0, _loc(a, mu2, v2, beta) * pa, -_loc(b, mu2, v2, beta) * pb,
+            0.0, loc_dmu2, 0.0, loc_dv2]
+    A[6] = [kap1, 0.0, -_spread(a, mu1, v1, beta) * pa, _spread(b, mu1, v1, beta) * pb,
+            spr_dmu1, 0.0, spr_dv1 + dkap1 * pi1, 0.0]
+    A[7] = [0.0, kap2, _spread(a, mu2, v2, beta) * pa, -_spread(b, mu2, v2, beta) * pb,
+            0.0, spr_dmu2, 0.0, spr_dv2 + dkap2 * pi2]
+    return A
+
+
+def _reduced_jacobian(u: np.ndarray, measure: _Measure, beta: float) -> np.ndarray:
+    """Derivative of :func:`_system_residual` in u, by the chain rule on rows 2-7.
+
+    The crossing rows are halved (the full system holds twice the gap), the
+    variance columns scale by v = exp(log v), and a and b also move
+    pi1 = mass(a, b) and pi2 = 1 - pi1.
+    """
+    mu1, mu2, lv1, lv2, a, b = u
+    v1, v2 = np.exp(lv1), np.exp(lv2)
+    pi1 = measure.mass_between(a, b)
+    rows = _stationarity_jacobian(np.array([pi1, 1.0 - pi1, a, b, mu1, mu2, v1, v2]),
+                                  measure, beta)[2:]
+    rows[:2] *= 0.5
+    dpi1 = np.array([-measure.density(a), measure.density(b)])
+    return np.hstack([rows[:, 4:6], rows[:, 6:8] * [v1, v2],
+                      rows[:, 2:4] + np.outer(rows[:, 0] - rows[:, 1], dpi1)])
 
 
 def _solve_system(measure: _Measure, beta: float, u0: np.ndarray,
                   tol: float, max_iter: int) -> tuple[np.ndarray, float]:
-    """Damped Newton with finite-difference Jacobian on the reduced system."""
+    """Damped Newton with the analytic Jacobian on the reduced system."""
     u = np.array(u0, dtype=float)
     res = _system_residual(u, measure, beta)
     norm = float(np.linalg.norm(res))
     for _ in range(max_iter):
         if float(np.max(np.abs(res))) <= tol:
             return u, float(np.max(np.abs(res)))
-        jac = np.empty((6, 6))
-        for i in range(6):
-            h = 1e-6 * max(1.0, abs(u[i]))
-            up, um = u.copy(), u.copy()
-            up[i] += h
-            um[i] -= h
-            jac[:, i] = (_system_residual(up, measure, beta)
-                         - _system_residual(um, measure, beta)) / (2.0 * h)
+        jac = _reduced_jacobian(u, measure, beta)
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError as exc:
@@ -291,99 +377,15 @@ def _matrix_and_constants(sol: FunctionalSolution, dist: TrueDistribution,
                           beta: float) -> tuple:
     """The y-independent matrix of the influence system plus cached pieces.
 
-    Unknown order: (pi1, pi2, a, b, mu1, mu2, var1, var2). Rows: interval
-    mass, weight identity, the two boundary crossings, the two location
-    equations and the two spread equations. All integral coefficients come
-    from differentiating the stationarity integrands in their parameters;
-    boundary terms pick up opposite signs on the interval and its
-    complement.
+    The matrix is :func:`_stationarity_jacobian` at the solution under the
+    uncontaminated law, the same derivative Newton uses in the solve.
     """
-    a, b = sol.a, sol.b
-    mu1, mu2, v1, v2 = sol.mu1, sol.mu2, sol.var1, sol.var2
-    pi1, pi2 = sol.pi1, sol.pi2
-    lo, hi = dist.support()
-    lo = min(lo, a - 1.0)
-    hi = max(hi, b + 1.0)
-    p = dist.pdf
-    pa, pb = float(p(a)), float(p(b))
-
-    def f1b(x):
-        return _f_pow_beta(x, mu1, v1, beta)
-
-    def f2b(x):
-        return _f_pow_beta(x, mu2, v2, beta)
-
-    def g1(x):
-        return f1b(x) * (x - mu1)
-
-    def g2(x):
-        return f2b(x) * (x - mu2)
-
-    def u1(x):
-        return f1b(x) * ((x - mu1) ** 2 / v1 - 1.0)
-
-    def u2(x):
-        return f2b(x) * ((x - mu2) ** 2 / v2 - 1.0)
-
-    def inner(fn):
-        val, _ = quad(lambda x: fn(x) * p(x), a, b, **_QUAD_OPTS)
-        return float(val)
-
-    def outer(fn):
-        lo_val, _ = quad(lambda x: fn(x) * p(x), lo, a, **_QUAD_OPTS)
-        hi_val, _ = quad(lambda x: fn(x) * p(x), b, hi, **_QUAD_OPTS)
-        return float(lo_val + hi_val)
-
-    c1 = inner(g1)
-    c2 = outer(g2)
-    c3 = inner(u1)
-    c4 = outer(u2)
-
-    # d/d(mu), d/d(var) of the location integrand f^beta (x - mu).
-    loc_dmu1 = inner(lambda x: f1b(x) * (beta * (x - mu1) ** 2 / v1 - 1.0))
-    loc_dmu2 = outer(lambda x: f2b(x) * (beta * (x - mu2) ** 2 / v2 - 1.0))
-    loc_dv1 = inner(lambda x: 0.5 * beta * f1b(x)
-                    * ((x - mu1) ** 3 / v1**2 - (x - mu1) / v1))
-    loc_dv2 = outer(lambda x: 0.5 * beta * f2b(x)
-                    * ((x - mu2) ** 3 / v2**2 - (x - mu2) / v2))
-
-    # d/d(mu), d/d(var) of the spread integrand f^beta ((x-mu)^2/v - 1),
-    # plus the derivative of the kappa * pi correction in var.
-    spr_dmu1 = inner(lambda x: f1b(x) * (x - mu1) / v1
-                     * (beta * ((x - mu1) ** 2 / v1 - 1.0) - 2.0))
-    spr_dmu2 = outer(lambda x: f2b(x) * (x - mu2) / v2
-                     * (beta * ((x - mu2) ** 2 / v2 - 1.0) - 2.0))
-    spr_dv1 = inner(lambda x: f1b(x) * (0.5 * beta / v1 * ((x - mu1) ** 2 / v1 - 1.0) ** 2
-                                        - (x - mu1) ** 2 / v1**2))
-    spr_dv2 = outer(lambda x: f2b(x) * (0.5 * beta / v2 * ((x - mu2) ** 2 / v2 - 1.0) ** 2
-                                        - (x - mu2) ** 2 / v2**2))
-    kap1, kap2 = _kappa(v1, beta), _kappa(v2, beta)
-    dkap1 = -0.5 * beta * kap1 / v1
-    dkap2 = -0.5 * beta * kap2 / v2
-
-    gap_a = (a - mu1) / v1 - (a - mu2) / v2
-    gap_b = (b - mu1) / v1 - (b - mu2) / v2
-
-    A = np.zeros((8, 8))
-    A[0] = [1.0, 0.0, pa, -pb, 0.0, 0.0, 0.0, 0.0]
-    A[1] = [1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-    A[2] = [2.0 / pi1, -2.0 / pi2, -2.0 * gap_a, 0.0,
-            2.0 * (a - mu1) / v1, -2.0 * (a - mu2) / v2,
-            (a - mu1) ** 2 / v1**2 - 1.0 / v1,
-            1.0 / v2 - (a - mu2) ** 2 / v2**2]
-    A[3] = [2.0 / pi1, -2.0 / pi2, 0.0, -2.0 * gap_b,
-            2.0 * (b - mu1) / v1, -2.0 * (b - mu2) / v2,
-            (b - mu1) ** 2 / v1**2 - 1.0 / v1,
-            1.0 / v2 - (b - mu2) ** 2 / v2**2]
-    A[4] = [0.0, 0.0, -g1(a) * pa, g1(b) * pb, loc_dmu1, 0.0, loc_dv1, 0.0]
-    A[5] = [0.0, 0.0, g2(a) * pa, -g2(b) * pb, 0.0, loc_dmu2, 0.0, loc_dv2]
-    A[6] = [kap1, 0.0, -u1(a) * pa, u1(b) * pb, spr_dmu1, 0.0,
-            spr_dv1 + dkap1 * pi1, 0.0]
-    A[7] = [0.0, kap2, u2(a) * pa, -u2(b) * pb, 0.0, spr_dmu2, 0.0,
-            spr_dv2 + dkap2 * pi2]
-
+    measure = _Measure(dist)
+    A = _stationarity_jacobian(sol.as_vector(), measure, beta)
+    c1, c2, c3, c4 = _moment_integrals(measure, beta, sol.a, sol.b,
+                                       sol.mu1, sol.mu2, sol.var1, sol.var2)
     consts = {"C1": c1, "C2": c2, "C3": c3, "C4": c4,
-              "mass": float(dist.cdf(b) - dist.cdf(a))}
+              "mass": measure.mass_between(sol.a, sol.b)}
     return A, consts
 
 
@@ -399,14 +401,12 @@ def assemble_if_system(sol: FunctionalSolution, dist: TrueDistribution,
     A, consts = _matrix_and_constants(sol, dist, beta)
     a, b = sol.a, sol.b
     inside = bool(a < y < b)
-    f1y = float(_f_pow_beta(y, sol.mu1, sol.var1, beta))
-    f2y = float(_f_pow_beta(y, sol.mu2, sol.var2, beta))
     B = np.zeros(8)
     B[0] = -consts["mass"] + (1.0 if inside else 0.0)
-    B[4] = consts["C1"] - f1y * (y - sol.mu1) * (1.0 if inside else 0.0)
-    B[5] = consts["C2"] - f2y * (y - sol.mu2) * (0.0 if inside else 1.0)
-    B[6] = consts["C3"] - f1y * ((y - sol.mu1) ** 2 / sol.var1 - 1.0) * (1.0 if inside else 0.0)
-    B[7] = consts["C4"] - f2y * ((y - sol.mu2) ** 2 / sol.var2 - 1.0) * (0.0 if inside else 1.0)
+    B[4] = consts["C1"] - _loc(y, sol.mu1, sol.var1, beta) * (1.0 if inside else 0.0)
+    B[5] = consts["C2"] - _loc(y, sol.mu2, sol.var2, beta) * (0.0 if inside else 1.0)
+    B[6] = consts["C3"] - _spread(y, sol.mu1, sol.var1, beta) * (1.0 if inside else 0.0)
+    B[7] = consts["C4"] - _spread(y, sol.mu2, sol.var2, beta) * (0.0 if inside else 1.0)
     return np.array(A, copy=True), B
 
 

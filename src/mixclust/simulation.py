@@ -14,10 +14,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtri
 
 from .clustering import AlgoConfig, ClusteringResult, fit
-from .errors import SamplingError
+from .errors import MixclustError, SamplingError
 from .gaussian import as_data_matrix
 
 CONTAMINATION_KINDS = ("none", "uniform_chisq", "annulus", "outlying_cluster")
@@ -144,7 +144,7 @@ def contaminate_uniform_chisq(sample: LabeledSample, spec: ScenarioSpec,
     any center exceeds the 97.5th chi-square percentile for dimension p.
     """
     m = spec.n_outliers
-    cutoff = chi2.ppf(0.975, df=spec.p)
+    cutoff = chdtri(spec.p, 1.0 - 0.975)  # inverse of the upper tail
     accepted: list[np.ndarray] = []
     total = 0
     attempts = 0
@@ -342,7 +342,7 @@ def _run_replication(spec: ScenarioSpec, rep: int, algo_cfgs: list[AlgoConfig],
             row["objective"] = result.objective
             row["fitted_means"] = np.stack([c.mean for c in result.params.components])
             row["true_means"] = spec.means
-        except Exception as exc:  # noqa: BLE001 - failures recorded, not fatal
+        except (MixclustError, np.linalg.LinAlgError, ValueError) as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
     return rows

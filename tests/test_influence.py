@@ -14,7 +14,13 @@ from mixclust import (
     numeric_if_oracle,
     solve_functional,
 )
-from mixclust.influence import _Measure, _crossing_points, _system_residual
+import mixclust.influence as influence
+from mixclust.influence import (
+    _crossing_points,
+    _Measure,
+    _reduced_jacobian,
+    _system_residual,
+)
 
 MODEL = TrueDistribution(weights=(0.5, 0.5), means=(0.0, 5.0), variances=(1.0, 4.0))
 CFG = ConstraintConfig(c=5.0, c1=0.1)
@@ -90,6 +96,57 @@ class TestSolve:
     def test_beta_zero_refused(self):
         with pytest.raises(ValueError):
             solve_functional(MODEL, 0.0, CFG)
+
+
+class TestSharedDerivative:
+    @pytest.mark.parametrize("measure", [_Measure(MODEL),
+                                         _Measure(MODEL, atom_y=1.0, atom_eps=1e-2)],
+                             ids=["clean", "contaminated"])
+    def test_reduced_jacobian_matches_central_differences(self, sol_01, measure):
+        # a point well away from the solution, so every chain-rule term counts
+        u = np.array([sol_01.mu1 + 0.3, sol_01.mu2 - 0.4, np.log(sol_01.var1) + 0.2,
+                      np.log(sol_01.var2) - 0.15, sol_01.a + 0.5, sol_01.b - 0.2])
+        assert np.abs(_system_residual(u, measure, 0.1)).max() > 1.0
+        jac = _reduced_jacobian(u, measure, 0.1)
+        fd = np.empty((6, 6))
+        for i in range(6):
+            h = 1e-5 * max(1.0, abs(u[i]))
+            up, um = u.copy(), u.copy()
+            up[i] += h
+            um[i] -= h
+            fd[:, i] = (_system_residual(up, measure, 0.1)
+                        - _system_residual(um, measure, 0.1)) / (2.0 * h)
+        assert np.abs(jac - fd).max() <= 1e-7 * np.abs(jac).max()
+
+    def test_newton_ends_quadratically(self, monkeypatch):
+        seen = []
+
+        def recording(u, measure, beta):
+            res = _system_residual(u, measure, beta)
+            seen.append(float(np.abs(res).max()))
+            return res
+
+        monkeypatch.setattr(influence, "_system_residual", recording)
+        solve_functional(MODEL, 0.1, CFG)
+        # The last evaluations are full Newton steps: about 4e-2, 5e-5, 1e-10.
+        r1, r2, r3 = seen[-3:]
+        assert r3 <= 1e-9
+        assert r2 <= r1**2
+        assert r3 <= r2**2
+
+    def test_solve_quad_budget(self, monkeypatch):
+        # Structural guard: a finite-difference Jacobian re-runs every
+        # residual integral twelve times per step (984 quad calls here).
+        calls = []
+        original = influence.quad
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(influence, "quad", counting)
+        solve_functional(MODEL, 0.1, CFG)
+        assert len(calls) <= 400
 
 
 class TestLinearSystem:

@@ -6,6 +6,7 @@ from scipy.stats import chi2, kstest
 
 from mixclust import (
     AlgoConfig,
+    DegenerateClusteringError,
     GaussianComponent,
     MixtureParams,
     bias_mse,
@@ -302,3 +303,29 @@ class TestRunExperiment:
         assert len(report.rows) == 2
         agg = report.aggregates["beta=0.5"]
         assert agg["failures"] + agg["replications"] == 2
+
+    @pytest.mark.parametrize("exc, recorded", [
+        (DegenerateClusteringError("every restart collapsed"), True),
+        (np.linalg.LinAlgError("singular"), True),
+        (TypeError("bad call"), False),
+    ])
+    def test_only_typed_failures_recorded(self, monkeypatch, exc, recorded):
+        import mixclust.simulation as simulation
+
+        def failing_fit(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(simulation, "fit", failing_fit)
+        spec = ScenarioSpec(
+            n=30, p=2, k=2, means=np.array([[0.0, 0.0], [7.0, 7.0]]),
+            cov_scale=1.0, weights=np.array([0.5, 0.5]),
+            contamination="none", contamination_level=0.0,
+            replications=1, seed=3)
+        cfgs = [AlgoConfig(beta=0.2, n_restarts=1, seed=0)]
+        if recorded:
+            (row,) = run_experiment(spec, cfgs).rows
+            assert row["error"] == f"{type(exc).__name__}: {exc}"
+        else:
+            # a programming error propagates instead of becoming a failure row
+            with pytest.raises(TypeError, match="bad call"):
+                run_experiment(spec, cfgs)

@@ -37,6 +37,7 @@ from .simulation import (
     ScenarioSpec,
     aggregate_rows,
     default_threshold,
+    default_workers,
     paper_design,
     run_experiment,
 )
@@ -224,6 +225,8 @@ def _print_table(spec: ScenarioSpec, labels: list[str], aggregates: dict) -> Non
 
 
 def cmd_simulate(args) -> int:
+    if args.workers < 1:
+        raise InputError("--workers must be at least 1")
     spec, raw = _load_scenario(args.spec, args.replications)
     out = _prepare_out_dir(args.out, args.force)
     betas = raw.get("betas", [args.beta])
@@ -242,7 +245,7 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
         ))
         labels.append(f"beta={beta:g}")
-    report = run_experiment(spec, cfgs, labels, threads=args.threads)
+    report = run_experiment(spec, cfgs, labels, workers=args.workers)
     report.to_csv(out / "replications.csv")
     aggregates = aggregate_rows(report.rows, labels)
     payload = {
@@ -333,11 +336,11 @@ def cmd_image(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, c1: float = 0.1) -> None:
     sub.add_argument("--beta", type=float, default=0.1,
                      help="downweighting exponent in [0, 1]")
     sub.add_argument("--c", type=float, default=20.0, help="eigenvalue ratio bound")
-    sub.add_argument("--c1", type=float, default=0.1, help="eigenvalue floor")
+    sub.add_argument("--c1", type=float, default=c1, help="eigenvalue floor")
     sub.add_argument("--threshold", type=float, default=None,
                      help="outlier threshold (default depends on dimension)")
     sub.add_argument("--restarts", type=int, default=10)
@@ -364,7 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("spec", type=str)
     p_sim.add_argument("--replications", type=int, default=None,
                        help="override the scenario's replication count")
-    p_sim.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p_sim.add_argument("--workers", type=int, default=default_workers(),
+                       help="replications run in this many forked processes "
+                            "with one BLAS thread each (Linux; default: one per CPU)")
     _add_common(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -388,7 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_img = subs.add_parser("image", help="segment a PNG/PPM image")
     p_img.add_argument("image", type=str)
     p_img.add_argument("--k", type=int, default=2)
-    _add_common(p_img)
+    # Pixels live on [0, 1] channels: the shared floor of 0.1 would hold every
+    # covariance at a standard deviation of 0.32 and flag nothing.
+    _add_common(p_img, c1=1e-4)
     p_img.set_defaults(func=cmd_image)
     return parser
 

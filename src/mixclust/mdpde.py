@@ -52,8 +52,6 @@ class ComponentFit:
     estimate: GaussianComponent
     iterations: int
     converged: bool
-    final_weights: np.ndarray
-    init_floored: bool = False
 
 
 def _floored_component(mean: np.ndarray, cov: np.ndarray, floor: float) -> tuple[GaussianComponent, bool]:
@@ -153,10 +151,7 @@ def fit_component(data, beta: float, cfg: IrlsConfig | None = None,
     data = as_data_matrix(data)
     if data.shape[0] < 2:
         raise ValueError("covariance fitting needs at least two observations")
-    if init is None:
-        comp, floored = robust_init(data, cfg.min_denominator)
-    else:
-        comp, floored = init, False
+    comp = init if init is not None else robust_init(data, cfg.min_denominator)[0]
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
@@ -173,13 +168,7 @@ def fit_component(data, beta: float, cfg: IrlsConfig | None = None,
         if delta_mean <= cfg.epsilon and delta_cov <= cfg.epsilon:
             converged = True
             break
-    return ComponentFit(
-        estimate=comp,
-        iterations=iterations,
-        converged=converged,
-        final_weights=irls_weights(data, comp, beta),
-        init_floored=floored,
-    )
+    return ComponentFit(estimate=comp, iterations=iterations, converged=converged)
 
 
 def estimating_equation_residual(data, comp: GaussianComponent, beta: float) -> tuple[np.ndarray, np.ndarray]:

@@ -2,12 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from mixclust.cli import main, read_csv_matrix
 from mixclust.schemas import SchemaError, validate
 from tests.test_imageseg import two_tone_grid
-from mixclust.imageseg import save_ppm
+from mixclust.imageseg import PixelGrid, load_image, save_ppm
 
 
 @pytest.fixture()
@@ -97,7 +98,7 @@ class TestSimulateCommand:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
         out = tmp_path / "sim"
-        code = main(["simulate", str(spec_path), "--out", str(out), "--threads", "1"])
+        code = main(["simulate", str(spec_path), "--out", str(out), "--workers", "1"])
         assert code == 0
         table = capsys.readouterr().out
         assert "misclassification" in table
@@ -136,6 +137,25 @@ class TestSimulateCommand:
         assert outputs[1].splitlines()[0] == header
         assert outputs[0] != outputs[1]
 
+    def test_worker_count_keeps_bytes(self, tmp_path):
+        spec = {
+            "n": 120, "p": 2, "k": 2, "means": [[0, 0], [7, 7]],
+            "weights": [0.5, 0.5], "contamination": "none",
+            "replications": 3, "seed": 11, "betas": [0.2, 0.0], "restarts": 2,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        outputs = []
+        for workers in ("1", "3"):
+            out = tmp_path / f"sim{workers}"
+            assert main(["simulate", str(spec_path), "--workers", workers,
+                         "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("replications.csv", "report.json")])
+        assert outputs[0] == outputs[1]
+        assert main(["simulate", str(spec_path), "--workers", "0",
+                     "--out", str(tmp_path / "sim0")]) == 2
+
     def test_invalid_spec_exit_2(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"p": 2, "bogus_field": 1}))
@@ -154,7 +174,7 @@ class TestSimulateCommand:
         out = tmp_path / "table1"
         with as_file(files("mixclust").joinpath("data/table1_p2_I.json")) as spec:
             code = main(["simulate", str(spec), "--replications", "1",
-                         "--out", str(out), "--threads", "1"])
+                         "--out", str(out), "--workers", "1"])
         assert code == 0
         table = capsys.readouterr().out
         assert "p=2" in table and "beta=0" in table and "beta=0.1" in table
@@ -217,6 +237,29 @@ class TestImageCommand:
         assert main(args) == 0
         assert main(args) == 2
         assert main(args + ["--force"]) == 0
+
+    def test_default_floor_flags_planted_pixels(self, tmp_path):
+        # two noisy colour bands on [0, 1] channels with planted (1, 1, 0)
+        # pixels: at the subcommand's own --c1 default they are all flagged
+        rng = np.random.default_rng(4)
+        side = 40
+        cols = np.tile(np.arange(side), side)
+        pixels = np.where((cols < side // 2)[:, None], [0.15, 0.25, 0.70],
+                          [0.70, 0.20, 0.20])
+        pixels = np.clip(pixels + 0.04 * rng.standard_normal(pixels.shape), 0.0, 1.0)
+        planted = rng.choice(side * side, size=20, replace=False)
+        pixels[planted] = [1.0, 1.0, 0.0]
+        img = tmp_path / "img.ppm"
+        save_ppm(PixelGrid(side, side, pixels), img)
+        out = tmp_path / "recon.ppm"
+        assert main(["image", str(img), "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "recon.ppm.json").read_text())
+        assert sidecar["config"]["c1"] == 1e-4
+        assert sidecar["total_outliers"] == len(planted)
+        recon = load_image(out).pixels
+        colors = np.asarray(sidecar["outlier_colors"], dtype=float)
+        hits = (np.abs(recon[planted, None, :] - colors[None]) < 1 / 255).all(axis=2)
+        assert hits.any(axis=1).all()
 
     def test_decode_failure_exit_2(self, tmp_path):
         bad = tmp_path / "bad.ppm"

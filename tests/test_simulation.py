@@ -1,5 +1,8 @@
 """Generators, contamination schemes, metrics and the experiment driver."""
 
+import ctypes
+import os
+
 import numpy as np
 import pytest
 from scipy.stats import chi2, kstest
@@ -231,19 +234,27 @@ class TestRunExperiment:
             assert 0.0 <= agg[label]["misclassification"] <= 1.0
             assert agg[label]["mse"] >= agg[label]["bias"] ** 2 - 1e-12
 
-    def test_thread_invariance(self):
+    def test_worker_invariance(self):
         spec = ScenarioSpec(
             n=120, p=2, k=2, means=np.array([[0.0, 0.0], [7.0, 7.0]]),
             cov_scale=1.0, weights=np.array([0.5, 0.5]),
             contamination="none", contamination_level=0.0,
             replications=4, seed=23)
-        cfgs = [AlgoConfig(beta=0.2, n_restarts=3, seed=0)]
-        serial = run_experiment(spec, cfgs, threads=1)
-        threaded = run_experiment(spec, cfgs, threads=4)
-        key = lambda r: r["replication"]
-        for a, b in zip(sorted(serial.rows, key=key), sorted(threaded.rows, key=key)):
-            assert a["misclassification"] == b["misclassification"]
-            assert a["objective"] == b["objective"]
+        cfgs = [AlgoConfig(beta=0.2, n_restarts=3, seed=0),
+                AlgoConfig(beta=0.0, n_restarts=3, seed=0)]
+        serial = run_experiment(spec, cfgs, workers=1).rows
+        assert len(serial) == 8
+        for workers in (2, 4):
+            pooled = run_experiment(spec, cfgs, workers=workers).rows
+            assert len(pooled) == len(serial)
+            for a, b in zip(serial, pooled):
+                assert a.keys() == b.keys()
+                assert a["error"] is None and b["error"] is None
+                for key in a:
+                    if isinstance(a[key], np.ndarray):
+                        assert a[key].tobytes() == b[key].tobytes(), (workers, key)
+                    else:
+                        assert a[key] == b[key], (workers, key)
 
     def test_csv_roundtrip(self, small_report, tmp_path):
         path = tmp_path / "rows.csv"
@@ -292,17 +303,23 @@ class TestRunExperiment:
         assert res.outlier_flags.sum() <= 2
 
     def test_failures_recorded_not_fatal(self):
+        # k=9 fits, but scoring it raises ValueError (label matching is
+        # limited to k <= 8); every replication must become a failure row
         spec = ScenarioSpec(
-            n=10, p=2, k=8, means=np.tile(np.arange(8)[:, None], (1, 2)).astype(float),
-            cov_scale=1.0, weights=np.full(8, 0.125),
+            n=90, p=2, k=9,
+            means=np.stack([8.0 * np.arange(9), np.zeros(9)], axis=1),
+            cov_scale=1.0, weights=np.full(9, 1.0 / 9),
             contamination="none", contamination_level=0.0,
             replications=2, seed=1)
-        # k=8 clusters on 10 points degenerates; the driver must survive
         cfgs = [AlgoConfig(beta=0.5, n_restarts=2, seed=0)]
-        report = run_experiment(spec, cfgs)
-        assert len(report.rows) == 2
-        agg = report.aggregates["beta=0.5"]
-        assert agg["failures"] + agg["replications"] == 2
+        for workers in (1, 2):
+            report = run_experiment(spec, cfgs, workers=workers)
+            assert [r["replication"] for r in report.rows] == [0, 1]
+            for row in report.rows:
+                assert row["error"] == ("ValueError: exhaustive label matching "
+                                        "is limited to k <= 8")
+            agg = report.aggregates["beta=0.5"]
+            assert agg["failures"] == 2 and agg["replications"] == 0
 
     @pytest.mark.parametrize("exc, recorded", [
         (DegenerateClusteringError("every restart collapsed"), True),
@@ -315,17 +332,67 @@ class TestRunExperiment:
         def failing_fit(*args, **kwargs):
             raise exc
 
+        # forked workers inherit the patched module
         monkeypatch.setattr(simulation, "fit", failing_fit)
         spec = ScenarioSpec(
             n=30, p=2, k=2, means=np.array([[0.0, 0.0], [7.0, 7.0]]),
             cov_scale=1.0, weights=np.array([0.5, 0.5]),
             contamination="none", contamination_level=0.0,
-            replications=1, seed=3)
+            replications=2, seed=3)
         cfgs = [AlgoConfig(beta=0.2, n_restarts=1, seed=0)]
-        if recorded:
-            (row,) = run_experiment(spec, cfgs).rows
-            assert row["error"] == f"{type(exc).__name__}: {exc}"
-        else:
-            # a programming error propagates instead of becoming a failure row
-            with pytest.raises(TypeError, match="bad call"):
-                run_experiment(spec, cfgs)
+        for workers in (1, 2):
+            if recorded:
+                rows = run_experiment(spec, cfgs, workers=workers).rows
+                assert len(rows) == 2
+                for row in rows:
+                    assert row["error"] == f"{type(exc).__name__}: {exc}"
+            else:
+                # a programming error propagates instead of becoming a failure row
+                with pytest.raises(TypeError, match="bad call"):
+                    run_experiment(spec, cfgs, workers=workers)
+
+
+def _openblas_thread_counts() -> list[int]:
+    """get_num_threads of every OpenBLAS mapped into this process."""
+    getters = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+               "openblas_get_num_threads")
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = sorted({line.split(None, 5)[-1].strip() for line in fh
+                        if "openblas" in line})
+    counts = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in getters:
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                counts.append(getter())
+                break
+    return counts
+
+
+def test_pool_workers_run_one_blas_thread(monkeypatch):
+    import mixclust.simulation as simulation
+
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("needs /proc/self/maps")
+    before = _openblas_thread_counts()
+    if not before:
+        pytest.skip("no OpenBLAS is mapped")
+
+    def reporting_fit(*args, **kwargs):
+        # runs in the worker; the typed error carries its counts back as a row
+        raise DegenerateClusteringError(f"blas threads {_openblas_thread_counts()}")
+
+    monkeypatch.setattr(simulation, "fit", reporting_fit)
+    spec = ScenarioSpec(
+        n=30, p=2, k=2, means=np.array([[0.0, 0.0], [7.0, 7.0]]),
+        cov_scale=1.0, weights=np.array([0.5, 0.5]),
+        contamination="none", contamination_level=0.0,
+        replications=2, seed=3)
+    rows = run_experiment(spec, [AlgoConfig(beta=0.2, n_restarts=1, seed=0)],
+                          workers=2).rows
+    pinned = f"DegenerateClusteringError: blas threads {[1] * len(before)}"
+    assert [row["error"] for row in rows] == [pinned, pinned]
+    assert _openblas_thread_counts() == before

@@ -31,7 +31,6 @@ from .influence import (
     write_if_curve,
 )
 from .imageseg import load_image, reconstruct, save_ppm, save_sidecar, segment
-from .mdpde import IrlsConfig
 from .schemas import validate
 from .simulation import (
     ScenarioSpec,
@@ -101,18 +100,14 @@ def read_csv_matrix(path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def _algo_config(args, p: int | None = None) -> AlgoConfig:
-    threshold = args.threshold
-    if threshold is None:
-        threshold = default_threshold(p) if p is not None else 1e-3
+def _algo_config(args, threshold: float) -> AlgoConfig:
     return AlgoConfig(
         beta=args.beta,
         constraint=ConstraintConfig(c=args.c, c1=args.c1),
-        outlier_threshold=threshold,
+        outlier_threshold=threshold if args.threshold is None else args.threshold,
         max_outer_iter=args.max_iter,
         n_restarts=args.restarts,
         seed=args.seed,
-        irls=IrlsConfig(),
     )
 
 
@@ -124,7 +119,7 @@ def _algo_config(args, p: int | None = None) -> AlgoConfig:
 def cmd_fit(args) -> int:
     data = read_csv_matrix(args.csv)
     n, p = data.shape
-    cfg = _algo_config(args, p)
+    cfg = _algo_config(args, default_threshold(p))
     out = _prepare_out_dir(args.out, args.force)
     result = fit(data, args.k, cfg)
     payload = {
@@ -139,6 +134,7 @@ def cmd_fit(args) -> int:
         "covariances": [c.cov.tolist() for c in result.params.components],
         "objective": float(result.objective),
         "iterations": int(result.iterations),
+        "stable": bool(result.stable),
         "restart_index": int(result.restart_index),
         "outlier_count": int(result.outlier_flags.sum()),
     }
@@ -318,9 +314,7 @@ def cmd_image(args) -> int:
         if target.exists() and not args.force:
             raise InputError(f"output path {target} exists (use --force to overwrite)")
     grid = load_image(args.image)
-    cfg = _algo_config(args)
-    if args.threshold is None:
-        cfg = dataclasses.replace(cfg, outlier_threshold=0.02)
+    cfg = _algo_config(args, 0.02)
     seg = segment(grid, args.k, cfg)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_ppm(reconstruct(grid, seg), out)
@@ -408,10 +402,7 @@ def main(argv=None) -> int:
         args.beta = [0.1, 0.2, 1.0]
     try:
         return args.func(args)
-    except (InputError, ImageFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, OSError) as exc:
+    except (InputError, ImageFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MixclustError as exc:

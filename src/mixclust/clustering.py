@@ -22,13 +22,12 @@ from .gaussian import (
     as_data_matrix,
     dpd_integral,
     log_density,
-    mahalanobis_sq,
 )
 from .mdpde import IrlsConfig, fit_component
 
 log = logging.getLogger(__name__)
 
-ASSIGNMENT_RULES = ("likelihood", "distance", "mahalanobis")
+ASSIGNMENT_RULES = ("likelihood", "distance")
 
 
 @dataclass
@@ -62,27 +61,22 @@ class AlgoConfig:
     """Tuning parameters for :func:`fit`.
 
     ``outlier_threshold`` is compared against the sample-size-scaled
-    discriminant ``n * D`` by default (``scale_threshold_by_n``), i.e. a
-    point is flagged when the fitted mixture puts less than the threshold's
-    worth of expected observations at it. Set the flag to False to compare
-    the raw discriminant instead.
+    discriminant ``n * D``: a point is flagged when the fitted mixture puts
+    less than the threshold's worth of expected observations at it.
 
-    ``selection`` picks the cross-restart winner. The default
-    "fit_objective" compares the aggregate per-component fit score (the
-    assigned-component density-power terms, without the log-weight term);
-    "pseudo_likelihood" compares the full objective including log-weights.
-    The default is deliberate: the log-weight term always rewards emptying
-    clusters into one another, and once the bounded density reward
-    ``(2*pi)**(-p*beta/2) / beta`` drops below the attainable log-weight
-    gain (larger p times beta), the full objective prefers merged,
-    degenerate configurations over correct ones.
+    Restarts are compared by the aggregate per-component fit score
+    (:func:`component_fit_score`: the assigned-component density-power
+    terms, without the log-weight term), not by the full objective. The
+    log-weight term always rewards emptying clusters into one another, and
+    once the bounded density reward ``(2*pi)**(-p*beta/2) / beta`` drops
+    below the attainable log-weight gain (larger p times beta), the full
+    objective prefers merged, degenerate configurations over correct ones.
 
-    ``min_refit_size`` is the smallest cluster the update step will refit;
-    smaller clusters keep their previous component. The default (None)
-    means ``p + 1``, the identifiability minimum for a covariance: letting
-    near-empty clusters refit lets them collapse onto the constraint floor
-    and carve profitable micro-niches in higher dimensions. Set to 2 for
-    the fully permissive behavior.
+    The update step refits only clusters of at least ``p + 1`` members, the
+    identifiability minimum for a covariance; smaller clusters keep their
+    previous component. Letting near-empty clusters refit lets them
+    collapse onto the constraint floor and carve profitable micro-niches in
+    higher dimensions.
     """
 
     beta: float = 0.1
@@ -93,21 +87,18 @@ class AlgoConfig:
     seed: int = 0
     irls: IrlsConfig = field(default_factory=IrlsConfig)
     assignment_rule: str = "likelihood"
-    scale_threshold_by_n: bool = True
-    selection: str = "fit_objective"
-    min_refit_size: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
         if self.outlier_threshold < 0:
             raise ValueError("outlier threshold must be nonnegative")
+        if self.max_outer_iter < 1:
+            raise ValueError("need at least one outer iteration")
         if self.n_restarts < 1:
             raise ValueError("need at least one restart")
         if self.assignment_rule not in ASSIGNMENT_RULES:
             raise ValueError(f"assignment_rule must be one of {ASSIGNMENT_RULES}")
-        if self.selection not in ("fit_objective", "pseudo_likelihood"):
-            raise ValueError("selection must be 'fit_objective' or 'pseudo_likelihood'")
 
 
 @dataclass
@@ -125,8 +116,10 @@ class ClusteringResult:
 
 
 def log_discriminants(data, params: MixtureParams) -> np.ndarray:
-    """(n, k) matrix of ``log(weight_j) + log phi_j(x_i)``."""
-    data = as_data_matrix(data)
+    """(n, k) matrix of ``log(weight_j) + log phi_j(x_i)``.
+
+    ``data`` is a finite float (n, p) array, as :func:`fit` passes it.
+    """
     with np.errstate(divide="ignore"):
         logw = np.log(params.weights)
     return np.column_stack([logw[j] + log_density(data, params.components[j])
@@ -138,20 +131,16 @@ def assign(data, params: MixtureParams, rule: str = "likelihood") -> tuple[np.nd
 
     The default rule picks the cluster with the largest weighted density
     (ties go to the smallest index). The "distance" rule picks the nearest
-    mean in Euclidean distance and "mahalanobis" the nearest in the
-    cluster's own metric; both still report the weighted-density
+    mean in Euclidean distance and still reports the weighted-density
     discriminant of the chosen cluster, which is what outlier flagging uses.
+    ``data`` is a finite float (n, p) array, as :func:`fit` passes it.
     """
-    data = as_data_matrix(data)
     logd = log_discriminants(data, params)
     if rule == "likelihood":
         labels = np.argmax(logd, axis=1)
     elif rule == "distance":
         means = np.stack([c.mean for c in params.components])
         d2 = ((data[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(d2, axis=1)
-    elif rule == "mahalanobis":
-        d2 = np.column_stack([mahalanobis_sq(data, c) for c in params.components])
         labels = np.argmin(d2, axis=1)
     else:
         raise ValueError(f"unknown assignment rule {rule!r}")
@@ -171,29 +160,18 @@ def pseudo_beta_likelihood(data, params: MixtureParams, assignments, beta: float
     """Objective value of a hard-assigned mixture at exponent ``beta``.
 
     Averages, over observations, ``log(weight) + phi^beta / beta - I_beta/(1+beta)``
-    for the assigned component (``I_beta`` the power integral). At beta = 0
-    the middle terms become the plain log-density, recovering the
-    classification log-likelihood. Empty clusters contribute nothing.
+    for the assigned component (``I_beta`` the power integral): the
+    :func:`component_fit_score` plus ``sum_j n_j log(weight_j) / n`` over the
+    non-empty clusters. At beta = 0 the middle terms become the plain
+    log-density, recovering the classification log-likelihood. Empty
+    clusters contribute nothing. ``data`` is a finite float (n, p) array, as
+    :func:`fit` passes it.
     """
-    data = as_data_matrix(data)
-    assignments = np.asarray(assignments, dtype=int)
-    n = data.shape[0]
-    total = 0.0
+    counts = np.bincount(np.asarray(assignments, dtype=int), minlength=params.k)
+    used = counts > 0
     with np.errstate(divide="ignore"):
-        logw = np.log(params.weights)
-    for j in range(params.k):
-        members = data[assignments == j]
-        if len(members) == 0:
-            continue
-        comp = params.components[j]
-        logs = log_density(members, comp)
-        if beta == 0.0:
-            total += len(members) * logw[j] + logs.sum()
-        else:
-            integral = dpd_integral(None, beta, log_det=comp.log_det, p=comp.dim)
-            total += len(members) * (logw[j] - integral / (1.0 + beta))
-            total += np.exp(beta * logs).sum() / beta
-    return float(total / n)
+        log_weights = float(counts[used] @ np.log(params.weights[used]))
+    return component_fit_score(data, params, assignments, beta) + log_weights / len(data)
 
 
 def component_fit_score(data, params: MixtureParams, assignments, beta: float) -> float:
@@ -202,9 +180,9 @@ def component_fit_score(data, params: MixtureParams, assignments, beta: float) -
     This is the sum the parameter-update step maximizes blockwise, averaged
     over observations. Unlike the full objective it carries no reward for
     concentrating counts, so comparing restarts by it does not favor merged
-    configurations; see :class:`AlgoConfig`.
+    configurations; see :class:`AlgoConfig`. ``data`` is a finite float
+    (n, p) array, as :func:`fit` passes it.
     """
-    data = as_data_matrix(data)
     assignments = np.asarray(assignments, dtype=int)
     total = 0.0
     for j in range(params.k):
@@ -224,8 +202,8 @@ def component_fit_score(data, params: MixtureParams, assignments, beta: float) -
 
 def initialize(data, k: int, rng: np.random.Generator) -> tuple[MixtureParams, np.ndarray]:
     """Random initialization: k distinct observations as means, identity
-    covariances, equal weights; assignment by the likelihood rule."""
-    data = as_data_matrix(data)
+    covariances, equal weights; assignment by the likelihood rule.
+    ``data`` is a finite float (n, p) array, as :func:`fit` passes it."""
     n, p = data.shape
     if n < k:
         raise ValueError(f"need at least k={k} observations, got {n}")
@@ -239,21 +217,19 @@ def initialize(data, k: int, rng: np.random.Generator) -> tuple[MixtureParams, n
     return params, labels
 
 
-def detect_outliers(data, params: MixtureParams, assignments, threshold: float,
-                    *, scale_by_n: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Flag observations whose assigned-cluster discriminant is at or below
-    the threshold (inclusive). Flagged points keep their pre-flag cluster
-    index as the outlier type; unflagged entries carry -1.
-
-    With ``scale_by_n`` the statistic is ``n * D`` so the threshold reads as
-    an expected-observation count at the point; a zero threshold never flags.
+def detect_outliers(data, params: MixtureParams, assignments,
+                    threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Flag observations whose sample-size-scaled assigned-cluster
+    discriminant ``n * D`` is at or below the threshold (inclusive), so the
+    threshold reads as an expected-observation count at the point; a zero
+    threshold never flags. Flagged points keep their pre-flag cluster index
+    as the outlier type; unflagged entries carry -1. ``data`` is a finite
+    float (n, p) array, as :func:`fit` passes it.
     """
-    data = as_data_matrix(data)
     assignments = np.asarray(assignments, dtype=int)
     logd = log_discriminants(data, params)
     disc = np.exp(logd[np.arange(len(data)), assignments])
-    score = disc * len(data) if scale_by_n else disc
-    flags = score <= threshold
+    flags = disc * len(data) <= threshold
     types = np.where(flags, assignments, -1)
     return flags, types
 
@@ -262,22 +238,18 @@ def _m_step(data, assignments, k: int, cfg: AlgoConfig,
             prev: list[GaussianComponent] | None) -> MixtureParams:
     n, p = data.shape
     weights = update_weights(assignments, n, k)
-    eye = np.eye(p)
-    min_refit = cfg.min_refit_size if cfg.min_refit_size is not None else p + 1
-    min_refit = max(min_refit, 2)
     comps: list[GaussianComponent] = []
     for j in range(k):
         members = data[assignments == j]
-        fallback = prev[j] if prev is not None else GaussianComponent(
-            members.mean(axis=0) if len(members) else np.zeros(p), eye.copy())
-        if len(members) < min_refit:
-            comps.append(fallback)
-            continue
         warm = prev[j] if prev is not None else None
-        try:
-            comps.append(fit_component(members, cfg.beta, cfg.irls, init=warm).estimate)
-        except NonPositiveDenominatorError:
-            comps.append(fallback)
+        if len(members) >= p + 1:
+            try:
+                comps.append(fit_component(members, cfg.beta, cfg.irls, init=warm).estimate)
+                continue
+            except NonPositiveDenominatorError:
+                pass
+        comps.append(warm if warm is not None else GaussianComponent(
+            members.mean(axis=0) if len(members) else np.zeros(p), np.eye(p)))
     covs = enforce_constraints([c.cov for c in comps], cfg.constraint)
     comps = [GaussianComponent(c.mean, cov) for c, cov in zip(comps, covs)]
     return MixtureParams(weights=weights, components=comps)
@@ -317,10 +289,15 @@ def fit_single(data, k: int, cfg: AlgoConfig,
                init_assignments: np.ndarray | None = None) -> dict:
     """Run one restart of the outer loop from an explicit initialization.
 
-    Returns a dict with params, assignments, discriminants, iterations,
-    the stability flag, the degenerate flag and the objective value.
+    Returns a dict with the degenerate flag and iterations and, unless the
+    restart degenerated, params, assignments, discriminants (both from the
+    last :func:`assign` under those params), the stability flag and the
+    selection score (:func:`component_fit_score`). When ``max_outer_iter``
+    is hit, ``stable`` is False and the params come from the M-step before
+    that last reassignment, so the weights need not equal the final cluster
+    shares, and rows a reseed moved on that iteration are off the rule's
+    choice. ``data`` is a finite float (n, p) array, as :func:`fit` passes it.
     """
-    data = as_data_matrix(data)
     params = init_params
     if init_assignments is None:
         assignments, _ = assign(data, params, cfg.assignment_rule)
@@ -329,9 +306,6 @@ def fit_single(data, k: int, cfg: AlgoConfig,
     reseeds = np.zeros(k, dtype=int)
     prev_comps: list[GaussianComponent] | None = None
     stable = False
-    degenerate = False
-    disc = np.zeros(len(data))
-    iterations = 0
     for iterations in range(1, cfg.max_outer_iter + 1):
         params = _m_step(data, assignments, k, cfg, prev_comps)
         prev_comps = params.components
@@ -345,15 +319,6 @@ def fit_single(data, k: int, cfg: AlgoConfig,
         assignments = new_labels
     if degenerate:
         return {"degenerate": True, "iterations": iterations}
-    if not stable:
-        # Cap hit: refresh the parameters once so they match the final
-        # assignment before the objective and outlier pass.
-        params = _m_step(data, assignments, k, cfg, prev_comps)
-        logd = log_discriminants(data, params)
-        disc = np.exp(logd[np.arange(len(data)), assignments])
-    objective = pseudo_beta_likelihood(data, params, assignments, cfg.beta)
-    score = component_fit_score(data, params, assignments, cfg.beta) \
-        if cfg.selection == "fit_objective" else objective
     return {
         "degenerate": False,
         "params": params,
@@ -361,8 +326,7 @@ def fit_single(data, k: int, cfg: AlgoConfig,
         "discriminants": disc,
         "iterations": iterations,
         "stable": stable,
-        "objective": objective,
-        "selection_score": score,
+        "selection_score": component_fit_score(data, params, assignments, cfg.beta),
     }
 
 
@@ -373,8 +337,10 @@ def fit(data, k: int, cfg: AlgoConfig | None = None) -> ClusteringResult:
     ``(cfg.seed, restart_index)``, so results are reproducible. Restarts
     whose clusters empty twice are discarded; if every restart degenerates a
     :class:`DegenerateClusteringError` is raised. The winner is the restart
-    with the highest selection score (first one on ties), on which outliers
-    are then flagged and typed.
+    with the highest selection score (first one on ties); its objective is
+    evaluated and its outliers flagged and typed. ``data`` is checked here,
+    once, by :func:`~mixclust.gaussian.as_data_matrix`; every function it
+    calls trusts the resulting finite float (n, p) array.
     """
     cfg = cfg or AlgoConfig()
     data = as_data_matrix(data)
@@ -397,15 +363,13 @@ def fit(data, k: int, cfg: AlgoConfig | None = None) -> ClusteringResult:
     if best is None:
         raise DegenerateClusteringError("every restart emptied a cluster twice")
     flags, types = detect_outliers(
-        data, best["params"], best["assignments"], cfg.outlier_threshold,
-        scale_by_n=cfg.scale_threshold_by_n,
-    )
+        data, best["params"], best["assignments"], cfg.outlier_threshold)
     return ClusteringResult(
         params=best["params"],
         assignments=best["assignments"],
         outlier_flags=flags,
         outlier_types=types,
-        objective=best["objective"],
+        objective=pseudo_beta_likelihood(data, best["params"], best["assignments"], cfg.beta),
         iterations=best["iterations"],
         restart_index=best_restart,
         discriminants=best["discriminants"],

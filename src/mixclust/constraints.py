@@ -72,7 +72,7 @@ def enforce_constraints(covs, cfg: ConstraintConfig) -> list[np.ndarray]:
     pooled = np.concatenate([vals for vals, _ in spectra])
     small, big = float(pooled.min()), float(pooled.max())
     if small >= cfg.c1 and big <= cfg.c * small:
-        return [np.array(validate_cov(cov), copy=True) for cov in covs]
+        return [np.array(cov, dtype=float) for cov in covs]
 
     cands = np.concatenate(([cfg.c1], pooled, pooled / cfg.c))
     cands = np.unique(cands[cands >= cfg.c1])

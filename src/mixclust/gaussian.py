@@ -29,19 +29,21 @@ def as_data_matrix(data) -> np.ndarray:
     return arr
 
 
-def validate_cov(cov, *, sym_tol: float = 1e-12) -> np.ndarray:
-    """Return ``cov`` as a float array after shape and symmetry checks.
+def validate_cov(cov) -> np.ndarray:
+    """Return ``cov`` as a float array after shape, finiteness and symmetry checks.
 
-    Symmetry is required to within ``sym_tol`` relative to the largest
-    entry. Positive definiteness is checked later via the Cholesky
-    factorization in :class:`GaussianComponent`; this function does not
-    regularize (the constraints module owns all regularization).
+    Symmetry is required to within 1e-12 relative to the largest entry.
+    Positive definiteness is checked later via the Cholesky factorization
+    in :class:`GaussianComponent`; this function does not regularize (the
+    constraints module owns all regularization).
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise DimensionMismatchError(f"covariance must be square, got shape {cov.shape}")
+    if not np.isfinite(cov).all():
+        raise NotPositiveDefiniteError("non-finite covariance")
     scale = max(float(np.abs(cov).max()), 1.0)
-    if not np.allclose(cov, cov.T, rtol=0.0, atol=sym_tol * scale):
+    if np.abs(cov - cov.T).max() > 1e-12 * scale:
         raise NotPositiveDefiniteError("covariance is not symmetric")
     return cov
 

@@ -17,32 +17,27 @@ from .errors import NonPositiveDenominatorError, NotPositiveDefiniteError
 from .gaussian import (
     LOG_2PI,
     GaussianComponent,
-    as_data_matrix,
     log_density,
     mahalanobis_sq,
 )
 
+# Unitless guard: the covariance denominator must exceed MIN_DENOMINATOR * n,
+# and it also scales the eigenvalue floor of the robust starting point.
+MIN_DENOMINATOR = 1e-8
+
 
 @dataclass
 class IrlsConfig:
-    """Convergence controls for the reweighted iteration.
-
-    ``min_denominator`` is a unitless guard: the covariance denominator must
-    exceed ``min_denominator * n``, and it also scales the eigenvalue floor
-    used when an iterate degenerates (all-constant data).
-    """
+    """Convergence controls for the reweighted iteration."""
 
     epsilon: float = 1e-6
     max_iter: int = 500
-    min_denominator: float = 1e-8
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.min_denominator <= 0:
-            raise ValueError("min_denominator must be positive")
 
 
 @dataclass
@@ -66,21 +61,21 @@ def _floored_component(mean: np.ndarray, cov: np.ndarray, floor: float) -> tuple
         return GaussianComponent(mean, 0.5 * (fixed + fixed.T)), True
 
 
-def robust_init(data, min_denominator: float = 1e-8) -> tuple[GaussianComponent, bool]:
+def robust_init(data) -> tuple[GaussianComponent, bool]:
     """Median-based starting point for the reweighted iteration.
 
     The mean starts at the componentwise medians. The covariance starts at
     1.4826**2 times the entrywise medians of the centered cross products, a
     multivariate analogue of the median absolute deviation. Eigenvalues are
-    floored at ``min_denominator * trace`` (with a tiny absolute fallback
+    floored at ``MIN_DENOMINATOR * trace`` (with a tiny absolute fallback
     when a coordinate is entirely constant) so the result is always usable.
+    ``data`` is a finite float (n, p) array, as :func:`fit_component` passes it.
 
     Returns
     -------
     (GaussianComponent, bool)
         The starting component and whether any eigenvalue had to be floored.
     """
-    data = as_data_matrix(data)
     n, p = data.shape
     if n < 2:
         raise ValueError("robust initialization needs at least two observations")
@@ -91,7 +86,7 @@ def robust_init(data, min_denominator: float = 1e-8) -> tuple[GaussianComponent,
         for j in range(i, p):
             cov[i, j] = cov[j, i] = np.median(dev[:, i] * dev[:, j])
     cov *= 1.4826**2
-    floor = max(min_denominator * max(np.trace(cov), 0.0), 1e-12)
+    floor = max(MIN_DENOMINATOR * max(np.trace(cov), 0.0), 1e-12)
     vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
     floored = bool(vals.min() < floor)
     vals = np.maximum(vals, floor)
@@ -100,29 +95,27 @@ def robust_init(data, min_denominator: float = 1e-8) -> tuple[GaussianComponent,
 
 
 def irls_weights(data, comp: GaussianComponent, beta: float) -> np.ndarray:
-    """Observation weights ``exp(-beta/2 * mahalanobis_sq)``, each in (0, 1]."""
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    data = as_data_matrix(data)
+    """Observation weights ``exp(-beta/2 * mahalanobis_sq)``, each in (0, 1],
+    for a finite float (n, p) ``data`` and ``beta`` in [0, 1] (as ``AlgoConfig`` bounds it)."""
     return np.exp(-0.5 * beta * mahalanobis_sq(data, comp))
 
 
-def irls_step(data, comp: GaussianComponent, beta: float, cfg: IrlsConfig) -> GaussianComponent:
+def irls_step(data, comp: GaussianComponent, beta: float) -> GaussianComponent:
     """One update of the reweighted iteration.
 
     The mean becomes the weighted average; the covariance is the weighted
     scatter about the new mean divided by ``sum(w) - n*beta/(1+beta)**(p/2+1)``.
     Raises :class:`NonPositiveDenominatorError` when that denominator falls
-    below ``min_denominator * n``, which signals a cluster too small for the
+    below ``MIN_DENOMINATOR * n``, which signals a cluster too small for the
     requested downweighting; callers keep the previous estimate in that case.
+    ``data`` is a finite float (n, p) array, as :func:`fit_component` passes it.
     """
-    data = as_data_matrix(data)
     n, p = data.shape
     w = irls_weights(data, comp, beta)
     denom = w.sum() - n * beta / (1.0 + beta) ** (0.5 * p + 1.0)
-    if denom <= cfg.min_denominator * n:
+    if denom <= MIN_DENOMINATOR * n:
         raise NonPositiveDenominatorError(
-            f"covariance denominator {denom:.3e} below guard {cfg.min_denominator * n:.3e}"
+            f"covariance denominator {denom:.3e} below guard {MIN_DENOMINATOR * n:.3e}"
         )
     mean = (w @ data) / w.sum()
     centered = data - mean
@@ -145,18 +138,17 @@ def fit_component(data, beta: float, cfg: IrlsConfig | None = None,
     A denominator-guard failure on the very first step propagates (the
     start is already too downweighted to move); tripping later stops the
     iteration and keeps the last valid iterate, again with
-    ``converged=False``.
+    ``converged=False``. ``data`` is a finite float (n, p) array.
     """
     cfg = cfg or IrlsConfig()
-    data = as_data_matrix(data)
     if data.shape[0] < 2:
         raise ValueError("covariance fitting needs at least two observations")
-    comp = init if init is not None else robust_init(data, cfg.min_denominator)[0]
+    comp = init if init is not None else robust_init(data)[0]
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
         try:
-            new = irls_step(data, comp, beta, cfg)
+            new = irls_step(data, comp, beta)
         except NonPositiveDenominatorError:
             if iterations == 1:
                 raise
@@ -182,8 +174,8 @@ def estimating_equation_residual(data, comp: GaussianComponent, beta: float) -> 
     with ``S_i`` the centered outer products and
     ``c0 = beta (2*pi)**(-p*beta/2) det(cov)**(-beta/2) (1+beta)**(-(p+2)/2)``.
     Both residuals vanish at any fixed point of :func:`irls_step`.
+    ``data`` is a finite float (n, p) array.
     """
-    data = as_data_matrix(data)
     n, p = data.shape
     phi_beta = np.exp(beta * log_density(data, comp))
     centered = data - comp.mean

@@ -18,7 +18,7 @@ _MATRIX = {"type": "array", "items": _VECTOR}
 FIT_RESULT = {
     "type": "object",
     "required": ["n", "p", "k", "beta", "seed", "weights", "means", "covariances",
-                 "objective", "iterations", "restart_index", "outlier_count"],
+                 "objective", "iterations", "stable", "restart_index", "outlier_count"],
     "properties": {
         "n": _INT, "p": _INT, "k": _INT, "beta": _NUMBER, "seed": _INT,
         "threshold": _NUMBER,
@@ -27,6 +27,7 @@ FIT_RESULT = {
         "covariances": {"type": "array", "items": _MATRIX},
         "objective": _NUMBER,
         "iterations": _INT,
+        "stable": {"type": "boolean"},
         "restart_index": _INT,
         "outlier_count": _INT,
     },

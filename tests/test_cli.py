@@ -76,6 +76,41 @@ class TestFitCommand:
         assert code == 2
         assert ":2:" in capsys.readouterr().err
 
+    def test_non_finite_cell_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("1,2\n3,nan\n5,6\n7,8\n")
+        code = main(["fit", str(path), "--k", "2", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_capped_fit_labels_match_written_params(self, tmp_path):
+        # three overlapping blobs: two outer iterations do not settle the labels
+        rng = np.random.default_rng(0)
+        data = np.vstack([rng.normal(c, 1.0, (60, 2))
+                          for c in ([0.0, 0.0], [2.5, 0.0], [1.2, 2.2])])
+        path = tmp_path / "blobs.csv"
+        np.savetxt(path, data, delimiter=",", fmt="%.6f")
+        data = np.loadtxt(path, delimiter=",")
+        for max_iter, stable in (("2", False), ("100", True)):
+            out = tmp_path / f"run{max_iter}"
+            assert main(["fit", str(path), "--k", "3", "--restarts", "1",
+                         "--max-iter", max_iter, "--out", str(out)]) == 0
+            result = json.loads((out / "result.json").read_text())
+            assert result["stable"] is stable
+            labels = np.loadtxt(out / "assignments.csv", delimiter=",", skiprows=1,
+                                usecols=1).astype(int) - 1
+            logd = []
+            for w, mean, cov in zip(result["weights"], result["means"],
+                                    result["covariances"]):
+                chol = np.linalg.cholesky(np.array(cov))
+                z = np.linalg.solve(chol, (data - mean).T)
+                log_det = 2.0 * np.log(np.diag(chol)).sum()
+                logd.append(np.log(w) - 0.5 * (data.shape[1] * np.log(2 * np.pi) + log_det
+                                               + (z * z).sum(axis=0)))
+            logd = np.column_stack(logd)
+            own = logd[np.arange(len(data)), labels]
+            assert np.all(own >= logd.max(axis=1) - 1e-9)
+
     def test_output_collision_exit_2(self, toy_csv, tmp_path):
         out = tmp_path / "run"
         assert main(["fit", str(toy_csv), "--k", "2", "--restarts", "1",

@@ -6,6 +6,7 @@ from scipy.optimize import minimize
 
 from mixclust import (
     AlgoConfig,
+    DimensionMismatchError,
     GaussianComponent,
     IrlsConfig,
     MixtureParams,
@@ -21,6 +22,7 @@ from mixclust import (
     update_weights,
 )
 from mixclust.clustering import component_fit_score, log_discriminants
+from mixclust.gaussian import as_data_matrix
 
 
 def two_comp_params(mu1=0.0, mu2=5.0, v1=1.0, v2=1.0, w1=0.5):
@@ -76,15 +78,6 @@ class TestAssign:
         params = two_comp_params(v1=100.0, w1=0.99)
         labels, _ = assign(np.array([[4.0]]), params, rule="distance")
         assert labels[0] == 1  # nearest mean, weights and spreads ignored
-
-    def test_mahalanobis_rule(self):
-        # euclidean prefers the nearer mean, mahalanobis the wider component
-        params = two_comp_params(mu1=0.0, mu2=3.0, v1=0.04, v2=9.0)
-        x = np.array([[1.0]])
-        euclid, _ = assign(x, params, rule="distance")
-        mahal, _ = assign(x, params, rule="mahalanobis")
-        assert euclid[0] == 0
-        assert mahal[0] == 1
 
 
 class TestWeightsUpdate:
@@ -258,6 +251,30 @@ class TestFit:
         assert res.selection_score == pytest.approx(score, rel=1e-12)
         assert res.params.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_data(self, bad):
+        data = np.arange(12.0).reshape(6, 2)
+        data[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fit(data, 2, AlgoConfig(n_restarts=1))
+
+    def test_rejects_3d_data(self):
+        with pytest.raises(DimensionMismatchError):
+            fit(np.zeros((4, 3, 2)), 2, AlgoConfig(n_restarts=1))
+
+    def test_data_checked_once(self, monkeypatch):
+        calls = []
+
+        def counting(data):
+            calls.append(1)
+            return as_data_matrix(data)
+
+        monkeypatch.setattr("mixclust.clustering.as_data_matrix", counting)
+        rng = np.random.default_rng(17)
+        data = blob_data(rng, [np.zeros(2), np.full(2, 6.0)], 30)
+        fit(data, 2, AlgoConfig(beta=0.2, n_restarts=3, seed=0))
+        assert len(calls) == 1
+
     def test_needs_k_points(self):
         with pytest.raises(ValueError):
             fit(np.zeros((2, 1)), 3, AlgoConfig())
@@ -295,12 +312,10 @@ class TestDetectOutliers:
         data = np.vstack([np.zeros((99, 1)), [[30.0]]])
         labels, disc = assign(data, params)
         raw_threshold = float(disc[-1]) * 2.0
-        flags_raw, _ = detect_outliers(data, params, labels, raw_threshold,
-                                       scale_by_n=False)
-        flags_scaled, _ = detect_outliers(data, params, labels, raw_threshold,
-                                          scale_by_n=True)
-        assert flags_raw[-1]
+        flags_scaled, _ = detect_outliers(data, params, labels, raw_threshold)
         assert not flags_scaled[-1]  # scaling by n=100 lifts the score above T
+        flags_at_n, _ = detect_outliers(data, params, labels, float(disc[-1]) * len(data))
+        assert flags_at_n[-1]
 
     def test_far_blob_flagged_and_typed(self):
         rng = np.random.default_rng(16)

@@ -65,6 +65,11 @@ class TestMahalanobis:
         with pytest.raises(NotPositiveDefiniteError):
             GaussianComponent([0.0, 0.0], [[1.0, 0.5], [0.1, 1.0]])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NotPositiveDefiniteError, match="non-finite"):
+            GaussianComponent([0.0, 0.0], [[bad, 0.0], [0.0, 1.0]])
+
 
 class TestLogDensity:
     def test_standard_normal_mode(self):

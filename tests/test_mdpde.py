@@ -74,7 +74,7 @@ class TestIrlsStep:
         rng = np.random.default_rng(2)
         data = rng.standard_normal((60, 3)) + [1.0, -2.0, 0.5]
         start = GaussianComponent(np.zeros(3), np.eye(3))
-        new = irls_step(data, start, 0.0, IrlsConfig())
+        new = irls_step(data, start, 0.0)
         mean = data.mean(axis=0)
         centered = data - mean
         assert np.allclose(new.mean, mean, atol=1e-12)
@@ -83,7 +83,7 @@ class TestIrlsStep:
     def test_symmetric_data_keeps_center(self):
         data = np.array([[-1.0], [0.0], [1.0]])
         start = GaussianComponent([0.0], [[1.0]])
-        new = irls_step(data, start, 0.6, IrlsConfig())
+        new = irls_step(data, start, 0.6)
         assert new.mean[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_denominator_guard(self):
@@ -91,7 +91,7 @@ class TestIrlsStep:
         data = np.array([[0.0], [100.0], [200.0]])
         start = GaussianComponent([0.0], [[1e-4]])
         with pytest.raises(NonPositiveDenominatorError):
-            irls_step(data, start, 1.0, IrlsConfig())
+            irls_step(data, start, 1.0)
 
     def test_contaminated_location_contrast(self):
         rng = np.random.default_rng(7)

@@ -29,6 +29,13 @@ log = logging.getLogger(__name__)
 
 ASSIGNMENT_RULES = ("likelihood", "distance")
 
+# A later restart replaces the best one only when its selection score is
+# higher by more than this, relative to max(1, |best score|). Restarts that
+# reach one fixed point (possibly with permuted labels) score within a few
+# ulp of each other, because the sums are rounded in a label-dependent
+# order; a strict comparison would pick among them by rounding noise.
+RESTART_TIE_RTOL = 1e-12
+
 
 @dataclass
 class MixtureParams:
@@ -337,8 +344,11 @@ def fit(data, k: int, cfg: AlgoConfig | None = None) -> ClusteringResult:
     ``(cfg.seed, restart_index)``, so results are reproducible. Restarts
     whose clusters empty twice are discarded; if every restart degenerates a
     :class:`DegenerateClusteringError` is raised. The winner is the restart
-    with the highest selection score (first one on ties); its objective is
-    evaluated and its outliers flagged and typed. ``data`` is checked here,
+    with the highest selection score; a later restart wins only when it
+    scores higher by more than ``RESTART_TIE_RTOL`` (1e-12) times
+    ``max(1, |best score|)``, so of restarts that reach one fixed point the
+    first is kept. The winner's objective is evaluated and its outliers
+    flagged and typed. ``data`` is checked here,
     once, by :func:`~mixclust.gaussian.as_data_matrix`; every function it
     calls trusts the resulting finite float (n, p) array.
     """
@@ -357,7 +367,9 @@ def fit(data, k: int, cfg: AlgoConfig | None = None) -> ClusteringResult:
         if outcome["degenerate"]:
             log.debug("restart %d degenerate after %d iterations", r, outcome["iterations"])
             continue
-        if best is None or outcome["selection_score"] > best["selection_score"]:
+        score = outcome["selection_score"]
+        if best is None or score - best["selection_score"] > \
+                RESTART_TIE_RTOL * max(1.0, abs(best["selection_score"])):
             best = outcome
             best_restart = r
     if best is None:

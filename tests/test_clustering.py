@@ -275,6 +275,48 @@ class TestFit:
         fit(data, 2, AlgoConfig(beta=0.2, n_restarts=3, seed=0))
         assert len(calls) == 1
 
+    @staticmethod
+    def _nudged_restarts(monkeypatch, nudge):
+        """Run the real ``fit_single``, but make restart 0 degenerate and
+        add ``nudge(r, score)`` to the selection score of restart r."""
+        real = fit_single
+        outcomes = []
+
+        def patched(*args, **kwargs):
+            r = len(outcomes)
+            out = dict(real(*args, **kwargs))
+            if r == 0:
+                out = {"degenerate": True, "iterations": out["iterations"]}
+            else:
+                out["selection_score"] += nudge(r, out["selection_score"])
+            outcomes.append(out)
+            return out
+
+        monkeypatch.setattr("mixclust.clustering.fit_single", patched)
+        return outcomes
+
+    def test_restart_ties_keep_earliest(self, monkeypatch):
+        # Later restarts reach the same fixed point and score a few ulp
+        # higher, as rounding in a label-dependent order makes them do.
+        outcomes = self._nudged_restarts(
+            monkeypatch, lambda r, s: r * np.spacing(s))
+        rng = np.random.default_rng(18)
+        data = blob_data(rng, [np.zeros(2), np.full(2, 9.0)], 40)
+        res = fit(data, 2, AlgoConfig(beta=0.2, n_restarts=5, seed=0))
+        partitions = {frozenset(frozenset(np.flatnonzero(out["assignments"] == j))
+                                for j in range(2)) for out in outcomes[1:]}
+        assert len(partitions) == 1
+        assert outcomes[4]["selection_score"] > outcomes[1]["selection_score"]
+        assert res.restart_index == 1
+
+    def test_genuinely_better_restart_wins(self, monkeypatch):
+        self._nudged_restarts(
+            monkeypatch, lambda r, s: 1e-9 * max(1.0, abs(s)) if r == 3 else 0.0)
+        rng = np.random.default_rng(18)
+        data = blob_data(rng, [np.zeros(2), np.full(2, 9.0)], 40)
+        res = fit(data, 2, AlgoConfig(beta=0.2, n_restarts=5, seed=0))
+        assert res.restart_index == 3
+
     def test_needs_k_points(self):
         with pytest.raises(ValueError):
             fit(np.zeros((2, 1)), 3, AlgoConfig())

@@ -39,15 +39,6 @@ from .gaussian import (
     log_density,
     mahalanobis_sq,
 )
-from .influence import (
-    FunctionalSolution,
-    TrueDistribution,
-    assemble_if_system,
-    if_curve,
-    influence_at,
-    numeric_if_oracle,
-    solve_functional,
-)
 from .imageseg import PixelGrid, SegmentationResult, load_image, reconstruct, segment
 from .mdpde import (
     ComponentFit,
@@ -75,3 +66,20 @@ from .simulation import (
 )
 
 __version__ = "0.1.0"
+
+# Served on first access (PEP 562): influence needs scipy, which costs more
+# start-up time than the rest of the package, and nothing else loads it.
+_INFLUENCE_NAMES = ("FunctionalSolution", "TrueDistribution", "assemble_if_system",
+                    "if_curve", "influence_at", "numeric_if_oracle", "solve_functional")
+
+
+def __getattr__(name):
+    if name in _INFLUENCE_NAMES:
+        from . import influence
+
+        return getattr(influence, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_INFLUENCE_NAMES))

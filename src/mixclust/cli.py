@@ -24,12 +24,6 @@ import numpy as np
 from .clustering import AlgoConfig, fit
 from .constraints import ConstraintConfig
 from .errors import ImageFormatError, MixclustError
-from .influence import (
-    TrueDistribution,
-    if_curve,
-    solve_functional,
-    write_if_curve,
-)
 from .imageseg import load_image, reconstruct, save_ppm, save_sidecar, segment
 from .schemas import validate
 from .simulation import (
@@ -266,6 +260,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_influence(args) -> int:
+    # Imported here: influence is the only subcommand that needs scipy.
+    from .influence import TrueDistribution, if_curve, solve_functional, write_if_curve
+
     if any(beta == 0.0 for beta in args.beta):
         raise InputError(
             "beta = 0 is refused: the corresponding influence functions are unbounded")

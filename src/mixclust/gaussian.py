@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatchError, NotPositiveDefiniteError
 
@@ -116,8 +115,10 @@ def mahalanobis_sq(x, comp: GaussianComponent):
         raise DimensionMismatchError(
             f"point dimension {pts.shape[1]} does not match component dimension {comp.dim}"
         )
-    z = solve_triangular(comp.chol, (pts - comp.mean).T, lower=True)
-    q = np.einsum("ij,ij->j", z, z)
+    # One GEMM with the inverse Cholesky factor: faster than a triangular
+    # solve at every (n, p) this package meets, and numpy-only.
+    z = (pts - comp.mean) @ np.linalg.inv(comp.chol).T
+    q = np.einsum("ij,ij->i", z, z)
     return float(q[0]) if single else q
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-from scipy.special import chdtri
 
 from .clustering import AlgoConfig, ClusteringResult, fit
 from .errors import MixclustError, SamplingError
@@ -145,6 +144,9 @@ def contaminate_uniform_chisq(sample: LabeledSample, spec: ScenarioSpec,
     Mahalanobis distance (under the scenario's true spherical covariance) to
     any center exceeds the 97.5th chi-square percentile for dimension p.
     """
+    # Imported here, its only use, so that no other path loads scipy.
+    from scipy.special import chdtri
+
     m = spec.n_outliers
     cutoff = chdtri(spec.p, 1.0 - 0.975)  # inverse of the upper tail
     accepted: list[np.ndarray] = []

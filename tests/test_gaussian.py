@@ -1,8 +1,11 @@
 """Gaussian kernel and power-integral tests, including quadrature oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
+from scipy.linalg import solve_triangular
 
 from mixclust import (
     DimensionMismatchError,
@@ -69,6 +72,57 @@ class TestMahalanobis:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(NotPositiveDefiniteError, match="non-finite"):
             GaussianComponent([0.0, 0.0], [[bad, 0.0], [0.0, 1.0]])
+
+
+def conditioned_component(p, cond):
+    """Random rotation of eigenvalues spread log-evenly over
+    [cond**-0.5, cond**0.5], so the covariance has condition number cond
+    (for p = 1 the spread sets the variance instead)."""
+    rng = np.random.default_rng([p, round(np.log10(cond))])
+    rot, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    eig = np.logspace(-0.5 * np.log10(cond), 0.5 * np.log10(cond), p)
+    cov = (rot * eig) @ rot.T
+    return GaussianComponent(rng.uniform(-5.0, 5.0, p), 0.5 * (cov + cov.T)), eig, rng
+
+
+ACCURACY_GRID = pytest.mark.parametrize(
+    "p, cond", [(p, c) for p in (1, 2, 5, 10) for c in (1.0, 1e4, 1e8, 1e12)])
+
+
+class TestMahalanobisAccuracy:
+    """The inverse-Cholesky GEMM kernel against independent oracles."""
+
+    @ACCURACY_GRID
+    def test_matches_triangular_solve(self, p, cond):
+        comp, eig, rng = conditioned_component(p, cond)
+        pts = comp.mean + np.sqrt(eig.max()) * rng.standard_normal((2000, p))
+        z = solve_triangular(comp.chol, (pts - comp.mean).T, lower=True)
+        expected = np.einsum("ij,ij->j", z, z)
+        got = mahalanobis_sq(pts, comp)
+        assert got.shape == (2000,)
+        assert np.max(np.abs(got - expected) / expected) <= 1e-12
+        for i in range(20):
+            single = mahalanobis_sq(pts[i], comp)
+            assert isinstance(single, float)
+            assert abs(single - expected[i]) <= 1e-12 * expected[i]
+
+    @ACCURACY_GRID
+    def test_component_shaped_points_within_conditioning(self, p, cond):
+        # Points spread like the component itself weigh every direction
+        # equally, so any method's distances are accurate only to about
+        # cond(L) * eps; check against exact rational forward substitution.
+        comp, _, rng = conditioned_component(p, cond)
+        pts = comp.mean + rng.standard_normal((100, p)) @ comp.chol.T
+        chol = [[Fraction(v) for v in row] for row in comp.chol]
+        got = mahalanobis_sq(pts, comp)
+        bound = 4 * p * np.linalg.cond(comp.chol) * np.finfo(float).eps
+        for point, q in zip(pts, got):
+            diff = [Fraction(v) - Fraction(m) for v, m in zip(point, comp.mean)]
+            z = []
+            for i in range(p):
+                z.append((diff[i] - sum(chol[i][j] * z[j] for j in range(i))) / chol[i][i])
+            exact = sum(v * v for v in z)
+            assert abs(float((Fraction(q) - exact) / exact)) <= bound
 
 
 class TestLogDensity:

@@ -348,9 +348,9 @@ def fit(data, k: int, cfg: AlgoConfig | None = None) -> ClusteringResult:
     scores higher by more than ``RESTART_TIE_RTOL`` (1e-12) times
     ``max(1, |best score|)``, so of restarts that reach one fixed point the
     first is kept. The winner's objective is evaluated and its outliers
-    flagged and typed. ``data`` is checked here,
-    once, by :func:`~mixclust.gaussian.as_data_matrix`; every function it
-    calls trusts the resulting finite float (n, p) array.
+    flagged and typed. ``data`` is checked here, once, by
+    :func:`~mixclust.gaussian.as_data_matrix`; every function it calls
+    trusts the resulting finite float (n, p) array.
     """
     cfg = cfg or AlgoConfig()
     data = as_data_matrix(data)

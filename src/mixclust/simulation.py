@@ -417,7 +417,7 @@ def run_experiment(spec: ScenarioSpec, algo_cfgs: list[AlgoConfig],
         from concurrent.futures import ProcessPoolExecutor
 
         # fork, not spawn: workers start from this process's loaded modules
-        # instead of importing numpy and scipy again. mixclust starts no
+        # instead of importing numpy and mixclust again. mixclust starts no
         # Python threads, and OpenBLAS stops its own before a fork.
         with ProcessPoolExecutor(max_workers=n_workers,
                                  mp_context=multiprocessing.get_context("fork"),

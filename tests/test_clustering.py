@@ -299,7 +299,7 @@ class TestFit:
         # Later restarts reach the same fixed point and score a few ulp
         # higher, as rounding in a label-dependent order makes them do.
         outcomes = self._nudged_restarts(
-            monkeypatch, lambda r, s: r * np.spacing(s))
+            monkeypatch, lambda r, s: r * abs(np.spacing(s)))
         rng = np.random.default_rng(18)
         data = blob_data(rng, [np.zeros(2), np.full(2, 9.0)], 40)
         res = fit(data, 2, AlgoConfig(beta=0.2, n_restarts=5, seed=0))

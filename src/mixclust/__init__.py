@@ -12,6 +12,7 @@ from .clustering import (
     MixtureParams,
     assign,
     detect_outliers,
+    discriminants,
     fit,
     fit_single,
     initialize,

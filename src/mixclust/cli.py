@@ -24,7 +24,7 @@ import numpy as np
 from .clustering import AlgoConfig, fit
 from .constraints import ConstraintConfig
 from .errors import ImageFormatError, MixclustError
-from .imageseg import load_image, reconstruct, save_ppm, save_sidecar, segment
+from .imageseg import load_image, reconstruct, save_ppm, segment, sidecar_payload
 from .schemas import validate
 from .simulation import (
     ScenarioSpec,
@@ -315,9 +315,7 @@ def cmd_image(args) -> int:
     seg = segment(grid, args.k, cfg)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_ppm(reconstruct(grid, seg), out)
-    save_sidecar(seg, sidecar)
-    with open(sidecar, "r", encoding="utf-8") as fh:
-        validate(json.load(fh), "image_sidecar")
+    _write_json(sidecar, sidecar_payload(seg), schema="image_sidecar")
     log.info("reconstruction written to %s", out)
     return EXIT_OK
 

@@ -122,37 +122,34 @@ class ClusteringResult:
     selection_score: float = 0.0
 
 
-def log_discriminants(data, params: MixtureParams) -> np.ndarray:
-    """(n, k) matrix of ``log(weight_j) + log phi_j(x_i)``.
-
-    ``data`` is a finite float (n, p) array, as :func:`fit` passes it.
-    """
-    with np.errstate(divide="ignore"):
-        logw = np.log(params.weights)
-    return np.column_stack([logw[j] + log_density(data, params.components[j])
-                            for j in range(params.k)])
-
-
 def assign(data, params: MixtureParams, rule: str = "likelihood") -> tuple[np.ndarray, np.ndarray]:
-    """Hard assignment plus the assigned cluster's discriminant value.
+    """Hard assignment plus the (n, k) matrix of ``log phi_j(x_i)`` behind it.
 
     The default rule picks the cluster with the largest weighted density
-    (ties go to the smallest index). The "distance" rule picks the nearest
-    mean in Euclidean distance and still reports the weighted-density
-    discriminant of the chosen cluster, which is what outlier flagging uses.
-    ``data`` is a finite float (n, p) array, as :func:`fit` passes it.
+    ``log(weight_j) + log phi_j`` (ties go to the smallest index). The
+    "distance" rule picks the nearest mean in Euclidean distance. The matrix
+    carries no weights: :func:`discriminants` adds them for the rows' own
+    clusters. ``data`` is a finite float (n, p) array, as :func:`fit` passes it.
     """
-    logd = log_discriminants(data, params)
+    log_phi = np.column_stack([log_density(data, comp) for comp in params.components])
     if rule == "likelihood":
-        labels = np.argmax(logd, axis=1)
+        with np.errstate(divide="ignore"):
+            labels = np.argmax(np.log(params.weights) + log_phi, axis=1)
     elif rule == "distance":
-        means = np.stack([c.mean for c in params.components])
-        d2 = ((data[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+        # one (n, p) temporary per component, not an (n, k, p) block
+        d2 = np.column_stack([((data - c.mean) ** 2).sum(axis=1) for c in params.components])
         labels = np.argmin(d2, axis=1)
     else:
         raise ValueError(f"unknown assignment rule {rule!r}")
-    disc = np.exp(logd[np.arange(len(data)), labels])
-    return labels, disc
+    return labels, log_phi
+
+
+def discriminants(params: MixtureParams, labels, log_phi) -> np.ndarray:
+    """Weighted density ``weight_l * phi_l(x_i)`` of each row's cluster l,
+    from those rows' own-cluster log-densities ``log_phi`` (length n)."""
+    with np.errstate(divide="ignore"):
+        logw = np.log(params.weights)
+    return np.exp(logw[labels] + log_phi)
 
 
 def update_weights(assignments, n: int, k: int) -> np.ndarray:
@@ -163,7 +160,7 @@ def update_weights(assignments, n: int, k: int) -> np.ndarray:
     return counts / n
 
 
-def pseudo_beta_likelihood(data, params: MixtureParams, assignments, beta: float) -> float:
+def pseudo_beta_likelihood(log_phi, params: MixtureParams, assignments, beta: float) -> float:
     """Objective value of a hard-assigned mixture at exponent ``beta``.
 
     Averages, over observations, ``log(weight) + phi^beta / beta - I_beta/(1+beta)``
@@ -171,40 +168,36 @@ def pseudo_beta_likelihood(data, params: MixtureParams, assignments, beta: float
     :func:`component_fit_score` plus ``sum_j n_j log(weight_j) / n`` over the
     non-empty clusters. At beta = 0 the middle terms become the plain
     log-density, recovering the classification log-likelihood. Empty
-    clusters contribute nothing. ``data`` is a finite float (n, p) array, as
-    :func:`fit` passes it.
+    clusters contribute nothing. ``log_phi`` holds each row's log-density
+    under its assigned component.
     """
-    counts = np.bincount(np.asarray(assignments, dtype=int), minlength=params.k)
+    counts = np.bincount(assignments, minlength=params.k)
     used = counts > 0
     with np.errstate(divide="ignore"):
         log_weights = float(counts[used] @ np.log(params.weights[used]))
-    return component_fit_score(data, params, assignments, beta) + log_weights / len(data)
+    return component_fit_score(log_phi, params, assignments, beta) + log_weights / len(log_phi)
 
 
-def component_fit_score(data, params: MixtureParams, assignments, beta: float) -> float:
+def component_fit_score(log_phi, params: MixtureParams, assignments, beta: float) -> float:
     """Aggregate per-component fit score: the objective without log-weights.
 
     This is the sum the parameter-update step maximizes blockwise, averaged
     over observations. Unlike the full objective it carries no reward for
     concentrating counts, so comparing restarts by it does not favor merged
-    configurations; see :class:`AlgoConfig`. ``data`` is a finite float
-    (n, p) array, as :func:`fit` passes it.
+    configurations; see :class:`AlgoConfig`. ``log_phi`` holds each row's
+    log-density under its assigned component.
     """
-    assignments = np.asarray(assignments, dtype=int)
     total = 0.0
-    for j in range(params.k):
-        members = data[assignments == j]
-        if len(members) == 0:
+    for j, comp in enumerate(params.components):
+        logs = log_phi[assignments == j]
+        if len(logs) == 0:
             continue
-        comp = params.components[j]
-        logs = log_density(members, comp)
         if beta == 0.0:
             total += logs.sum()
         else:
-            integral = dpd_integral(None, beta, log_det=comp.log_det, p=comp.dim)
             total += np.exp(beta * logs).sum() / beta
-            total -= len(members) * integral / (1.0 + beta)
-    return float(total / len(data))
+            total -= len(logs) * dpd_integral(comp.log_det, comp.dim, beta) / (1.0 + beta)
+    return float(total / len(log_phi))
 
 
 def initialize(data, k: int, rng: np.random.Generator) -> tuple[MixtureParams, np.ndarray]:
@@ -224,21 +217,16 @@ def initialize(data, k: int, rng: np.random.Generator) -> tuple[MixtureParams, n
     return params, labels
 
 
-def detect_outliers(data, params: MixtureParams, assignments,
-                    threshold: float) -> tuple[np.ndarray, np.ndarray]:
+def detect_outliers(disc, assignments, threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Flag observations whose sample-size-scaled assigned-cluster
-    discriminant ``n * D`` is at or below the threshold (inclusive), so the
-    threshold reads as an expected-observation count at the point; a zero
-    threshold never flags. Flagged points keep their pre-flag cluster index
-    as the outlier type; unflagged entries carry -1. ``data`` is a finite
-    float (n, p) array, as :func:`fit` passes it.
+    discriminant ``n * D`` (``disc`` from :func:`discriminants`) is at or
+    below the threshold (inclusive), so the threshold reads as an
+    expected-observation count at the point; a zero threshold never flags.
+    Flagged points keep their pre-flag cluster index as the outlier type;
+    unflagged entries carry -1.
     """
-    assignments = np.asarray(assignments, dtype=int)
-    logd = log_discriminants(data, params)
-    disc = np.exp(logd[np.arange(len(data)), assignments])
-    flags = disc * len(data) <= threshold
-    types = np.where(flags, assignments, -1)
-    return flags, types
+    flags = disc * len(disc) <= threshold
+    return flags, np.where(flags, assignments, -1)
 
 
 def _m_step(data, assignments, k: int, cfg: AlgoConfig,
@@ -262,16 +250,23 @@ def _m_step(data, assignments, k: int, cfg: AlgoConfig,
     return MixtureParams(weights=weights, components=comps)
 
 
-def _reseed_empty(labels: np.ndarray, disc: np.ndarray, k: int,
+def _own_column(matrix: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """``matrix[i, labels[i]]`` for every row i, as a new length-n array."""
+    return np.take_along_axis(matrix, labels[:, None], axis=1)[:, 0]
+
+
+def _reseed_empty(labels: np.ndarray, params: MixtureParams, log_phi: np.ndarray,
                   reseeds: np.ndarray) -> bool:
     """Move the lowest-discriminant points into emptied clusters, in place.
 
+    ``log_phi`` is the (n, k) matrix :func:`assign` returned with ``labels``.
     Returns True when a cluster empties for the second time (degenerate).
     """
-    counts = np.bincount(labels, minlength=k)
+    counts = np.bincount(labels, minlength=params.k)
     empty = np.flatnonzero(counts == 0)
     if len(empty) == 0:
         return False
+    disc = discriminants(params, labels, _own_column(log_phi, labels))
     order = np.argsort(disc, kind="stable")
     cursor = 0
     for j in empty:
@@ -297,13 +292,16 @@ def fit_single(data, k: int, cfg: AlgoConfig,
     """Run one restart of the outer loop from an explicit initialization.
 
     Returns a dict with the degenerate flag and iterations and, unless the
-    restart degenerated, params, assignments, discriminants (both from the
-    last :func:`assign` under those params), the stability flag and the
-    selection score (:func:`component_fit_score`). When ``max_outer_iter``
-    is hit, ``stable`` is False and the params come from the M-step before
-    that last reassignment, so the weights need not equal the final cluster
-    shares, and rows a reseed moved on that iteration are off the rule's
-    choice. ``data`` is a finite float (n, p) array, as :func:`fit` passes it.
+    restart degenerated, params, assignments, ``log_phi`` (each row's
+    log-density under the component it is assigned to, from the last
+    :func:`assign` under those params), the stability flag and the
+    selection score (:func:`component_fit_score`). ``log_phi`` is read after
+    the empty-cluster reseed, so it belongs to the returned cluster even for
+    a row the reseed moved; such a row is off the rule's choice, in a stable
+    fit too. When ``max_outer_iter`` is hit, ``stable`` is False and the
+    params come from the M-step before that last reassignment, so the
+    weights need not equal the final cluster shares. ``data`` is a finite
+    float (n, p) array, as :func:`fit` passes it.
     """
     params = init_params
     if init_assignments is None:
@@ -316,10 +314,13 @@ def fit_single(data, k: int, cfg: AlgoConfig,
     for iterations in range(1, cfg.max_outer_iter + 1):
         params = _m_step(data, assignments, k, cfg, prev_comps)
         prev_comps = params.components
-        new_labels, disc = assign(data, params, cfg.assignment_rule)
-        degenerate = _reseed_empty(new_labels, disc, k, reseeds)
+        new_labels, log_phi = assign(data, params, cfg.assignment_rule)
+        degenerate = _reseed_empty(new_labels, params, log_phi, reseeds)
         if degenerate:
             break
+        # Read the own-cluster column after the reseed moved rows, and free
+        # the (n, k) matrix before the next assignment builds another.
+        log_phi = _own_column(log_phi, new_labels)
         if np.array_equal(new_labels, assignments):
             stable = True
             break
@@ -330,10 +331,10 @@ def fit_single(data, k: int, cfg: AlgoConfig,
         "degenerate": False,
         "params": params,
         "assignments": assignments,
-        "discriminants": disc,
+        "log_phi": log_phi,
         "iterations": iterations,
         "stable": stable,
-        "selection_score": component_fit_score(data, params, assignments, cfg.beta),
+        "selection_score": component_fit_score(log_phi, params, assignments, cfg.beta),
     }
 
 
@@ -347,10 +348,11 @@ def fit(data, k: int, cfg: AlgoConfig | None = None) -> ClusteringResult:
     with the highest selection score; a later restart wins only when it
     scores higher by more than ``RESTART_TIE_RTOL`` (1e-12) times
     ``max(1, |best score|)``, so of restarts that reach one fixed point the
-    first is kept. The winner's objective is evaluated and its outliers
-    flagged and typed. ``data`` is checked here, once, by
-    :func:`~mixclust.gaussian.as_data_matrix`; every function it calls
-    trusts the resulting finite float (n, p) array.
+    first is kept. The winner's discriminants, objective and outlier flags
+    and types all come from its last assignment's log-densities, so the
+    written discriminant is the one the flag used. ``data`` is checked
+    here, once, by :func:`~mixclust.gaussian.as_data_matrix`; every function
+    it calls trusts the resulting finite float (n, p) array.
     """
     cfg = cfg or AlgoConfig()
     data = as_data_matrix(data)
@@ -374,17 +376,18 @@ def fit(data, k: int, cfg: AlgoConfig | None = None) -> ClusteringResult:
             best_restart = r
     if best is None:
         raise DegenerateClusteringError("every restart emptied a cluster twice")
-    flags, types = detect_outliers(
-        data, best["params"], best["assignments"], cfg.outlier_threshold)
+    params, labels, log_phi = best["params"], best["assignments"], best["log_phi"]
+    disc = discriminants(params, labels, log_phi)
+    flags, types = detect_outliers(disc, labels, cfg.outlier_threshold)
     return ClusteringResult(
-        params=best["params"],
-        assignments=best["assignments"],
+        params=params,
+        assignments=labels,
         outlier_flags=flags,
         outlier_types=types,
-        objective=pseudo_beta_likelihood(data, best["params"], best["assignments"], cfg.beta),
+        objective=pseudo_beta_likelihood(log_phi, params, labels, cfg.beta),
         iterations=best["iterations"],
         restart_index=best_restart,
-        discriminants=best["discriminants"],
+        discriminants=disc,
         stable=best["stable"],
         selection_score=best["selection_score"],
     )

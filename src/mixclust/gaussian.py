@@ -8,6 +8,7 @@ used by the clustering layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,14 +60,14 @@ def cholesky_spd(cov: np.ndarray) -> np.ndarray:
 class GaussianComponent:
     """One normal component: mean vector and SPD covariance.
 
-    The lower Cholesky factor and log-determinant are computed once at
-    construction; instances are treated as immutable after that.
+    The lower Cholesky factor is computed at construction, which also
+    checks positive definiteness; the log-determinant on first read.
+    Instances are treated as immutable.
     """
 
     mean: np.ndarray
     cov: np.ndarray
     _chol: np.ndarray = field(init=False, repr=False)
-    _log_det: float = field(init=False, repr=False)
 
     def __post_init__(self):
         self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -79,7 +80,6 @@ class GaussianComponent:
                 f"{self.cov.shape[0]}x{self.cov.shape[1]}"
             )
         self._chol = cholesky_spd(self.cov)
-        self._log_det = 2.0 * float(np.sum(np.log(np.diag(self._chol))))
 
     @property
     def dim(self) -> int:
@@ -89,9 +89,9 @@ class GaussianComponent:
     def chol(self) -> np.ndarray:
         return self._chol
 
-    @property
+    @cached_property
     def log_det(self) -> float:
-        return self._log_det
+        return 2.0 * float(np.sum(np.log(np.diag(self._chol))))
 
 
 def mahalanobis_sq(x, comp: GaussianComponent):
@@ -128,8 +128,9 @@ def log_density(x, comp: GaussianComponent):
     return -0.5 * (comp.dim * LOG_2PI + comp.log_det + q)
 
 
-def dpd_integral(cov, beta: float, *, log_det: float | None = None, p: int | None = None) -> float:
-    """Integral of the (1 + beta) power of the normal density.
+def dpd_integral(log_det: float, p: int, beta: float) -> float:
+    """Integral of the (1 + beta) power of a p-variate normal density whose
+    covariance has log-determinant ``log_det``.
 
     Closed form ``(2*pi)**(-p*beta/2) * det(cov)**(-beta/2) * (1+beta)**(-p/2)``,
     which follows from rewriting the power of a normal density as a scaled
@@ -138,10 +139,6 @@ def dpd_integral(cov, beta: float, *, log_det: float | None = None, p: int | Non
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    if log_det is None or p is None:
-        cov = validate_cov(cov)
-        p = cov.shape[0]
-        log_det = 2.0 * float(np.sum(np.log(np.diag(cholesky_spd(cov)))))
     return float(np.exp(-0.5 * beta * (p * LOG_2PI + log_det) - 0.5 * p * np.log1p(beta)))
 
 
@@ -159,5 +156,5 @@ def component_beta_objective(data, comp: GaussianComponent, beta: float) -> floa
     if beta == 0.0:
         return float(np.mean(logs))
     powered = np.exp(beta * logs)
-    integral = dpd_integral(None, beta, log_det=comp.log_det, p=comp.dim)
+    integral = dpd_integral(comp.log_det, comp.dim, beta)
     return float(np.mean(powered) / beta - integral / (1.0 + beta))

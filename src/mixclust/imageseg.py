@@ -13,7 +13,6 @@ alpha discarded) using only the standard library.
 from __future__ import annotations
 
 import colorsys
-import json
 import struct
 import zlib
 from dataclasses import dataclass, replace
@@ -202,13 +201,15 @@ def outlier_palette(k: int) -> np.ndarray:
     return np.asarray(colors, dtype=float)
 
 
-def segment(grid: PixelGrid, k: int, cfg: AlgoConfig | None = None,
-            rule: str = "distance") -> SegmentationResult:
-    """Cluster the pixels with nearest-mean assignment and typed outliers."""
+def segment(grid: PixelGrid, k: int, cfg: AlgoConfig) -> SegmentationResult:
+    """Cluster the pixels with nearest-mean assignment and typed outliers.
+
+    ``cfg``'s assignment rule is replaced by the "distance" rule; its
+    other settings (threshold, constraints, restarts) apply as given.
+    """
     if k < 2:
         raise ValueError("image segmentation needs at least two clusters")
-    cfg = cfg or AlgoConfig(beta=0.2, outlier_threshold=0.02)
-    cfg = replace(cfg, assignment_rule=rule)
+    cfg = replace(cfg, assignment_rule="distance")
     result = fit(grid.pixels, k, cfg)
     return SegmentationResult(
         assignments=result.assignments,
@@ -226,7 +227,7 @@ def segment(grid: PixelGrid, k: int, cfg: AlgoConfig | None = None,
             "threshold": cfg.outlier_threshold,
             "c": cfg.constraint.c,
             "c1": cfg.constraint.c1,
-            "assignment_rule": rule,
+            "assignment_rule": cfg.assignment_rule,
             "restarts": cfg.n_restarts,
             "seed": cfg.seed,
         },
@@ -262,9 +263,3 @@ def sidecar_payload(seg: SegmentationResult) -> dict:
         "outliers_per_type": type_counts.tolist(),
         "total_outliers": int(seg.outlier_flags.sum()),
     }
-
-
-def save_sidecar(seg: SegmentationResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar_payload(seg), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -296,6 +296,16 @@ class TestImageCommand:
         hits = (np.abs(recon[planted, None, :] - colors[None]) < 1 / 255).all(axis=2)
         assert hits.any(axis=1).all()
 
+    def test_invalid_sidecar_not_written(self, tmp_path, monkeypatch):
+        grid, _ = two_tone_grid(side=12, noise_fraction=0.0)
+        img = tmp_path / "img.ppm"
+        save_ppm(grid, img)
+        monkeypatch.setattr("mixclust.cli.sidecar_payload", lambda seg: {"k": 2})
+        out = tmp_path / "recon.ppm"
+        code = main(["image", str(img), "--k", "2", "--restarts", "1", "--out", str(out)])
+        assert code == 3
+        assert not (tmp_path / "recon.ppm.json").exists()
+
     def test_decode_failure_exit_2(self, tmp_path):
         bad = tmp_path / "bad.ppm"
         bad.write_bytes(b"P6\n10 10\n255\nshort")

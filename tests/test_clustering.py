@@ -18,10 +18,11 @@ from mixclust import (
     fit_component,
     fit_single,
     initialize,
+    log_density,
     pseudo_beta_likelihood,
     update_weights,
 )
-from mixclust.clustering import component_fit_score, log_discriminants
+from mixclust.clustering import component_fit_score, discriminants
 from mixclust.gaussian import as_data_matrix
 
 
@@ -36,6 +37,25 @@ def two_comp_params(mu1=0.0, mu2=5.0, v1=1.0, v2=1.0, w1=0.5):
 def blob_data(rng, centers, n_per, scale=1.0):
     parts = [c + scale * rng.standard_normal((n_per, np.size(c))) for c in centers]
     return np.vstack(parts)
+
+
+def weighted_log_densities(data, params):
+    """(n, k) oracle ``log(weight_j) + log phi_j(x_i)``, straight from log_density."""
+    with np.errstate(divide="ignore"):
+        return np.column_stack([np.log(w) + log_density(data, comp)
+                                for w, comp in zip(params.weights, params.components)])
+
+
+def own_log_phi(data, params, labels):
+    """Each row's log-density under its own cluster, straight from log_density."""
+    logs = np.column_stack([log_density(data, comp) for comp in params.components])
+    return logs[np.arange(len(data)), labels]
+
+
+def assigned_discriminants(data, params):
+    """Likelihood-rule labels and each row's weighted density at its label."""
+    labels, log_phi = assign(data, params)
+    return labels, discriminants(params, labels, log_phi[np.arange(len(data)), labels])
 
 
 class TestAssign:
@@ -55,14 +75,14 @@ class TestAssign:
         labels, _ = assign(xs, params)
         flip = xs[np.argmax(labels == 1), 0]
         assert flip == pytest.approx(boundary, abs=2e-3)
-        gap = np.diff(log_discriminants(np.array([[boundary]]), params), axis=1)
+        gap = np.diff(weighted_log_densities(np.array([[boundary]]), params), axis=1)
         assert abs(gap[0, 0]) < 1e-10
 
     def test_discriminant_is_weighted_density(self):
         params = two_comp_params()
         pts = np.array([[0.3], [4.5]])
-        labels, disc = assign(pts, params)
-        logd = log_discriminants(pts, params)
+        labels, disc = assigned_discriminants(pts, params)
+        logd = weighted_log_densities(pts, params)
         assert np.allclose(disc, np.exp(logd[np.arange(2), labels]))
 
     def test_no_single_point_relabel_improves(self):
@@ -70,7 +90,7 @@ class TestAssign:
         params = two_comp_params(v2=2.0, w1=0.4)
         pts = rng.normal(2.0, 3.0, size=(100, 1))
         labels, _ = assign(pts, params)
-        logd = log_discriminants(pts, params)
+        logd = weighted_log_densities(pts, params)
         best = logd[np.arange(100), labels]
         assert np.all(best >= logd.max(axis=1) - 1e-12)
 
@@ -115,7 +135,8 @@ class TestObjective:
         data = rng.standard_normal((40, 1))
         comp = GaussianComponent([0.1], [[1.2]])
         params = MixtureParams(weights=np.array([1.0]), components=[comp])
-        got = pseudo_beta_likelihood(data, params, np.zeros(40, dtype=int), 0.4)
+        labels = np.zeros(40, dtype=int)
+        got = pseudo_beta_likelihood(own_log_phi(data, params, labels), params, labels, 0.4)
         assert got == pytest.approx(component_beta_objective(data, comp, 0.4), rel=1e-12)
 
     def test_far_point_contribution_monotone(self):
@@ -125,7 +146,8 @@ class TestObjective:
         for far in (3.0, 6.0, 12.0):
             data = np.vstack([base, [[far]]])
             labels = np.zeros(10, dtype=int)
-            vals.append(pseudo_beta_likelihood(data, params, labels, 0.5))
+            vals.append(pseudo_beta_likelihood(own_log_phi(data, params, labels), params,
+                                               labels, 0.5))
         assert vals[0] > vals[1] > vals[2]
 
     def test_beta_zero_form(self):
@@ -133,9 +155,8 @@ class TestObjective:
         data = rng.standard_normal((30, 1))
         params = two_comp_params()
         labels, _ = assign(data, params)
-        got = pseudo_beta_likelihood(data, params, labels, 0.0)
+        got = pseudo_beta_likelihood(own_log_phi(data, params, labels), params, labels, 0.0)
         expected = 0.0
-        from mixclust import log_density
         for j in range(2):
             members = data[labels == j]
             if len(members):
@@ -151,7 +172,8 @@ class TestObjective:
             cfg = AlgoConfig(beta=0.2, n_restarts=2, seed=seed,
                              irls=IrlsConfig(epsilon=1e-8))
             init_params, init_labels = initialize(data, 2, np.random.default_rng([seed, 0]))
-            before = pseudo_beta_likelihood(data, init_params, init_labels, cfg.beta)
+            before = pseudo_beta_likelihood(own_log_phi(data, init_params, init_labels),
+                                            init_params, init_labels, cfg.beta)
             res = fit(data, 2, cfg)
             after = res.objective
             improved += bool(after >= before)
@@ -245,9 +267,10 @@ class TestFit:
         ok, _, _ = check_constraints([c.cov for c in res.params.components],
                                      cfg.constraint)
         assert ok
-        recomputed = pseudo_beta_likelihood(data, res.params, res.assignments, cfg.beta)
+        log_phi = own_log_phi(data, res.params, res.assignments)
+        recomputed = pseudo_beta_likelihood(log_phi, res.params, res.assignments, cfg.beta)
         assert res.objective == pytest.approx(recomputed, rel=1e-12)
-        score = component_fit_score(data, res.params, res.assignments, cfg.beta)
+        score = component_fit_score(log_phi, res.params, res.assignments, cfg.beta)
         assert res.selection_score == pytest.approx(score, rel=1e-12)
         assert res.params.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -274,6 +297,45 @@ class TestFit:
         data = blob_data(rng, [np.zeros(2), np.full(2, 6.0)], 30)
         fit(data, 2, AlgoConfig(beta=0.2, n_restarts=3, seed=0))
         assert len(calls) == 1
+
+    # Fits whose last iteration reseeds an emptied cluster: the row moved
+    # there must carry that cluster's discriminant, stable fit or capped.
+    @pytest.mark.parametrize("seed,max_outer_iter", [(140, 100), (171, 2), (171, 100)])
+    def test_discriminants_belong_to_written_cluster(self, seed, max_outer_iter):
+        rng = np.random.default_rng(seed)
+        data = np.vstack([rng.normal(0, 1, (25, 2)), rng.normal(4, 1, (25, 2))])
+        cfg = AlgoConfig(n_restarts=1, seed=seed, max_outer_iter=max_outer_iter)
+        res = fit(data, 4, cfg)
+        labels = res.assignments
+        expected = np.exp(weighted_log_densities(data, res.params)[np.arange(50), labels])
+        np.testing.assert_allclose(res.discriminants, expected, rtol=1e-12, atol=0)
+        assert np.array_equal(res.outlier_flags,
+                              len(data) * res.discriminants <= cfg.outlier_threshold)
+
+    def test_final_mixture_evaluated_once_per_restart(self, monkeypatch):
+        calls = []
+
+        def counting(x, comp):
+            calls.append(1)
+            return log_density(x, comp)
+
+        real = fit_single
+        iterations = []
+
+        def recording(*args, **kwargs):
+            out = real(*args, **kwargs)
+            iterations.append(out["iterations"])
+            return out
+
+        monkeypatch.setattr("mixclust.clustering.log_density", counting)
+        monkeypatch.setattr("mixclust.clustering.fit_single", recording)
+        rng = np.random.default_rng(19)
+        data = blob_data(rng, [np.zeros(2), np.full(2, 6.0), np.full(2, -6.0)], 30)
+        k, restarts = 3, 4
+        fit(data, k, AlgoConfig(beta=0.2, n_restarts=restarts, seed=0))
+        # one assignment per initialization and per outer iteration, nothing more
+        assert len(iterations) == restarts
+        assert len(calls) == k * (restarts + sum(iterations))
 
     @staticmethod
     def _nudged_restarts(monkeypatch, nudge):
@@ -334,9 +396,9 @@ class TestDetectOutliers:
     def test_boundary_inclusive(self):
         params = two_comp_params()
         data = np.array([[0.0], [5.0]])
-        labels, disc = assign(data, params)
+        labels, disc = assigned_discriminants(data, params)
         threshold = float(disc[0]) * len(data)
-        flags, types = detect_outliers(data, params, labels, threshold)
+        flags, types = detect_outliers(disc, labels, threshold)
         assert flags[0]
         assert types[0] == labels[0]
 
@@ -344,19 +406,19 @@ class TestDetectOutliers:
         rng = np.random.default_rng(15)
         params = two_comp_params()
         data = rng.normal(0, 5, size=(50, 1))
-        labels, _ = assign(data, params)
-        flags, types = detect_outliers(data, params, labels, 0.0)
+        labels, disc = assigned_discriminants(data, params)
+        flags, types = detect_outliers(disc, labels, 0.0)
         assert not flags.any()
         assert np.all(types == -1)
 
     def test_scaled_vs_raw_rule(self):
         params = two_comp_params()
         data = np.vstack([np.zeros((99, 1)), [[30.0]]])
-        labels, disc = assign(data, params)
+        labels, disc = assigned_discriminants(data, params)
         raw_threshold = float(disc[-1]) * 2.0
-        flags_scaled, _ = detect_outliers(data, params, labels, raw_threshold)
+        flags_scaled, _ = detect_outliers(disc, labels, raw_threshold)
         assert not flags_scaled[-1]  # scaling by n=100 lifts the score above T
-        flags_at_n, _ = detect_outliers(data, params, labels, float(disc[-1]) * len(data))
+        flags_at_n, _ = detect_outliers(disc, labels, float(disc[-1]) * len(data))
         assert flags_at_n[-1]
 
     def test_far_blob_flagged_and_typed(self):

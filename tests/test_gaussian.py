@@ -151,6 +151,14 @@ class TestLogDensity:
             expected = -0.5 * (3 * np.log(2 * np.pi) + logdet + d @ inv @ d)
             assert log_density(x, comp) == pytest.approx(expected, abs=1e-12)
 
+    def test_log_det_computed_on_first_read(self):
+        rng = np.random.default_rng(5)
+        cov = random_spd(rng, 4)
+        comp = GaussianComponent(np.zeros(4), cov)
+        assert "log_det" not in vars(comp)
+        assert comp.log_det == pytest.approx(np.linalg.slogdet(cov)[1], abs=1e-12)
+        assert vars(comp)["log_det"] == comp.log_det
+
     def test_integrates_to_one_1d(self):
         comp = GaussianComponent([0.5], [[1.3]])
         val, _ = quad(lambda x: np.exp(log_density(np.array([x]), comp)), -15, 16)
@@ -177,21 +185,23 @@ class TestLogDensity:
 class TestDpdIntegral:
     def test_beta_zero_is_one(self):
         rng = np.random.default_rng(2)
-        assert dpd_integral(random_spd(rng, 3), 0.0) == pytest.approx(1.0)
+        comp = GaussianComponent(np.zeros(3), random_spd(rng, 3))
+        assert dpd_integral(comp.log_det, 3, 0.0) == pytest.approx(1.0)
 
     def test_univariate_beta_one(self):
         # quadrature of the squared standard normal density
         oracle, _ = quad(lambda x: (np.exp(-0.5 * x * x) / np.sqrt(2 * np.pi)) ** 2,
                          -12, 12, epsabs=1e-12)
         assert oracle == pytest.approx(1.0 / (2.0 * np.sqrt(np.pi)), abs=1e-10)
-        assert dpd_integral(np.eye(1), 1.0) == pytest.approx(oracle, abs=1e-10)
+        log_det = GaussianComponent([0.0], np.eye(1)).log_det
+        assert dpd_integral(log_det, 1, 1.0) == pytest.approx(oracle, abs=1e-10)
 
     def test_bivariate_against_quadrature(self):
         comp = GaussianComponent(np.zeros(2), np.eye(2))
         oracle, _ = dblquad(
             lambda y, x: np.exp(1.5 * log_density(np.array([x, y]), comp)),
             -10, 10, -10, 10, epsabs=1e-10)
-        assert dpd_integral(np.eye(2), 0.5) == pytest.approx(oracle, abs=1e-8)
+        assert dpd_integral(comp.log_det, 2, 0.5) == pytest.approx(oracle, abs=1e-8)
 
     @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 1.0])
     @pytest.mark.parametrize("var", [0.5, 1.0, 2.5])
@@ -200,7 +210,7 @@ class TestDpdIntegral:
         oracle, _ = quad(
             lambda x: np.exp((1 + beta) * log_density(np.array([x]), comp)),
             -14 * np.sqrt(var), 14 * np.sqrt(var), epsabs=1e-12)
-        assert dpd_integral(np.array([[var]]), beta) == pytest.approx(oracle, abs=1e-7)
+        assert dpd_integral(comp.log_det, 1, beta) == pytest.approx(oracle, abs=1e-7)
 
     @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 1.0])
     def test_closed_form_matches_quadrature_2d(self, beta):
@@ -209,10 +219,11 @@ class TestDpdIntegral:
         oracle, _ = dblquad(
             lambda y, x: np.exp((1 + beta) * log_density(np.array([x, y]), comp)),
             -11, 11, -11, 11, epsabs=1e-10)
-        assert dpd_integral(cov, beta) == pytest.approx(oracle, abs=1e-7)
+        assert dpd_integral(comp.log_det, 2, beta) == pytest.approx(oracle, abs=1e-7)
 
     def test_decreasing_in_determinant(self):
-        vals = [dpd_integral(scale * np.eye(2), 0.3) for scale in (0.5, 1.0, 2.0, 4.0)]
+        vals = [dpd_integral(GaussianComponent(np.zeros(2), scale * np.eye(2)).log_det, 2, 0.3)
+                for scale in (0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -221,7 +232,7 @@ class TestComponentBetaObjective:
         comp = GaussianComponent([0.0], [[1.0]])
         beta = 0.5
         phi = 1.0 / np.sqrt(2.0 * np.pi)
-        expected = phi**beta / beta - dpd_integral(np.eye(1), beta) / (1 + beta)
+        expected = phi**beta / beta - dpd_integral(comp.log_det, 1, beta) / (1 + beta)
         got = component_beta_objective(np.array([[0.0]]), comp, beta)
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -238,7 +249,7 @@ class TestComponentBetaObjective:
         comp = GaussianComponent([0.1], [[1.2]])
         beta = 1e-6
         obj = component_beta_objective(data, comp, beta)
-        constant = 1.0 / beta - dpd_integral(comp.cov, beta) / (1 + beta)
+        constant = 1.0 / beta - dpd_integral(comp.log_det, 1, beta) / (1 + beta)
         mean_loglik = np.mean(log_density(data, comp))
         assert obj - constant == pytest.approx(mean_loglik, abs=1e-4)
 

@@ -211,7 +211,7 @@ def initialize(data, k: int, rng: np.random.Generator) -> tuple[MixtureParams, n
     eye = np.eye(p)
     params = MixtureParams(
         weights=np.full(k, 1.0 / k),
-        components=[GaussianComponent(data[i].copy(), eye.copy()) for i in idx],
+        components=[GaussianComponent.trusted(data[i].copy(), eye.copy()) for i in idx],
     )
     labels, _ = assign(data, params)
     return params, labels
@@ -243,10 +243,12 @@ def _m_step(data, assignments, k: int, cfg: AlgoConfig,
                 continue
             except NonPositiveDenominatorError:
                 pass
-        comps.append(warm if warm is not None else GaussianComponent(
+        comps.append(warm if warm is not None else GaussianComponent.trusted(
             members.mean(axis=0) if len(members) else np.zeros(p), np.eye(p)))
+    # The projected covariances are the package's own: finite and exactly
+    # symmetric, so only their Cholesky factor is computed.
     covs = enforce_constraints([c.cov for c in comps], cfg.constraint)
-    comps = [GaussianComponent(c.mean, cov) for c, cov in zip(comps, covs)]
+    comps = [GaussianComponent.trusted(c.mean, cov) for c, cov in zip(comps, covs)]
     return MixtureParams(weights=weights, components=comps)
 
 

@@ -49,7 +49,8 @@ _REL_TOL = 1e-9  # eigensolver noise allowance, matters only at c = 1
 
 
 def check_constraints(covs, cfg: ConstraintConfig) -> tuple[bool, float, float]:
-    """Return (feasible, M, m): global max/min eigenvalues over all components."""
+    """Return (feasible, M, m): global max/min eigenvalues over all components.
+    Each covariance is checked by :func:`~mixclust.gaussian.validate_cov`."""
     spectra = _spectra(covs)
     pooled = np.concatenate([vals for vals, _ in spectra])
     big, small = float(pooled.max()), float(pooled.min())
@@ -66,7 +67,9 @@ def enforce_constraints(covs, cfg: ConstraintConfig) -> list[np.ndarray]:
     ``[t, c*t]``. The threshold ``t >= c1`` is scanned over the candidates
     ``{c1} | {lambda} | {lambda / c}`` and the one minimizing the sum of
     squared log-deviations between original and clipped eigenvalues wins.
-    The output always satisfies :func:`check_constraints`.
+    The output always satisfies :func:`check_constraints`. Each input is
+    checked by :func:`~mixclust.gaussian.validate_cov`, the package's own
+    covariances included; the output is finite and exactly symmetric.
     """
     spectra = _spectra(covs)
     pooled = np.concatenate([vals for vals, _ in spectra])

@@ -49,20 +49,30 @@ def validate_cov(cov) -> np.ndarray:
 
 
 def cholesky_spd(cov: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of ``cov``; typed error when not SPD."""
+    """Lower Cholesky factor of ``cov``; typed error when not SPD.
+
+    LAPACK factors a matrix holding NaN or inf without an error, so a
+    non-finite factor is rejected here too.
+    """
     try:
-        return np.linalg.cholesky(cov)
+        chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("covariance is not positive definite") from exc
+    if not np.isfinite(chol).all():
+        raise NotPositiveDefiniteError("non-finite covariance")
+    return chol
 
 
 @dataclass
 class GaussianComponent:
     """One normal component: mean vector and SPD covariance.
 
-    The lower Cholesky factor is computed at construction, which also
-    checks positive definiteness; the log-determinant on first read.
-    Instances are treated as immutable.
+    The constructor is the API edge: it coerces the mean and checks the
+    covariance (:func:`validate_cov`). :meth:`trusted` skips those checks
+    for components the package builds itself. Either way the lower
+    Cholesky factor is computed at construction, which also checks
+    positive definiteness; the log-determinant on first read. Instances
+    are treated as immutable.
     """
 
     mean: np.ndarray
@@ -81,6 +91,22 @@ class GaussianComponent:
             )
         self._chol = cholesky_spd(self.cov)
 
+    @classmethod
+    def trusted(cls, mean: np.ndarray, cov: np.ndarray) -> GaussianComponent:
+        """A component from arrays the package produced itself.
+
+        ``mean`` is a float p-vector and ``cov`` a finite, exactly symmetric
+        float (p, p) matrix: an IRLS iterate, a robust start, an initial or
+        fallback identity, or a constrained covariance. Both are kept as
+        given, with no coercion, shape or symmetry check. The Cholesky
+        factor still raises :class:`NotPositiveDefiniteError`.
+        """
+        comp = cls.__new__(cls)
+        comp.mean = mean
+        comp.cov = cov
+        comp._chol = cholesky_spd(cov)
+        return comp
+
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
@@ -94,7 +120,7 @@ class GaussianComponent:
         return 2.0 * float(np.sum(np.log(np.diag(self._chol))))
 
 
-def mahalanobis_sq(x, comp: GaussianComponent):
+def mahalanobis_sq(x, comp: GaussianComponent, work=None):
     """Squared Mahalanobis distance (x - mean)' cov^{-1} (x - mean).
 
     Parameters
@@ -102,12 +128,23 @@ def mahalanobis_sq(x, comp: GaussianComponent):
     x : array_like
         A single p-vector or an (n, p) matrix of points.
     comp : GaussianComponent
+    work : tuple of ndarray, optional
+        ``(diff, z, out)``: float buffers of shapes (n, p), (n, p) and (n,)
+        for an (n, p) float matrix ``x``. The kernel then trusts ``x`` (no
+        coercion or shape check), computes in the buffers and returns
+        ``out``, with the same bits as without them. The reweighted
+        iteration passes its own buffers here.
 
     Returns
     -------
     float or ndarray
         Scalar for a single point, length-n vector for a matrix.
     """
+    if work is not None:
+        diff, z, out = work
+        np.subtract(x, comp.mean, out=diff)
+        np.matmul(diff, np.linalg.inv(comp.chol).T, out=z)
+        return np.einsum("ij,ij->i", z, z, out=out)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
@@ -123,7 +160,8 @@ def mahalanobis_sq(x, comp: GaussianComponent):
 
 
 def log_density(x, comp: GaussianComponent):
-    """Log of the p-variate normal density at ``x``."""
+    """Log of the p-variate normal density at ``x``; checks ``x`` as
+    :func:`mahalanobis_sq` does and trusts ``comp``."""
     q = mahalanobis_sq(x, comp)
     return -0.5 * (comp.dim * LOG_2PI + comp.log_det + q)
 

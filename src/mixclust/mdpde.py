@@ -9,6 +9,7 @@ covariance denominator carries the model-integral correction
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,16 +50,32 @@ class ComponentFit:
     converged: bool
 
 
-def _floored_component(mean: np.ndarray, cov: np.ndarray, floor: float) -> tuple[GaussianComponent, bool]:
+def _floored_component(mean: np.ndarray, cov: np.ndarray, floor: float) -> GaussianComponent:
     """Build a component, flooring eigenvalues at ``floor`` when needed."""
     cov = 0.5 * (cov + cov.T)
     try:
-        return GaussianComponent(mean, cov), False
+        return GaussianComponent.trusted(mean, cov)
     except NotPositiveDefiniteError:
         vals, vecs = np.linalg.eigh(cov)
         vals = np.maximum(vals, floor)
         fixed = (vecs * vals) @ vecs.T
-        return GaussianComponent(mean, 0.5 * (fixed + fixed.T)), True
+        return GaussianComponent.trusted(mean, 0.5 * (fixed + fixed.T))
+
+
+def _median(a: np.ndarray):
+    """``np.median(a, axis=0)`` with the same bits, partitioning ``a`` in place.
+
+    The middle values are summed from 0.0, as np.median's ``mean`` sums
+    them. That also turns a zero median into +0.0 whichever of 0.0 and
+    -0.0 the partition put in the middle.
+    """
+    n = len(a)
+    h = n // 2
+    if n % 2:
+        a.partition(h, axis=0)
+        return 0.0 + a[h]
+    a.partition([h - 1, h], axis=0)
+    return (0.0 + a[h - 1] + a[h]) / 2
 
 
 def robust_init(data) -> tuple[GaussianComponent, bool]:
@@ -71,6 +88,9 @@ def robust_init(data) -> tuple[GaussianComponent, bool]:
     when a coordinate is entirely constant) so the result is always usable.
     ``data`` is a finite float (n, p) array, as :func:`fit_component` passes it.
 
+    Each median is one in-place partition of a single column, equal to
+    ``np.median`` bit for bit.
+
     Returns
     -------
     (GaussianComponent, bool)
@@ -79,28 +99,37 @@ def robust_init(data) -> tuple[GaussianComponent, bool]:
     n, p = data.shape
     if n < 2:
         raise ValueError("robust initialization needs at least two observations")
-    center = np.median(data, axis=0)
+    center = _median(data.copy())
     dev = data - center
     cov = np.empty((p, p))
     for i in range(p):
         for j in range(i, p):
-            cov[i, j] = cov[j, i] = np.median(dev[:, i] * dev[:, j])
+            cov[i, j] = cov[j, i] = _median(dev[:, i] * dev[:, j])
     cov *= 1.4826**2
     floor = max(MIN_DENOMINATOR * max(np.trace(cov), 0.0), 1e-12)
     vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
     floored = bool(vals.min() < floor)
     vals = np.maximum(vals, floor)
     rebuilt = (vecs * vals) @ vecs.T
-    return GaussianComponent(center, 0.5 * (rebuilt + rebuilt.T)), floored
+    return GaussianComponent.trusted(center, 0.5 * (rebuilt + rebuilt.T)), floored
 
 
-def irls_weights(data, comp: GaussianComponent, beta: float) -> np.ndarray:
+def _work_buffers(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (n, p), (n, p) and (n,) float buffers one :func:`irls_step` works in."""
+    return np.empty((n, p)), np.empty((n, p)), np.empty(n)
+
+
+def irls_weights(data, comp: GaussianComponent, beta: float, work=None) -> np.ndarray:
     """Observation weights ``exp(-beta/2 * mahalanobis_sq)``, each in (0, 1],
-    for a finite float (n, p) ``data`` and ``beta`` in [0, 1] (as ``AlgoConfig`` bounds it)."""
-    return np.exp(-0.5 * beta * mahalanobis_sq(data, comp))
+    for a finite float (n, p) ``data`` and ``beta`` in [0, 1] (as ``AlgoConfig`` bounds it).
+    They are computed in ``work``, buffers shaped as :func:`_work_buffers`
+    makes them (allocated when omitted), and returned in its (n,) buffer."""
+    w = mahalanobis_sq(data, comp, work if work is not None else _work_buffers(*data.shape))
+    np.multiply(w, -0.5 * beta, out=w)
+    return np.exp(w, out=w)
 
 
-def irls_step(data, comp: GaussianComponent, beta: float) -> GaussianComponent:
+def irls_step(data, comp: GaussianComponent, beta: float, work=None) -> GaussianComponent:
     """One update of the reweighted iteration.
 
     The mean becomes the weighted average; the covariance is the weighted
@@ -109,21 +138,33 @@ def irls_step(data, comp: GaussianComponent, beta: float) -> GaussianComponent:
     below ``MIN_DENOMINATOR * n``, which signals a cluster too small for the
     requested downweighting; callers keep the previous estimate in that case.
     ``data`` is a finite float (n, p) array, as :func:`fit_component` passes it.
+    The step computes in ``work`` (buffers shaped as :func:`_work_buffers`
+    makes them, allocated per call when omitted) and trusts its own
+    result: the new component is built by :meth:`GaussianComponent.trusted`.
     """
     n, p = data.shape
-    w = irls_weights(data, comp, beta)
-    denom = w.sum() - n * beta / (1.0 + beta) ** (0.5 * p + 1.0)
+    work = work if work is not None else _work_buffers(n, p)
+    w = irls_weights(data, comp, beta, work)
+    total = w.sum()
+    denom = total - n * beta / (1.0 + beta) ** (0.5 * p + 1.0)
     if denom <= MIN_DENOMINATOR * n:
         raise NonPositiveDenominatorError(
             f"covariance denominator {denom:.3e} below guard {MIN_DENOMINATOR * n:.3e}"
         )
-    mean = (w @ data) / w.sum()
-    centered = data - mean
-    cov = (w[:, None] * centered).T @ centered / denom
+    mean = (w @ data) / total
+    diff, scaled, _ = work
+    np.subtract(data, mean, out=diff)
+    np.multiply(w[:, None], diff, out=scaled)
+    cov = scaled.T @ diff / denom
     # Degenerate clusters (identical points) produce a zero scatter matrix;
     # floor minimally so the next weight evaluation stays defined.
-    new, _ = _floored_component(mean, cov, max(1e-12 * max(np.trace(cov), 0.0), 1e-12))
-    return new
+    return _floored_component(mean, cov, max(1e-12 * max(np.trace(cov), 0.0), 1e-12))
+
+
+def _norm(d: np.ndarray) -> float:
+    """Euclidean (Frobenius) norm, computed as ``np.linalg.norm`` does."""
+    d = d.ravel()
+    return math.sqrt(d.dot(d))
 
 
 def fit_component(data, beta: float, cfg: IrlsConfig | None = None,
@@ -138,24 +179,27 @@ def fit_component(data, beta: float, cfg: IrlsConfig | None = None,
     A denominator-guard failure on the very first step propagates (the
     start is already too downweighted to move); tripping later stops the
     iteration and keeps the last valid iterate, again with
-    ``converged=False``. ``data`` is a finite float (n, p) array.
+    ``converged=False``. ``data`` is a finite float (n, p) array. Every
+    step works in one set of buffers, allocated here.
     """
     cfg = cfg or IrlsConfig()
-    if data.shape[0] < 2:
+    n, p = data.shape
+    if n < 2:
         raise ValueError("covariance fitting needs at least two observations")
     comp = init if init is not None else robust_init(data)[0]
+    work = _work_buffers(n, p)
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
         try:
-            new = irls_step(data, comp, beta)
+            new = irls_step(data, comp, beta, work)
         except NonPositiveDenominatorError:
             if iterations == 1:
                 raise
             iterations -= 1
             break
-        delta_mean = float(np.linalg.norm(new.mean - comp.mean))
-        delta_cov = float(np.linalg.norm(new.cov - comp.cov))
+        delta_mean = _norm(new.mean - comp.mean)
+        delta_cov = _norm(new.cov - comp.cov)
         comp = new
         if delta_mean <= cfg.epsilon and delta_cov <= cfg.epsilon:
             converged = True

@@ -1,6 +1,10 @@
 """CLI contract: subcommands, exit codes, deterministic outputs, schemas."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from mixclust.cli import main, read_csv_matrix
 from mixclust.schemas import SchemaError, validate
 from tests.test_imageseg import two_tone_grid
 from mixclust.imageseg import PixelGrid, load_image, save_ppm
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -62,6 +68,33 @@ class TestFitCommand:
             assert code == 0
         assert (out1 / "result.json").read_bytes() == (out2 / "result.json").read_bytes()
         assert (out1 / "assignments.csv").read_bytes() == (out2 / "assignments.csv").read_bytes()
+
+    def test_blas_thread_count_keeps_bytes(self, tmp_path):
+        # Same bytes whatever the BLAS thread count. Measured on a 2-CPU
+        # host, OpenBLAS splits the (n, 5) x (5, 5) distance GEMM and the
+        # (5, n) x (n, 5) scatter over threads only from about 21 000 rows,
+        # so each cluster has 22 000.
+        rng = np.random.default_rng(3)
+        csv = tmp_path / "large.csv"
+        np.savetxt(csv, np.vstack([rng.standard_normal((22_000, 5)),
+                                   rng.standard_normal((22_000, 5)) * 1.5 + 6.0,
+                                   rng.uniform(-30.0, 30.0, (200, 5))]),
+                   delimiter=",", fmt="%.6f")
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        outs = []
+        for threads in ("1", None):
+            out = tmp_path / f"threads_{threads}"
+            run_env = dict(env, OPENBLAS_NUM_THREADS=threads) if threads else env
+            proc = subprocess.run(
+                [sys.executable, "-m", "mixclust.cli", "fit", str(csv), "--k", "2",
+                 "--restarts", "2", "--seed", "0", "--out", str(out)],
+                env=run_env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out)
+        for name in ("result.json", "assignments.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         code = main(["fit", str(tmp_path / "nope.csv"), "--k", "2",

@@ -7,6 +7,7 @@ from mixclust import (
     GaussianComponent,
     IrlsConfig,
     NonPositiveDenominatorError,
+    NotPositiveDefiniteError,
     component_beta_objective,
     estimating_equation_residual,
     fit_component,
@@ -15,6 +16,7 @@ from mixclust import (
     log_density,
     robust_init,
 )
+from mixclust.mdpde import MIN_DENOMINATOR
 
 TIGHT = IrlsConfig(epsilon=1e-11, max_iter=3000)
 
@@ -224,3 +226,145 @@ class TestEstimatingEquations:
         logs = log_density(pts, comp)
         order = np.argsort(logs)
         assert np.all(np.diff(w[order]) >= 0)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes: unlike ``array_equal``, -0.0 != 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class AllocatingIrls:
+    """The reweighted iteration written plainly: fresh temporaries every step,
+    a validated ``GaussianComponent`` per iterate and ``np.linalg.norm``
+    deltas. ``fit_component`` works in reused buffers and trusts its own
+    iterates; it must reproduce this bit for bit. Records which paths ran."""
+
+    def __init__(self):
+        self.floored = 0
+        self.guard_tripped = False
+
+    def step(self, data, comp, beta):
+        n, p = data.shape
+        z = (data - comp.mean) @ np.linalg.inv(comp.chol).T
+        w = np.exp(-0.5 * beta * np.einsum("ij,ij->i", z, z))
+        denom = w.sum() - n * beta / (1.0 + beta) ** (0.5 * p + 1.0)
+        if denom <= MIN_DENOMINATOR * n:
+            raise NonPositiveDenominatorError("below guard")
+        mean = (w @ data) / w.sum()
+        centered = data - mean
+        cov = (w[:, None] * centered).T @ centered / denom
+        floor = max(1e-12 * max(np.trace(cov), 0.0), 1e-12)
+        cov = 0.5 * (cov + cov.T)
+        try:
+            return GaussianComponent(mean, cov)
+        except NotPositiveDefiniteError:
+            self.floored += 1
+            vals, vecs = np.linalg.eigh(cov)
+            fixed = (vecs * np.maximum(vals, floor)) @ vecs.T
+            return GaussianComponent(mean, 0.5 * (fixed + fixed.T))
+
+    def fit(self, data, beta, cfg, init):
+        comp, converged, iterations = init, False, 0
+        for iterations in range(1, cfg.max_iter + 1):
+            try:
+                new = self.step(data, comp, beta)
+            except NonPositiveDenominatorError:
+                self.guard_tripped = True
+                if iterations == 1:
+                    raise
+                iterations -= 1
+                break
+            delta_mean = float(np.linalg.norm(new.mean - comp.mean))
+            delta_cov = float(np.linalg.norm(new.cov - comp.cov))
+            comp = new
+            if delta_mean <= cfg.epsilon and delta_cov <= cfg.epsilon:
+                converged = True
+                break
+        return comp, iterations, converged
+
+
+def median_robust_init(data):
+    """``robust_init`` written with ``np.median``."""
+    n, p = data.shape
+    center = np.median(data, axis=0)
+    dev = data - center
+    cov = np.empty((p, p))
+    for i in range(p):
+        for j in range(i, p):
+            cov[i, j] = cov[j, i] = np.median(dev[:, i] * dev[:, j])
+    cov *= 1.4826**2
+    floor = max(MIN_DENOMINATOR * max(np.trace(cov), 0.0), 1e-12)
+    vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
+    rebuilt = (vecs * np.maximum(vals, floor)) @ vecs.T
+    return center, 0.5 * (rebuilt + rebuilt.T), bool(vals.min() < floor)
+
+
+def contaminated(seed, n, p):
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((n, p)) * rng.uniform(0.5, 2.0, p)
+    data[:, 0] += 0.5 * data[:, -1]
+    data[: n // 10] += 8.0
+    return data
+
+
+class TestBitIdentity:
+    def assert_matches_oracle(self, data, beta, init=None, cfg=IrlsConfig()):
+        oracle = AllocatingIrls()
+        start = init if init is not None else robust_init(data)[0]
+        want, iterations, converged = oracle.fit(data, beta, cfg, start)
+        got = fit_component(data, beta, cfg, init=init)
+        assert same_bits(got.estimate.mean, want.mean)
+        assert same_bits(got.estimate.cov, want.cov)
+        assert (got.iterations, got.converged) == (iterations, converged)
+        return oracle, got
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("p", [1, 6])
+    def test_cold_start(self, beta, p):
+        _, got = self.assert_matches_oracle(contaminated(31 + p, 400, p), beta)
+        assert got.iterations > 1
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
+    def test_warm_start(self, beta):
+        data = contaminated(37, 250, 3)
+        warm = GaussianComponent(np.ones(3), 2.0 * np.eye(3))
+        self.assert_matches_oracle(data, beta, init=warm)
+
+    def test_rank_deficient_cluster_takes_floor(self):
+        rng = np.random.default_rng(41)
+        data = np.column_stack([rng.standard_normal((60, 2)), np.full(60, 3.0)])
+        oracle, _ = self.assert_matches_oracle(data, 0.3)
+        assert oracle.floored > 0
+
+    def test_guard_on_first_step_raises(self):
+        data = np.array([[0.0], [100.0], [200.0]])
+        start = GaussianComponent([0.0], [[1e-4]])
+        with pytest.raises(NonPositiveDenominatorError):
+            AllocatingIrls().fit(data, 1.0, IrlsConfig(), start)
+        with pytest.raises(NonPositiveDenominatorError):
+            fit_component(data, 1.0, init=start)
+
+    def test_guard_on_later_step_keeps_last_iterate(self):
+        # Twelve points at +-2 e_i in 6-D: from this start the iteration
+        # moves for a while, then the weights sum below n*beta/(1+beta)**4.
+        data = np.vstack([np.eye(6), -np.eye(6)]) * 2.0
+        start = GaussianComponent(np.zeros(6), np.eye(6))
+        oracle, got = self.assert_matches_oracle(data, 1.0, init=start)
+        assert oracle.guard_tripped
+        assert got.iterations > 1 and not got.converged
+
+    @pytest.mark.parametrize("n", [50, 51])
+    def test_robust_init_matches_np_median(self, n):
+        # Small integers and signed zeros: many medians are exactly zero,
+        # reached from both 0.0 and -0.0, so a tie that a partition resolves
+        # differently from np.median shows in the sign bit.
+        rng = np.random.default_rng(n)
+        data = rng.integers(-2, 3, (n, 4)).astype(float)
+        data[rng.random((n, 4)) < 0.25] = -0.0
+        data[:, 3] = rng.standard_normal(n)
+        comp, floored = robust_init(data)
+        center, cov, want_floored = median_robust_init(data)
+        assert same_bits(comp.mean, center)
+        assert same_bits(comp.cov, cov)
+        assert floored == want_floored

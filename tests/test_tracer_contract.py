@@ -68,3 +68,9 @@ def test_traced_fit_runs(tmp_path):
     assert metrics["clustering.outer_iters"] >= 2
     assert metrics["gaussian.as_data_matrix.calls"] == 1
     assert metrics["mdpde.fit_component.calls"] > 0
+    # Every IRLS step measures its distances through the traced kernel, and
+    # so does each assignment: k per restart's initialization and k per
+    # outer iteration. A kernel that bypasses the traced names breaks this.
+    k = 2
+    assert metrics["gaussian.mahalanobis_sq.calls"] == metrics["mdpde.irls_step.calls"] + k * (
+        metrics["clustering.fit_single.calls"] + metrics["clustering.outer_iters"])

@@ -136,8 +136,9 @@ def assign(data, params: MixtureParams, rule: str = "likelihood") -> tuple[np.nd
         with np.errstate(divide="ignore"):
             labels = np.argmax(np.log(params.weights) + log_phi, axis=1)
     elif rule == "distance":
-        # one (n, p) temporary per component, not an (n, k, p) block
-        d2 = np.column_stack([((data - c.mean) ** 2).sum(axis=1) for c in params.components])
+        # one (p, n) temporary per component, not an (n, k, p) block
+        d2 = np.column_stack([((data.T - c.mean[:, None]) ** 2).sum(axis=0)
+                              for c in params.components])
         labels = np.argmin(d2, axis=1)
     else:
         raise ValueError(f"unknown assignment rule {rule!r}")
@@ -235,7 +236,8 @@ def _m_step(data, assignments, k: int, cfg: AlgoConfig,
     weights = update_weights(assignments, n, k)
     comps: list[GaussianComponent] = []
     for j in range(k):
-        members = data[assignments == j]
+        # the same rows in the same order, still column-major
+        members = np.compress(assignments == j, data.T, axis=1).T
         warm = prev[j] if prev is not None else None
         if len(members) >= p + 1:
             try:
@@ -354,10 +356,13 @@ def fit(data, k: int, cfg: AlgoConfig | None = None) -> ClusteringResult:
     and types all come from its last assignment's log-densities, so the
     written discriminant is the one the flag used. ``data`` is checked
     here, once, by :func:`~mixclust.gaussian.as_data_matrix`; every function
-    it calls trusts the resulting finite float (n, p) array.
+    it calls trusts the resulting finite float (n, p) array. That array is
+    column-major (Fortran order; data already stored so is not copied),
+    so the kernels compute on ``data.T``, a C-contiguous (p, n) view whose
+    rows are the coordinates.
     """
     cfg = cfg or AlgoConfig()
-    data = as_data_matrix(data)
+    data = np.asfortranarray(as_data_matrix(data))
     if k < 1:
         raise ValueError("k must be at least 1")
     if data.shape[0] < k:

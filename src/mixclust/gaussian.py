@@ -123,13 +123,18 @@ class GaussianComponent:
 def mahalanobis_sq(x, comp: GaussianComponent, work=None):
     """Squared Mahalanobis distance (x - mean)' cov^{-1} (x - mean).
 
+    The kernel computes on ``x.T``: ``inv(L) @ (x.T - mean[:, None])``, then
+    a column sum of squares. For the column-major (n, p) data that
+    :func:`~mixclust.clustering.fit` passes, ``x.T`` is a C-contiguous
+    (p, n) view, so every pass runs over contiguous n-long rows.
+
     Parameters
     ----------
     x : array_like
         A single p-vector or an (n, p) matrix of points.
     comp : GaussianComponent
     work : tuple of ndarray, optional
-        ``(diff, z, out)``: float buffers of shapes (n, p), (n, p) and (n,)
+        ``(diff, z, out)``: float buffers of shapes (p, n), (p, n) and (n,)
         for an (n, p) float matrix ``x``. The kernel then trusts ``x`` (no
         coercion or shape check), computes in the buffers and returns
         ``out``, with the same bits as without them. The reweighted
@@ -142,9 +147,9 @@ def mahalanobis_sq(x, comp: GaussianComponent, work=None):
     """
     if work is not None:
         diff, z, out = work
-        np.subtract(x, comp.mean, out=diff)
-        np.matmul(diff, np.linalg.inv(comp.chol).T, out=z)
-        return np.einsum("ij,ij->i", z, z, out=out)
+        np.subtract(x.T, comp.mean[:, None], out=diff)
+        np.matmul(np.linalg.inv(comp.chol), diff, out=z)
+        return np.einsum("ij,ij->j", z, z, out=out)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
@@ -153,9 +158,10 @@ def mahalanobis_sq(x, comp: GaussianComponent, work=None):
             f"point dimension {pts.shape[1]} does not match component dimension {comp.dim}"
         )
     # One GEMM with the inverse Cholesky factor: faster than a triangular
-    # solve at every (n, p) this package meets, and numpy-only.
-    z = (pts - comp.mean) @ np.linalg.inv(comp.chol).T
-    q = np.einsum("ij,ij->i", z, z)
+    # solve at every (n, p) this package meets, and numpy-only. The
+    # difference is C-ordered whatever the layout of x, as in ``work``.
+    z = np.linalg.inv(comp.chol) @ np.subtract(pts.T, comp.mean[:, None], order="C")
+    q = np.einsum("ij,ij->j", z, z)
     return float(q[0]) if single else q
 
 

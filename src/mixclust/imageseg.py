@@ -27,7 +27,12 @@ OUTLIER_BASE_COLORS = [(1.0, 1.0, 1.0), (0.545, 0.271, 0.075)]  # white, brown
 
 @dataclass
 class PixelGrid:
-    """Row-major RGB image with channels scaled to [0, 1]."""
+    """RGB image with channels scaled to [0, 1].
+
+    ``pixels`` is (width * height, 3): one row per pixel, in scan order.
+    The decoders store it column-major, the layout :func:`fit` computes in,
+    so segmenting a loaded image does not copy it.
+    """
 
     width: int
     height: int
@@ -98,8 +103,10 @@ def _decode_ppm(blob: bytes) -> PixelGrid:
     raw = blob[pos : pos + need]
     if len(raw) < need:
         raise ImageFormatError("truncated PPM pixel data")
-    arr = np.frombuffer(raw, dtype=np.uint8).astype(float) / maxval
-    return PixelGrid(width, height, arr.reshape(-1, 3))
+    # One contiguous row per channel; the grid holds its column-major transpose.
+    planes = np.empty((3, width * height))
+    np.divide(np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3).T, float(maxval), out=planes)
+    return PixelGrid(width, height, planes.T)
 
 
 def encode_ppm(grid: PixelGrid) -> bytes:
@@ -151,41 +158,40 @@ def _decode_png(blob: bytes) -> PixelGrid:
     stride = width * channels
     if len(raw) != height * (stride + 1):
         raise ImageFormatError("PNG pixel data has the wrong length")
-    out = np.empty((height, stride), dtype=np.uint8)
-    prev = np.zeros(stride, dtype=np.uint8)
-    for row in range(height):
-        offset = row * (stride + 1)
+    out = np.zeros((height + 1, stride), dtype=np.uint8)  # row 0: the zero row above the image
+    for row in range(1, height + 1):
+        offset = (row - 1) * (stride + 1)
         ftype = raw[offset]
-        line = bytearray(raw[offset + 1 : offset + 1 + stride])
-        if ftype == 1:  # Sub
-            for i in range(channels, stride):
-                line[i] = (line[i] + line[i - channels]) & 0xFF
+        line = np.frombuffer(raw, dtype=np.uint8, count=stride, offset=offset + 1)
+        if ftype == 0:  # None
+            out[row] = line
+        elif ftype == 1:  # Sub: a running sum per channel, wrapping mod 256
+            np.cumsum(line.reshape(width, channels), axis=0, dtype=np.uint8,
+                      out=out[row].reshape(width, channels))
         elif ftype == 2:  # Up
-            for i in range(stride):
-                line[i] = (line[i] + int(prev[i])) & 0xFF
-        elif ftype == 3:  # Average
-            for i in range(stride):
-                left = line[i - channels] if i >= channels else 0
-                line[i] = (line[i] + ((left + int(prev[i])) >> 1)) & 0xFF
-        elif ftype == 4:  # Paeth
-            for i in range(stride):
-                left = line[i - channels] if i >= channels else 0
-                up_left = int(prev[i - channels]) if i >= channels else 0
-                line[i] = (line[i] + _paeth(left, int(prev[i]), up_left)) & 0xFF
-        elif ftype != 0:
+            np.add(line, out[row - 1], out=out[row])
+        elif ftype in (3, 4):  # each byte needs its decoded left neighbour
+            cur = bytearray(line)
+            up = out[row - 1].tobytes()
+            if ftype == 3:  # Average
+                for i in range(stride):
+                    left = cur[i - channels] if i >= channels else 0
+                    cur[i] = (cur[i] + ((left + up[i]) >> 1)) & 0xFF
+            else:  # Paeth
+                for i in range(stride):
+                    left = cur[i - channels] if i >= channels else 0
+                    up_left = up[i - channels] if i >= channels else 0
+                    cur[i] = (cur[i] + _paeth(left, up[i], up_left)) & 0xFF
+            out[row] = np.frombuffer(cur, dtype=np.uint8)
+        else:
             raise ImageFormatError(f"unknown PNG filter {ftype}")
-        out[row] = np.frombuffer(bytes(line), dtype=np.uint8)
-        prev = out[row]
-    pix = out.reshape(height, width, channels).astype(float) / 255.0
-    if channels == 1:
-        rgb = np.repeat(pix, 3, axis=2)
-    elif channels == 2:
-        rgb = np.repeat(pix[:, :, :1], 3, axis=2)
-    elif channels == 4:
-        rgb = pix[:, :, :3]
-    else:
-        rgb = pix
-    return PixelGrid(width, height, rgb.reshape(-1, 3))
+    # One contiguous row per RGB channel (gray repeated, alpha dropped); the
+    # grid holds its column-major transpose.
+    pix = out[1:].reshape(-1, channels)
+    planes = np.empty((3, width * height))
+    for c in range(3):
+        np.divide(pix[:, c if channels >= 3 else 0], 255.0, out=planes[c])
+    return PixelGrid(width, height, planes.T)
 
 
 # ---------------------------------------------------------------------------

@@ -63,19 +63,19 @@ def _floored_component(mean: np.ndarray, cov: np.ndarray, floor: float) -> Gauss
 
 
 def _median(a: np.ndarray):
-    """``np.median(a, axis=0)`` with the same bits, partitioning ``a`` in place.
+    """``np.median(a, axis=-1)`` with the same bits, partitioning ``a`` in place.
 
     The middle values are summed from 0.0, as np.median's ``mean`` sums
     them. That also turns a zero median into +0.0 whichever of 0.0 and
     -0.0 the partition put in the middle.
     """
-    n = len(a)
+    n = a.shape[-1]
     h = n // 2
     if n % 2:
-        a.partition(h, axis=0)
-        return 0.0 + a[h]
-    a.partition([h - 1, h], axis=0)
-    return (0.0 + a[h - 1] + a[h]) / 2
+        a.partition(h)
+        return 0.0 + a[..., h]
+    a.partition([h - 1, h])
+    return (0.0 + a[..., h - 1] + a[..., h]) / 2
 
 
 def robust_init(data) -> tuple[GaussianComponent, bool]:
@@ -88,8 +88,9 @@ def robust_init(data) -> tuple[GaussianComponent, bool]:
     when a coordinate is entirely constant) so the result is always usable.
     ``data`` is a finite float (n, p) array, as :func:`fit_component` passes it.
 
-    Each median is one in-place partition of a single column, equal to
-    ``np.median`` bit for bit.
+    Each median is one in-place partition of a contiguous n-long run (a
+    row of a (p, n) copy of ``data.T``, or one product of two centred
+    coordinates), equal to ``np.median`` bit for bit.
 
     Returns
     -------
@@ -99,12 +100,12 @@ def robust_init(data) -> tuple[GaussianComponent, bool]:
     n, p = data.shape
     if n < 2:
         raise ValueError("robust initialization needs at least two observations")
-    center = _median(data.copy())
-    dev = data - center
+    center = _median(data.T.copy())
+    dev = data.T - center[:, None]
     cov = np.empty((p, p))
     for i in range(p):
         for j in range(i, p):
-            cov[i, j] = cov[j, i] = _median(dev[:, i] * dev[:, j])
+            cov[i, j] = cov[j, i] = _median(dev[i] * dev[j])
     cov *= 1.4826**2
     floor = max(MIN_DENOMINATOR * max(np.trace(cov), 0.0), 1e-12)
     vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
@@ -115,8 +116,8 @@ def robust_init(data) -> tuple[GaussianComponent, bool]:
 
 
 def _work_buffers(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (n, p), (n, p) and (n,) float buffers one :func:`irls_step` works in."""
-    return np.empty((n, p)), np.empty((n, p)), np.empty(n)
+    """The (p, n), (p, n) and (n,) float buffers one :func:`irls_step` works in."""
+    return np.empty((p, n)), np.empty((p, n)), np.empty(n)
 
 
 def irls_weights(data, comp: GaussianComponent, beta: float, work=None) -> np.ndarray:
@@ -138,9 +139,11 @@ def irls_step(data, comp: GaussianComponent, beta: float, work=None) -> Gaussian
     below ``MIN_DENOMINATOR * n``, which signals a cluster too small for the
     requested downweighting; callers keep the previous estimate in that case.
     ``data`` is a finite float (n, p) array, as :func:`fit_component` passes it.
-    The step computes in ``work`` (buffers shaped as :func:`_work_buffers`
-    makes them, allocated per call when omitted) and trusts its own
-    result: the new component is built by :meth:`GaussianComponent.trusted`.
+    The step computes on ``data.T`` in ``work`` (buffers shaped as
+    :func:`_work_buffers` makes them, allocated per call when omitted): the
+    weighted mean is ``data.T @ w`` and the scatter a (p, n) x (n, p)
+    product. It trusts its own result: the new component is built by
+    :meth:`GaussianComponent.trusted`.
     """
     n, p = data.shape
     work = work if work is not None else _work_buffers(n, p)
@@ -151,11 +154,11 @@ def irls_step(data, comp: GaussianComponent, beta: float, work=None) -> Gaussian
         raise NonPositiveDenominatorError(
             f"covariance denominator {denom:.3e} below guard {MIN_DENOMINATOR * n:.3e}"
         )
-    mean = (w @ data) / total
+    mean = (data.T @ w) / total
     diff, scaled, _ = work
-    np.subtract(data, mean, out=diff)
-    np.multiply(w[:, None], diff, out=scaled)
-    cov = scaled.T @ diff / denom
+    np.subtract(data.T, mean[:, None], out=diff)
+    np.multiply(diff, w, out=scaled)
+    cov = scaled @ diff.T / denom
     # Degenerate clusters (identical points) produce a zero scatter matrix;
     # floor minimally so the next weight evaluation stays defined.
     return _floored_component(mean, cov, max(1e-12 * max(np.trace(cov), 0.0), 1e-12))
@@ -179,8 +182,11 @@ def fit_component(data, beta: float, cfg: IrlsConfig | None = None,
     A denominator-guard failure on the very first step propagates (the
     start is already too downweighted to move); tripping later stops the
     iteration and keeps the last valid iterate, again with
-    ``converged=False``. ``data`` is a finite float (n, p) array. Every
-    step works in one set of buffers, allocated here.
+    ``converged=False``. ``data`` is a finite float (n, p) array; stored
+    column-major, as :func:`~mixclust.clustering.fit` passes it, its
+    transpose is a C-contiguous (p, n) view and every kernel pass runs over
+    contiguous n-long rows (any layout gives a correct fit). Every step
+    works in one set of (p, n), (p, n) and (n,) buffers, allocated here.
     """
     cfg = cfg or IrlsConfig()
     n, p = data.shape

@@ -71,13 +71,14 @@ class TestFitCommand:
 
     def test_blas_thread_count_keeps_bytes(self, tmp_path):
         # Same bytes whatever the BLAS thread count. Measured on a 2-CPU
-        # host, OpenBLAS splits the (n, 5) x (5, 5) distance GEMM and the
-        # (5, n) x (n, 5) scatter over threads only from about 21 000 rows,
-        # so each cluster has 22 000.
+        # host (OpenBLAS 0.3.31, each shape in a fresh process), OpenBLAS
+        # splits the (5, 5) x (5, n) distance GEMM over threads only from
+        # about 40 500 rows; the (5, n) x (n, 5) scatter did not thread even
+        # at 60 000. So each cluster has 44 000.
         rng = np.random.default_rng(3)
         csv = tmp_path / "large.csv"
-        np.savetxt(csv, np.vstack([rng.standard_normal((22_000, 5)),
-                                   rng.standard_normal((22_000, 5)) * 1.5 + 6.0,
+        np.savetxt(csv, np.vstack([rng.standard_normal((44_000, 5)),
+                                   rng.standard_normal((44_000, 5)) * 1.5 + 6.0,
                                    rng.uniform(-30.0, 30.0, (200, 5))]),
                    delimiter=",", fmt="%.6f")
         env = {key: value for key, value in os.environ.items()

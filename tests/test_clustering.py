@@ -234,6 +234,44 @@ class TestFit:
         swapped = np.sum((1 - pred) != truth)
         assert min(direct, swapped) == 0
 
+    @pytest.mark.parametrize("rule", ["likelihood", "distance"])
+    def test_memory_layout_keeps_bits(self, rule):
+        rng = np.random.default_rng(23)
+        data = np.vstack([blob_data(rng, [np.zeros(3), np.full(3, 5.0)], 80),
+                          rng.uniform(-20.0, 20.0, (6, 3))])
+        cfg = AlgoConfig(beta=0.2, n_restarts=3, seed=2, assignment_rule=rule)
+        by_rows = fit(np.ascontiguousarray(data), 2, cfg)
+        by_cols = fit(np.asfortranarray(data), 2, cfg)
+
+        def arrays(res):
+            params = res.params
+            return [params.weights, *[c.mean for c in params.components],
+                    *[c.cov for c in params.components], res.assignments,
+                    res.outlier_flags, res.outlier_types, res.discriminants,
+                    np.array([res.objective, res.selection_score])]
+
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays(by_rows), arrays(by_cols)))
+        assert (by_rows.iterations, by_rows.restart_index, by_rows.stable) == \
+            (by_cols.iterations, by_cols.restart_index, by_cols.stable)
+
+    def test_fits_column_major_data_without_copying(self, monkeypatch):
+        seen = []
+        real = fit_single
+
+        def recording(data, *args, **kwargs):
+            seen.append(data)
+            return real(data, *args, **kwargs)
+
+        monkeypatch.setattr("mixclust.clustering.fit_single", recording)
+        rng = np.random.default_rng(29)
+        data = np.asfortranarray(blob_data(rng, [np.zeros(2), np.full(2, 6.0)], 40))
+        fit(data, 2, AlgoConfig(n_restarts=2))
+        assert len(seen) == 2 and all(np.shares_memory(x, data) for x in seen)
+        # row-major input is stored column-major once, before the restarts
+        seen.clear()
+        fit(np.ascontiguousarray(data), 2, AlgoConfig(n_restarts=2))
+        assert seen[0] is seen[1] and seen[0].flags.f_contiguous
+
     def test_determinism(self):
         rng = np.random.default_rng(11)
         data = blob_data(rng, [np.zeros(2), np.full(2, 8.0), np.full(2, -8.0)], 40)

@@ -36,6 +36,84 @@ def write_png(path, array):
         fh.write(blob)
 
 
+def paeth(a, b, c):
+    pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - 2 * c)
+    if pa <= pb and pa <= pc:
+        return a
+    return b if pb <= pc else c
+
+
+def filtered_png(arr):
+    """8-bit PNG of a (height, width, channels) uint8 array, channels 1 to 4
+    (gray, gray+alpha, RGB, RGBA), with row r under filter r mod 5."""
+    height, width, channels = arr.shape
+    lines = []
+    prev = np.zeros(width * channels, dtype=int)
+    for row in range(height):
+        ftype = row % 5
+        raw = arr[row].reshape(-1).astype(int)
+        enc = np.empty_like(raw)
+        for i in range(len(raw)):
+            left = raw[i - channels] if i >= channels else 0
+            up = prev[i]
+            up_left = prev[i - channels] if i >= channels else 0
+            pred = (0, left, up, (left + up) // 2, paeth(left, up, up_left))[ftype]
+            enc[i] = (raw[i] - pred) % 256
+        lines.append(bytes([ftype]) + bytes(enc.astype(np.uint8)))
+        prev = raw
+
+    def chunk(ctype, body):
+        full = ctype + body
+        return struct.pack(">I", len(body)) + full + struct.pack(
+            ">I", zlib.crc32(full) & 0xFFFFFFFF)
+
+    color = {1: 0, 2: 4, 3: 2, 4: 6}[channels]
+    return (b"\x89PNG\r\n\x1a\n"
+            + chunk(b"IHDR", struct.pack(">IIBBBBB", width, height, 8, color, 0, 0, 0))
+            + chunk(b"IDAT", zlib.compress(b"".join(lines))) + chunk(b"IEND", b""))
+
+
+def per_byte_png_pixels(blob):
+    """(n, 3) float pixels of a :func:`filtered_png` blob, decoded one byte at
+    a time as the package's decoder once did."""
+    width, height, _, color = struct.unpack(">IIBB", blob[16:26])
+    channels = {0: 1, 2: 3, 4: 2, 6: 4}[color]
+    (length,) = struct.unpack(">I", blob[33:37])
+    raw = zlib.decompress(blob[41 : 41 + length])
+    stride = width * channels
+    out = np.empty((height, stride), dtype=np.uint8)
+    prev = np.zeros(stride, dtype=np.uint8)
+    for row in range(height):
+        offset = row * (stride + 1)
+        ftype = raw[offset]
+        line = bytearray(raw[offset + 1 : offset + 1 + stride])
+        if ftype == 1:
+            for i in range(channels, stride):
+                line[i] = (line[i] + line[i - channels]) & 0xFF
+        elif ftype == 2:
+            for i in range(stride):
+                line[i] = (line[i] + int(prev[i])) & 0xFF
+        elif ftype == 3:
+            for i in range(stride):
+                left = line[i - channels] if i >= channels else 0
+                line[i] = (line[i] + ((left + int(prev[i])) >> 1)) & 0xFF
+        elif ftype == 4:
+            for i in range(stride):
+                left = line[i - channels] if i >= channels else 0
+                up_left = int(prev[i - channels]) if i >= channels else 0
+                line[i] = (line[i] + paeth(left, int(prev[i]), up_left)) & 0xFF
+        out[row] = np.frombuffer(bytes(line), dtype=np.uint8)
+        prev = out[row]
+    pix = out.reshape(height, width, channels).astype(float) / 255.0
+    if channels == 1:
+        rgb = np.repeat(pix, 3, axis=2)
+    elif channels == 2:
+        rgb = np.repeat(pix[:, :, :1], 3, axis=2)
+    else:
+        rgb = pix[:, :, :3]
+    return np.ascontiguousarray(rgb.reshape(-1, 3))
+
+
 def two_tone_grid(side=60, noise_fraction=0.05, seed=0):
     """Left half blue, right half green, a seeded sprinkle of white pixels."""
     rng = np.random.default_rng(seed)
@@ -91,50 +169,22 @@ class TestIo:
         # encode each scanline with a different filter and decode back
         rng = np.random.default_rng(3)
         arr = rng.integers(0, 256, size=(5, 6, 3), dtype=np.uint8)
-        bpp = 3
-
-        def paeth(a, b, c):
-            pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - 2 * c)
-            if pa <= pb and pa <= pc:
-                return a
-            return b if pb <= pc else c
-
-        lines = []
-        prev = np.zeros(6 * bpp, dtype=int)
-        for row, ftype in zip(range(5), (0, 1, 2, 3, 4)):
-            raw = arr[row].reshape(-1).astype(int)
-            enc = np.empty_like(raw)
-            for i in range(len(raw)):
-                left = raw[i - bpp] if i >= bpp else 0
-                up = prev[i]
-                up_left = prev[i - bpp] if i >= bpp else 0
-                if ftype == 0:
-                    pred = 0
-                elif ftype == 1:
-                    pred = left
-                elif ftype == 2:
-                    pred = up
-                elif ftype == 3:
-                    pred = (left + up) // 2
-                else:
-                    pred = paeth(left, up, up_left)
-                enc[i] = (raw[i] - pred) % 256
-            lines.append(bytes([ftype]) + bytes(enc.astype(np.uint8)))
-            prev = raw
-        payload = zlib.compress(b"".join(lines))
-
-        def chunk(ctype, body):
-            full = ctype + body
-            return struct.pack(">I", len(body)) + full + struct.pack(
-                ">I", zlib.crc32(full) & 0xFFFFFFFF)
-
-        blob = (b"\x89PNG\r\n\x1a\n"
-                + chunk(b"IHDR", struct.pack(">IIBBBBB", 6, 5, 8, 2, 0, 0, 0))
-                + chunk(b"IDAT", payload) + chunk(b"IEND", b""))
         path = tmp_path / "filters.png"
-        path.write_bytes(blob)
+        path.write_bytes(filtered_png(arr))
         grid = load_image(path)
         assert np.allclose(grid.pixels.reshape(5, 6, 3), arr / 255.0)
+
+    @pytest.mark.parametrize("channels", [1, 2, 3, 4])
+    def test_png_matches_per_byte_decoder(self, tmp_path, channels):
+        # gray, gray+alpha, RGB and RGBA, rows cycling through all five filters
+        rng = np.random.default_rng(10 + channels)
+        blob = filtered_png(rng.integers(0, 256, size=(11, 9, channels), dtype=np.uint8))
+        path = tmp_path / "image.png"
+        path.write_bytes(blob)
+        grid = load_image(path)
+        want = per_byte_png_pixels(blob)
+        assert grid.pixels.shape == want.shape
+        assert np.ascontiguousarray(grid.pixels).tobytes() == want.tobytes()
 
     def test_png_rgba_alpha_discarded(self, tmp_path):
         rgba = np.zeros((2, 2, 4), dtype=np.uint8)
@@ -154,6 +204,17 @@ class TestIo:
         path.write_bytes(blob)
         grid = load_image(path)
         assert np.allclose(grid.pixels, np.tile([200 / 255, 0.0, 0.0], (4, 1)))
+
+    def test_decoded_pixels_are_column_major(self, tmp_path):
+        # the layout fit computes in, so segmenting does not copy the pixels
+        rng = np.random.default_rng(4)
+        arr = rng.integers(0, 256, size=(6, 5, 3), dtype=np.uint8)
+        write_png(tmp_path / "img.png", arr)
+        (tmp_path / "img.ppm").write_bytes(b"P6\n5 6\n255\n" + arr.tobytes())
+        for name in ("img.png", "img.ppm"):
+            pixels = load_image(tmp_path / name).pixels
+            assert pixels.shape == (30, 3) and pixels.flags.f_contiguous
+            assert np.array_equal(pixels, arr.reshape(-1, 3) / 255.0)
 
     def test_truncated_ppm(self, tmp_path):
         path = tmp_path / "trunc.ppm"

@@ -234,26 +234,52 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def row_major_step(data, comp, beta):
+    """One reweighted step in the (n, p) operand order the kernels once used:
+    GEMMs with the points as rows and sums along each row."""
+    n, p = data.shape
+    z = (data - comp.mean) @ np.linalg.inv(comp.chol).T
+    w = np.exp(-0.5 * beta * np.einsum("ij,ij->i", z, z))
+    denom = w.sum() - n * beta / (1.0 + beta) ** (0.5 * p + 1.0)
+    mean = (w @ data) / w.sum()
+    centered = data - mean
+    return mean, (w[:, None] * centered).T @ centered / denom
+
+
+def relative_gap(got, want) -> float:
+    """Largest entrywise difference over the largest entry of ``want``."""
+    gap = float(np.max(np.abs(got - want)))
+    return 0.0 if gap == 0.0 else gap / float(np.max(np.abs(want)))
+
+
 class AllocatingIrls:
     """The reweighted iteration written plainly: fresh temporaries every step,
     a validated ``GaussianComponent`` per iterate and ``np.linalg.norm``
     deltas. ``fit_component`` works in reused buffers and trusts its own
-    iterates; it must reproduce this bit for bit. Records which paths ran."""
+    iterates; it must reproduce this bit for bit. Both compute on the
+    transpose of column-major data, a (p, n) array whose rows are the
+    coordinates. Records which paths ran, and how far each step's mean and
+    unfloored covariance are from :func:`row_major_step`'s."""
 
     def __init__(self):
         self.floored = 0
         self.guard_tripped = False
+        self.row_major_gap = 0.0
 
     def step(self, data, comp, beta):
         n, p = data.shape
-        z = (data - comp.mean) @ np.linalg.inv(comp.chol).T
-        w = np.exp(-0.5 * beta * np.einsum("ij,ij->i", z, z))
+        cols = data.T
+        z = np.linalg.inv(comp.chol) @ (cols - comp.mean[:, None])
+        w = np.exp(-0.5 * beta * np.einsum("ij,ij->j", z, z))
         denom = w.sum() - n * beta / (1.0 + beta) ** (0.5 * p + 1.0)
         if denom <= MIN_DENOMINATOR * n:
             raise NonPositiveDenominatorError("below guard")
-        mean = (w @ data) / w.sum()
-        centered = data - mean
-        cov = (w[:, None] * centered).T @ centered / denom
+        mean = (cols @ w) / w.sum()
+        centered = cols - mean[:, None]
+        cov = (centered * w) @ centered.T / denom
+        old_mean, old_cov = row_major_step(data, comp, beta)
+        self.row_major_gap = max(self.row_major_gap, relative_gap(mean, old_mean),
+                                 relative_gap(cov, old_cov))
         floor = max(1e-12 * max(np.trace(cov), 0.0), 1e-12)
         cov = 0.5 * (cov + cov.T)
         try:
@@ -310,6 +336,8 @@ def contaminated(seed, n, p):
 
 class TestBitIdentity:
     def assert_matches_oracle(self, data, beta, init=None, cfg=IrlsConfig()):
+        # column-major, as clustering.fit passes its data
+        data = np.asfortranarray(data)
         oracle = AllocatingIrls()
         start = init if init is not None else robust_init(data)[0]
         want, iterations, converged = oracle.fit(data, beta, cfg, start)
@@ -317,6 +345,8 @@ class TestBitIdentity:
         assert same_bits(got.estimate.mean, want.mean)
         assert same_bits(got.estimate.cov, want.cov)
         assert (got.iterations, got.converged) == (iterations, converged)
+        # the operand order moves only the last bits of every step
+        assert oracle.row_major_gap <= 1e-12
         return oracle, got
 
     @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])

@@ -263,16 +263,18 @@ def cmd_influence(args) -> int:
     # Imported here: influence is the only subcommand that needs scipy.
     from .influence import TrueDistribution, if_curve, solve_functional, write_if_curve
 
-    if any(beta == 0.0 for beta in args.beta):
-        raise InputError(
-            "beta = 0 is refused: the corresponding influence functions are unbounded")
+    if not all(0.0 < beta < np.inf for beta in args.beta):
+        raise InputError("beta must be positive and finite; beta = 0 is refused because "
+                         "the corresponding influence functions are unbounded")
+    if args.grid_points < 1 or not np.isfinite([args.grid_lo, args.grid_hi]).all():
+        raise InputError("--grid-points must be at least 1 and the grid bounds finite")
     dist = TrueDistribution(
         weights=(args.pi1, 1.0 - args.pi1),
         means=(args.mu1, args.mu2),
         variances=(args.var1, args.var2),
     )
-    out = _prepare_out_dir(args.out, args.force)
     cfg = ConstraintConfig(c=args.c, c1=args.c1)
+    out = _prepare_out_dir(args.out, args.force)
     grid = np.linspace(args.grid_lo, args.grid_hi, args.grid_points)
     solutions = []
     for beta in args.beta:

@@ -6,12 +6,16 @@ component owning the interval), defines the parameter functional
 implicitly through eight stationarity equations: the interval mass, the
 weight identity, the two boundary crossings, and the four downweighted
 moment equations of the two components. :func:`solve_functional` solves
-that system by damped Newton with adaptive quadrature, taking its Jacobian
-from the analytic derivative ``A`` of the eight equations.
+that system by damped Newton, taking its Jacobian from the analytic
+derivative ``A`` of the eight equations. Every integral in both is
+f_j^beta * P(x - mu_j) against the data law over (a, b) or its complement,
+P a polynomial of degree at most 4 given by a coefficient row (c0..c4):
+one adaptive ``quad`` call over one scalar ``math`` kernel.
 
 Differentiating the system under point-mass contamination at ``y`` yields
 an 8x8 linear system ``A @ IF = B(y)`` with the same matrix ``A``, taken at
-the solution; :func:`influence_at` solves it, and
+the solution; :func:`if_curve` solves it for a whole grid of ``y`` at once
+(:func:`influence_at` is its one-point case), and
 :func:`numeric_if_oracle` cross-checks it by re-solving the functional
 under explicit epsilon-contamination and extrapolating the difference
 quotients. Influence vectors are ordered
@@ -20,10 +24,12 @@ quotients. Influence vectors are ordered
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad
 from scipy.special import ndtr
 
@@ -45,30 +51,28 @@ class TrueDistribution:
     variances: tuple[float, float]
 
     def __post_init__(self):
-        if abs(self.weights[0] + self.weights[1] - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-        if min(self.variances) <= 0:
-            raise ValueError("variances must be positive")
+        if not (all(0.0 < w < 1.0 for w in self.weights)
+                and abs(self.weights[0] + self.weights[1] - 1.0) <= 1e-12):
+            raise ValueError("weights must lie strictly between 0 and 1 and sum to 1")
+        if not all(math.isfinite(m) for m in self.means):
+            raise ValueError("means must be finite")
+        if not all(0.0 < v < math.inf for v in self.variances):
+            raise ValueError("variances must be finite and positive")
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = 0.0
-        for w, m, v in zip(self.weights, self.means, self.variances):
-            out = out + w * np.exp(-0.5 * (x - m) ** 2 / v) / np.sqrt(2.0 * np.pi * v)
-        return out
+        return sum(w * np.exp(-0.5 * (x - m) ** 2 / v) / np.sqrt(2.0 * np.pi * v)
+                   for w, m, v in zip(self.weights, self.means, self.variances))
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = 0.0
-        for w, m, v in zip(self.weights, self.means, self.variances):
-            out = out + w * ndtr((x - m) / np.sqrt(v))
-        return out
+        return sum(w * ndtr((x - m) / np.sqrt(v))
+                   for w, m, v in zip(self.weights, self.means, self.variances))
 
     def support(self, spread: float = 12.0) -> tuple[float, float]:
         sds = np.sqrt(self.variances)
-        lo = min(m - spread * s for m, s in zip(self.means, sds))
-        hi = max(m + spread * s for m, s in zip(self.means, sds))
-        return float(lo), float(hi)
+        return (float(min(m - spread * s for m, s in zip(self.means, sds))),
+                float(max(m + spread * s for m, s in zip(self.means, sds))))
 
 
 @dataclass(frozen=True)
@@ -99,6 +103,12 @@ class _Measure:
     atom_y: float = 0.0
     atom_eps: float = 0.0
 
+    @cached_property
+    def _law(self) -> tuple:
+        """Per law component: (log(w / sqrt(2 pi v)), m, -1 / (2 v))."""
+        return tuple((math.log(w) - 0.5 * (LOG_2PI + math.log(v)), float(m), -0.5 / v)
+                     for w, m, v in zip(self.dist.weights, self.dist.means, self.dist.variances))
+
     def mass_between(self, a: float, b: float) -> float:
         base = float(self.dist.cdf(b) - self.dist.cdf(a))
         if self.atom_eps == 0.0:
@@ -109,33 +119,58 @@ class _Measure:
         """Density of the continuous part at x; the atom adds none."""
         return (1.0 - self.atom_eps) * float(self.dist.pdf(x))
 
-    def integrate(self, fn, lo: float, hi: float) -> float:
-        if hi <= lo:
-            return 0.0
-        val, _ = quad(lambda x: fn(x) * self.dist.pdf(x), lo, hi, **_QUAD_OPTS)
-        if self.atom_eps == 0.0:
-            return float(val)
-        atom = fn(self.atom_y) if lo < self.atom_y < hi else 0.0
-        return float((1.0 - self.atom_eps) * val + self.atom_eps * atom)
+    def kernel(self, coef, mu: float, var: float, beta: float):
+        """Scalar f^beta(x) * P(x - mu) * p(x): two ``math.exp`` and a Horner sum."""
+        c0, c1, c2, c3, c4 = map(float, coef)
+        mu, var, beta = float(mu), float(var), float(beta)
+        h, lognorm = -0.5 * beta / var, -0.5 * beta * (LOG_2PI + math.log(var))
+        (l1, m1, g1), (l2, m2, g2) = self._law
+        e1, e2, exp = lognorm + l1, lognorm + l2, math.exp
 
-    def outside(self, fn, a: float, b: float) -> float:
-        """Integral off (a, b), over the law's support widened to contain it."""
+        def integrand(x):
+            z, y1, y2 = x - mu, x - m1, x - m2
+            q = h * z * z
+            return ((c0 + z * (c1 + z * (c2 + z * (c3 + z * c4))))
+                    * (exp(e1 + q + g1 * y1 * y1) + exp(e2 + q + g2 * y2 * y2)))
+        return integrand
+
+    def integrals(self, beta: float, a: float, b: float, mu1: float, mu2: float,
+                  v1: float, v2: float, rows: slice = slice(0, 2)) -> tuple:
+        """Integrals of f_j^beta * P for the chosen coefficient rows (by default
+        location and spread): component 1 on (a, b), component 2 off it, within
+        the law's support widened to contain (a, b)."""
         lo, hi = self.dist.support()
-        return self.integrate(fn, min(lo, a - 1.0), a) + self.integrate(fn, b, max(hi, b + 1.0))
+        regions = ((mu1, v1, [(a, b)]), (mu2, v2, [(min(lo, a - 1.0), a), (b, max(hi, b + 1.0))]))
+        return tuple([sum(self._span(coef, mu, var, beta, left, right) for left, right in spans)
+                      for coef in _poly_rows(var, beta)[rows]] for mu, var, spans in regions)
+
+    def _span(self, coef, mu: float, var: float, beta: float, lo: float, hi: float) -> float:
+        """Integral over (lo, hi): ``quad`` against the law, plus the atom inside it."""
+        val, _ = quad(self.kernel(coef, mu, var, beta), lo, hi, **_QUAD_OPTS)
+        atom = _weighted(coef, mu, var, beta, self.atom_y) if lo < self.atom_y < hi else 0.0
+        return float((1.0 - self.atom_eps) * val + self.atom_eps * atom)
 
 
 def _f_pow_beta(x, mu: float, var: float, beta: float):
     return np.exp(beta * (-0.5 * (LOG_2PI + np.log(var)) - 0.5 * (x - mu) ** 2 / var))
 
 
-def _loc(x, mu: float, var: float, beta: float):
-    """Location integrand f^beta (x - mu)."""
-    return _f_pow_beta(x, mu, var, beta) * (x - mu)
+def _poly_rows(v: float, beta: float) -> tuple:
+    """Coefficient rows (c0..c4) in z = x - mu of the polynomials beside f^beta:
+    location z, spread z^2/v - 1, then the location and the spread integrand's
+    derivatives in mu and var, f^beta differentiated too."""
+    return ((0.0, 1.0, 0.0, 0.0, 0.0),
+            (-1.0, 0.0, 1.0 / v, 0.0, 0.0),
+            (-1.0, 0.0, beta / v, 0.0, 0.0),
+            (0.0, -0.5 * beta / v, 0.0, 0.5 * beta / v**2, 0.0),
+            (0.0, -(beta + 2.0) / v, 0.0, beta / v**2, 0.0),
+            (0.5 * beta / v, 0.0, -(beta + 1.0) / v**2, 0.0, 0.5 * beta / v**3))
 
 
-def _spread(x, mu: float, var: float, beta: float):
-    """Spread integrand f^beta ((x - mu)^2 / var - 1)."""
-    return _f_pow_beta(x, mu, var, beta) * ((x - mu) ** 2 / var - 1.0)
+def _weighted(rows, mu: float, var: float, beta: float, x):
+    """f^beta(x) * P(x - mu) for a row, or stacked rows (one per leading index)."""
+    x = np.asarray(x, dtype=float)
+    return _f_pow_beta(x, mu, var, beta) * polyval(x - mu, np.asarray(rows).T)
 
 
 def _kappa(var: float, beta: float) -> float:
@@ -174,15 +209,6 @@ def _crossing_points(pi1: float, pi2: float, mu1: float, mu2: float,
     return (min(r1, r2), max(r1, r2))
 
 
-def _moment_integrals(measure: _Measure, beta: float, a: float, b: float,
-                      mu1: float, mu2: float, v1: float, v2: float) -> tuple:
-    """Location and spread integrals: component 1 on (a, b), component 2 off it."""
-    return (measure.integrate(partial(_loc, mu=mu1, var=v1, beta=beta), a, b),
-            measure.outside(partial(_loc, mu=mu2, var=v2, beta=beta), a, b),
-            measure.integrate(partial(_spread, mu=mu1, var=v1, beta=beta), a, b),
-            measure.outside(partial(_spread, mu=mu2, var=v2, beta=beta), a, b))
-
-
 def _system_residual(u: np.ndarray, measure: _Measure, beta: float) -> np.ndarray:
     """Residuals of the six free equations at u = (mu1, mu2, log v1, log v2, a, b).
 
@@ -197,7 +223,7 @@ def _system_residual(u: np.ndarray, measure: _Measure, beta: float) -> np.ndarra
     pi2 = 1.0 - pi1
     if not (1e-12 < pi1 < 1.0 - 1e-12):
         return np.full(6, 1e6)
-    loc1, loc2, spr1, spr2 = _moment_integrals(measure, beta, a, b, mu1, mu2, v1, v2)
+    (loc1, spr1), (loc2, spr2) = measure.integrals(beta, a, b, mu1, mu2, v1, v2)
     r3 = _log_disc_gap(a, pi1, pi2, mu1, mu2, v1, v2)
     r4 = _log_disc_gap(b, pi1, pi2, mu1, mu2, v1, v2)
     r7 = spr1 + _kappa(v1, beta) * pi1
@@ -218,56 +244,31 @@ def _stationarity_jacobian(theta: np.ndarray, measure: _Measure,
     """
     pi1, pi2, a, b, mu1, mu2, v1, v2 = (float(t) for t in theta)
     pa, pb = measure.density(a), measure.density(b)
-
-    f1b = partial(_f_pow_beta, mu=mu1, var=v1, beta=beta)
-    f2b = partial(_f_pow_beta, mu=mu2, var=v2, beta=beta)
-    inner = partial(measure.integrate, lo=a, hi=b)
-    outer = partial(measure.outside, a=a, b=b)
-
-    # d/d(mu), d/d(var) of the location integrand f^beta (x - mu).
-    loc_dmu1 = inner(lambda x: f1b(x) * (beta * (x - mu1) ** 2 / v1 - 1.0))
-    loc_dmu2 = outer(lambda x: f2b(x) * (beta * (x - mu2) ** 2 / v2 - 1.0))
-    loc_dv1 = inner(lambda x: 0.5 * beta * f1b(x)
-                    * ((x - mu1) ** 3 / v1**2 - (x - mu1) / v1))
-    loc_dv2 = outer(lambda x: 0.5 * beta * f2b(x)
-                    * ((x - mu2) ** 3 / v2**2 - (x - mu2) / v2))
-
-    # d/d(mu), d/d(var) of the spread integrand f^beta ((x-mu)^2/v - 1),
-    # plus the derivative of the kappa * pi correction in var.
-    spr_dmu1 = inner(lambda x: f1b(x) * (x - mu1) / v1
-                     * (beta * ((x - mu1) ** 2 / v1 - 1.0) - 2.0))
-    spr_dmu2 = outer(lambda x: f2b(x) * (x - mu2) / v2
-                     * (beta * ((x - mu2) ** 2 / v2 - 1.0) - 2.0))
-    spr_dv1 = inner(lambda x: f1b(x) * (0.5 * beta / v1 * ((x - mu1) ** 2 / v1 - 1.0) ** 2
-                                        - (x - mu1) ** 2 / v1**2))
-    spr_dv2 = outer(lambda x: f2b(x) * (0.5 * beta / v2 * ((x - mu2) ** 2 / v2 - 1.0) ** 2
-                                        - (x - mu2) ** 2 / v2**2))
+    # d/d(mu), d/d(var) of the location and spread integrands, plus the
+    # derivative of the kappa * pi correction in var.
+    (loc_dmu1, loc_dv1, spr_dmu1, spr_dv1), (loc_dmu2, loc_dv2, spr_dmu2, spr_dv2) = (
+        measure.integrals(beta, a, b, mu1, mu2, v1, v2, rows=slice(2, 6)))
     kap1, kap2 = _kappa(v1, beta), _kappa(v2, beta)
-    dkap1 = -0.5 * beta * kap1 / v1
-    dkap2 = -0.5 * beta * kap2 / v2
+    dkap1, dkap2 = -0.5 * beta * kap1 / v1, -0.5 * beta * kap2 / v2
 
-    gap_a = (a - mu1) / v1 - (a - mu2) / v2
-    gap_b = (b - mu1) / v1 - (b - mu2) / v2
+    # Boundary terms: location and spread integrands (rows) at a and b
+    # (columns), times the density, with opposite signs on the two regions.
+    ends, dens = np.array([a, b]), np.array([-pa, pb])
+    edge1 = _weighted(_poly_rows(v1, beta)[:2], mu1, v1, beta, ends) * dens
+    edge2 = -_weighted(_poly_rows(v2, beta)[:2], mu2, v2, beta, ends) * dens
 
     A = np.zeros((8, 8))
     A[0] = [1.0, 0.0, pa, -pb, 0.0, 0.0, 0.0, 0.0]
     A[1] = [1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-    A[2] = [2.0 / pi1, -2.0 / pi2, -2.0 * gap_a, 0.0,
-            2.0 * (a - mu1) / v1, -2.0 * (a - mu2) / v2,
-            (a - mu1) ** 2 / v1**2 - 1.0 / v1,
-            1.0 / v2 - (a - mu2) ** 2 / v2**2]
-    A[3] = [2.0 / pi1, -2.0 / pi2, 0.0, -2.0 * gap_b,
-            2.0 * (b - mu1) / v1, -2.0 * (b - mu2) / v2,
-            (b - mu1) ** 2 / v1**2 - 1.0 / v1,
-            1.0 / v2 - (b - mu2) ** 2 / v2**2]
-    A[4] = [0.0, 0.0, -_loc(a, mu1, v1, beta) * pa, _loc(b, mu1, v1, beta) * pb,
-            loc_dmu1, 0.0, loc_dv1, 0.0]
-    A[5] = [0.0, 0.0, _loc(a, mu2, v2, beta) * pa, -_loc(b, mu2, v2, beta) * pb,
-            0.0, loc_dmu2, 0.0, loc_dv2]
-    A[6] = [kap1, 0.0, -_spread(a, mu1, v1, beta) * pa, _spread(b, mu1, v1, beta) * pb,
-            spr_dmu1, 0.0, spr_dv1 + dkap1 * pi1, 0.0]
-    A[7] = [0.0, kap2, _spread(a, mu2, v2, beta) * pa, -_spread(b, mu2, v2, beta) * pb,
-            0.0, spr_dmu2, 0.0, spr_dv2 + dkap2 * pi2]
+    for row, x in ((2, a), (3, b)):  # the crossing at x, which is column `row`
+        A[row] = [2.0 / pi1, -2.0 / pi2, 0.0, 0.0,
+                  2.0 * (x - mu1) / v1, -2.0 * (x - mu2) / v2,
+                  (x - mu1) ** 2 / v1**2 - 1.0 / v1, 1.0 / v2 - (x - mu2) ** 2 / v2**2]
+        A[row, row] = -2.0 * ((x - mu1) / v1 - (x - mu2) / v2)
+    A[4] = [0.0, 0.0, *edge1[0], loc_dmu1, 0.0, loc_dv1, 0.0]
+    A[5] = [0.0, 0.0, *edge2[0], 0.0, loc_dmu2, 0.0, loc_dv2]
+    A[6] = [kap1, 0.0, *edge1[1], spr_dmu1, 0.0, spr_dv1 + dkap1 * pi1, 0.0]
+    A[7] = [0.0, kap2, *edge2[1], 0.0, spr_dmu2, 0.0, spr_dv2 + dkap2 * pi2]
     return A
 
 
@@ -341,10 +342,8 @@ def solve_functional(dist: TrueDistribution, beta: float,
         u0 = np.array([init.mu1, init.mu2, np.log(init.var1), np.log(init.var2),
                        init.a, init.b])
     else:
-        w1, w2 = dist.weights
-        m1, m2 = dist.means
-        v1, v2 = dist.variances
-        a0, b0 = _crossing_points(w1, w2, m1, m2, v1, v2)
+        (m1, m2), (v1, v2) = dist.means, dist.variances
+        a0, b0 = _crossing_points(*dist.weights, m1, m2, v1, v2)
         u0 = np.array([m1, m2, np.log(v1), np.log(v2), a0, b0])
     u, res_norm = _solve_system(measure, beta, u0, tol, max_iter)
     mu1, mu2, lv1, lv2, a, b = u
@@ -378,46 +377,44 @@ def _matrix_and_constants(sol: FunctionalSolution, dist: TrueDistribution,
     """The y-independent matrix of the influence system plus cached pieces.
 
     The matrix is :func:`_stationarity_jacobian` at the solution under the
-    uncontaminated law, the same derivative Newton uses in the solve.
+    uncontaminated law, the same derivative Newton uses in the solve. It is
+    read-only, since every caller shares the cached array.
     """
     measure = _Measure(dist)
     A = _stationarity_jacobian(sol.as_vector(), measure, beta)
-    c1, c2, c3, c4 = _moment_integrals(measure, beta, sol.a, sol.b,
-                                       sol.mu1, sol.mu2, sol.var1, sol.var2)
-    consts = {"C1": c1, "C2": c2, "C3": c3, "C4": c4,
-              "mass": measure.mass_between(sol.a, sol.b)}
-    return A, consts
+    A.setflags(write=False)
+    (c1, c3), (c2, c4) = measure.integrals(beta, sol.a, sol.b, sol.mu1, sol.mu2,
+                                           sol.var1, sol.var2)
+    return A, {"C1": c1, "C2": c2, "C3": c3, "C4": c4,
+               "mass": measure.mass_between(sol.a, sol.b)}
 
 
 def assemble_if_system(sol: FunctionalSolution, dist: TrueDistribution,
-                       beta: float, y: float) -> tuple[np.ndarray, np.ndarray]:
+                       beta: float, y) -> tuple[np.ndarray, np.ndarray]:
     """Matrix and right-hand side of the influence linear system at ``y``.
 
-    The matrix is independent of ``y`` and cached per (solution, beta); the
-    right-hand side depends on ``y`` only through the interval indicator and
-    the bounded downweighted score and spread terms, which is what makes
-    every influence component bounded for beta > 0.
+    The matrix is independent of ``y``, cached per (solution, beta) and
+    read-only; the right-hand side depends on ``y`` only through the
+    interval indicator and the bounded downweighted score and spread terms,
+    which is what makes every influence component bounded for beta > 0.
+    For an array of m points the right-hand sides are the columns of B.
     """
     A, consts = _matrix_and_constants(sol, dist, beta)
-    a, b = sol.a, sol.b
-    inside = bool(a < y < b)
-    B = np.zeros(8)
-    B[0] = -consts["mass"] + (1.0 if inside else 0.0)
-    B[4] = consts["C1"] - _loc(y, sol.mu1, sol.var1, beta) * (1.0 if inside else 0.0)
-    B[5] = consts["C2"] - _loc(y, sol.mu2, sol.var2, beta) * (0.0 if inside else 1.0)
-    B[6] = consts["C3"] - _spread(y, sol.mu1, sol.var1, beta) * (1.0 if inside else 0.0)
-    B[7] = consts["C4"] - _spread(y, sol.mu2, sol.var2, beta) * (0.0 if inside else 1.0)
-    return np.array(A, copy=True), B
+    y = np.asarray(y, dtype=float)
+    inside = (sol.a < y) & (y < sol.b)
+    own1 = _weighted(_poly_rows(sol.var1, beta)[:2], sol.mu1, sol.var1, beta, y) * inside
+    own2 = _weighted(_poly_rows(sol.var2, beta)[:2], sol.mu2, sol.var2, beta, y) * ~inside
+    B = np.zeros((8,) + y.shape)
+    B[0] = inside - consts["mass"]
+    B[4], B[6] = consts["C1"] - own1[0], consts["C3"] - own1[1]
+    B[5], B[7] = consts["C2"] - own2[0], consts["C4"] - own2[1]
+    return A, B
 
 
 def influence_at(sol: FunctionalSolution, dist: TrueDistribution,
                  beta: float, y: float, *, max_condition: float = 1e12) -> np.ndarray:
-    """Influence vector at contamination point ``y`` via the linear system."""
-    A, B = assemble_if_system(sol, dist, beta, y)
-    cond = float(np.linalg.cond(A))
-    if not np.isfinite(cond) or cond > max_condition:
-        raise SolveError(f"influence matrix ill-conditioned (estimate {cond:.3e})")
-    return np.linalg.solve(A, B)
+    """Influence vector at contamination point ``y``: the one-point curve."""
+    return if_curve(sol, dist, beta, [float(y)], max_condition=max_condition)[0, 1:]
 
 
 def numeric_if_oracle(dist: TrueDistribution, beta: float,
@@ -450,14 +447,17 @@ def numeric_if_oracle(dist: TrueDistribution, beta: float,
 
 
 def if_curve(sol: FunctionalSolution, dist: TrueDistribution, beta: float,
-             y_grid) -> np.ndarray:
-    """Influence vectors over a grid: rows ``(y, pi1, pi2, a, b, mu1, mu2, s1, s2)``."""
+             y_grid, *, max_condition: float = 1e12) -> np.ndarray:
+    """Influence vectors over a grid: rows ``(y, pi1, pi2, a, b, mu1, mu2, s1, s2)``.
+
+    The matrix does not depend on y, so the whole grid is one linear solve.
+    """
     y_grid = np.asarray(y_grid, dtype=float)
-    rows = np.empty((len(y_grid), 9))
-    for i, y in enumerate(y_grid):
-        rows[i, 0] = y
-        rows[i, 1:] = influence_at(sol, dist, beta, float(y))
-    return rows
+    A, B = assemble_if_system(sol, dist, beta, y_grid)
+    cond = float(np.linalg.cond(A))
+    if not np.isfinite(cond) or cond > max_condition:
+        raise SolveError(f"influence matrix ill-conditioned (estimate {cond:.3e})")
+    return np.column_stack([y_grid, np.linalg.solve(A, B).T])
 
 
 def write_if_curve(path, table: np.ndarray) -> None:

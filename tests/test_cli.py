@@ -256,6 +256,20 @@ class TestInfluenceCommand:
         assert code == 2
         assert "unbounded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--pi1", "1.5"], ["--pi1", "-0.2"], ["--pi1", "0"], ["--var1", "nan"],
+        ["--var2", "inf"], ["--var1", "-1"], ["--mu1", "inf"], ["--mu2", "nan"],
+        ["--grid-points", "0"], ["--grid-points", "-3"], ["--grid-lo", "nan"],
+        ["--beta", "-0.5"], ["--beta", "nan"], ["--beta", "inf"], ["--c", "0.5"],
+    ])
+    def test_invalid_model_refused_before_output(self, tmp_path, capsys, flags):
+        # Refused at the boundary: no quadrature runs and no --out is made.
+        out = tmp_path / "o"
+        code = main(["influence", *flags, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_default_model_outputs(self, tmp_path):
         out = tmp_path / "inf"
         code = main(["influence", "--beta", "0.2", "--grid-points", "41",

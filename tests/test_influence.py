@@ -7,6 +7,7 @@ from mixclust import (
     ConstraintBoundaryError,
     ConstraintConfig,
     GeometryError,
+    SolveError,
     TrueDistribution,
     assemble_if_system,
     if_curve,
@@ -17,7 +18,10 @@ from mixclust import (
 import mixclust.influence as influence
 from mixclust.influence import (
     _crossing_points,
+    _f_pow_beta,
+    _matrix_and_constants,
     _Measure,
+    _poly_rows,
     _reduced_jacobian,
     _system_residual,
 )
@@ -34,6 +38,47 @@ def sol_01():
 @pytest.fixture(scope="module")
 def sol_02():
     return solve_functional(MODEL, 0.2, CFG)
+
+
+class TestModel:
+    @pytest.mark.parametrize("weights, means, variances", [
+        ((1.5, -0.5), (0.0, 5.0), (1.0, 4.0)),
+        ((-0.2, 1.2), (0.0, 5.0), (1.0, 4.0)),
+        ((0.0, 1.0), (0.0, 5.0), (1.0, 4.0)),
+        ((0.5, 0.4), (0.0, 5.0), (1.0, 4.0)),
+        ((0.5, 0.5), (float("inf"), 5.0), (1.0, 4.0)),
+        ((0.5, 0.5), (0.0, float("nan")), (1.0, 4.0)),
+        ((0.5, 0.5), (0.0, 5.0), (float("nan"), 4.0)),
+        ((0.5, 0.5), (0.0, 5.0), (1.0, float("inf"))),
+        ((0.5, 0.5), (0.0, 5.0), (0.0, 4.0)),
+    ], ids=["pi1-above-1", "pi1-negative", "pi1-zero", "sum-not-1", "mean-inf",
+            "mean-nan", "var-nan", "var-inf", "var-zero"])
+    def test_invalid_model_rejected(self, weights, means, variances):
+        with pytest.raises(ValueError):
+            TrueDistribution(weights=weights, means=means, variances=variances)
+
+
+class TestKernel:
+    # The stationarity integrands as first written, one per coefficient row
+    # of _poly_rows, without the data-law density.
+    FORMULAS = [
+        lambda f, z, v, beta: f * z,
+        lambda f, z, v, beta: f * (z**2 / v - 1.0),
+        lambda f, z, v, beta: f * (beta * z**2 / v - 1.0),
+        lambda f, z, v, beta: 0.5 * beta * f * (z**3 / v**2 - z / v),
+        lambda f, z, v, beta: f * z / v * (beta * (z**2 / v - 1.0) - 2.0),
+        lambda f, z, v, beta: f * (0.5 * beta / v * (z**2 / v - 1.0) ** 2 - z**2 / v**2),
+    ]
+
+    @pytest.mark.parametrize("row", range(6))
+    @pytest.mark.parametrize("mu, var, beta", [(0.3, 1.2, 0.1), (4.6, 3.5, 1.0)])
+    def test_scalar_kernel_matches_numpy_formula(self, row, mu, var, beta):
+        xs = np.random.default_rng(11).uniform(-10.0, 25.0, size=64)
+        kernel = _Measure(MODEL).kernel(_poly_rows(var, beta)[row], mu, var, beta)
+        got = np.array([kernel(float(x)) for x in xs])
+        want = (self.FORMULAS[row](_f_pow_beta(xs, mu, var, beta), xs - mu, var, beta)
+                * MODEL.pdf(xs))
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 class TestSolve:
@@ -159,6 +204,12 @@ class TestLinearSystem:
         A2, _ = assemble_if_system(sol_01, MODEL, 0.1, y=7.0)
         assert np.array_equal(A1, A2)
 
+    def test_cached_matrix_is_read_only(self, sol_01):
+        A, _ = assemble_if_system(sol_01, MODEL, 0.1, y=1.0)
+        assert A is _matrix_and_constants(sol_01, MODEL, 0.1)[0]
+        with pytest.raises(ValueError):
+            A[0, 0] = 2.0
+
     def test_rhs_depends_on_interval_indicator(self, sol_01):
         _, b_in = assemble_if_system(sol_01, MODEL, 0.1, y=0.0)
         _, b_out = assemble_if_system(sol_01, MODEL, 0.1, y=sol_01.b + 1.0)
@@ -221,6 +272,22 @@ class TestLinearSystem:
         mu1_col = curve[:, 5]
         at_center = influence_at(sol_01, MODEL, 0.1, float(sol_01.mu1))[4]
         assert abs(at_center) <= 0.05 * np.abs(mu1_col).max()
+
+    def test_curve_matches_per_point_solves(self, sol_01):
+        grid = np.linspace(-30, 30, 121)
+        curve = if_curve(sol_01, MODEL, 0.1, grid)
+        for i, y in enumerate(grid):
+            A, B = assemble_if_system(sol_01, MODEL, 0.1, float(y))
+            want = np.linalg.solve(A, B)
+            assert curve[i, 0] == y
+            np.testing.assert_allclose(curve[i, 1:], want, rtol=1e-12, atol=1e-12)
+
+    def test_ill_conditioned_matrix_refused(self, sol_01):
+        # Any 8x8 matrix other than a scaled orthogonal one has cond > 1.
+        with pytest.raises(SolveError, match="ill-conditioned"):
+            if_curve(sol_01, MODEL, 0.1, np.linspace(-5, 5, 11), max_condition=1.0)
+        with pytest.raises(SolveError, match="ill-conditioned"):
+            influence_at(sol_01, MODEL, 0.1, 2.0, max_condition=1.0)
 
 
 class TestCurves:

@@ -33,18 +33,11 @@ from .errors import (
     SchemaError,
     SolveError,
 )
-from .gaussian import (
-    GaussianComponent,
-    component_beta_objective,
-    dpd_integral,
-    log_density,
-    mahalanobis_sq,
-)
+from .gaussian import GaussianComponent, dpd_integral, log_density, mahalanobis_sq
 from .imageseg import PixelGrid, SegmentationResult, load_image, reconstruct, segment
 from .mdpde import (
     ComponentFit,
     IrlsConfig,
-    estimating_equation_residual,
     fit_component,
     irls_step,
     irls_weights,
@@ -68,8 +61,8 @@ from .simulation import (
 
 __version__ = "0.1.0"
 
-# Served on first access (PEP 562): influence needs scipy, which costs more
-# start-up time than the rest of the package, and nothing else loads it.
+# Served on first access (PEP 562): no other part of the package imports
+# influence, so start-up skips it.
 _INFLUENCE_NAMES = ("FunctionalSolution", "TrueDistribution", "assemble_if_system",
                     "if_curve", "influence_at", "numeric_if_oracle", "solve_functional")
 

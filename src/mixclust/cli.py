@@ -54,11 +54,12 @@ def _write_json(path: Path, payload: dict, schema: str | None = None) -> None:
         fh.write("\n")
 
 
-def _prepare_out_dir(out: str, force: bool) -> Path:
+def _free_out_path(out: str | Path, force: bool) -> Path:
+    """The output path, refused when it exists and ``force`` is not given.
+    Callers create it only once their inputs have passed every check."""
     path = Path(out)
     if path.exists() and not force:
         raise InputError(f"output path {path} exists (use --force to overwrite)")
-    path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -114,8 +115,9 @@ def cmd_fit(args) -> int:
     data = read_csv_matrix(args.csv)
     n, p = data.shape
     cfg = _algo_config(args, default_threshold(p))
-    out = _prepare_out_dir(args.out, args.force)
+    out = _free_out_path(args.out, args.force)
     result = fit(data, args.k, cfg)
+    out.mkdir(parents=True, exist_ok=True)
     payload = {
         "n": int(n),
         "p": int(p),
@@ -218,7 +220,7 @@ def cmd_simulate(args) -> int:
     if args.workers < 1:
         raise InputError("--workers must be at least 1")
     spec, raw = _load_scenario(args.spec, args.replications)
-    out = _prepare_out_dir(args.out, args.force)
+    out = _free_out_path(args.out, args.force)
     betas = raw.get("betas", [args.beta])
     threshold = raw.get("threshold", args.threshold)
     if threshold is None:
@@ -236,6 +238,7 @@ def cmd_simulate(args) -> int:
         ))
         labels.append(f"beta={beta:g}")
     report = run_experiment(spec, cfgs, labels, workers=args.workers)
+    out.mkdir(parents=True, exist_ok=True)
     report.to_csv(out / "replications.csv")
     aggregates = aggregate_rows(report.rows, labels)
     payload = {
@@ -260,7 +263,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_influence(args) -> int:
-    # Imported here: influence is the only subcommand that needs scipy.
+    # Imported here, so the other subcommands never load the influence module.
     from .influence import TrueDistribution, if_curve, solve_functional, write_if_curve
 
     if not all(0.0 < beta < np.inf for beta in args.beta):
@@ -274,9 +277,9 @@ def cmd_influence(args) -> int:
         variances=(args.var1, args.var2),
     )
     cfg = ConstraintConfig(c=args.c, c1=args.c1)
-    out = _prepare_out_dir(args.out, args.force)
+    out = _free_out_path(args.out, args.force)
     grid = np.linspace(args.grid_lo, args.grid_hi, args.grid_points)
-    solutions = []
+    solutions, curves = [], {}
     for beta in args.beta:
         sol = solve_functional(dist, beta, cfg)
         solutions.append({
@@ -286,8 +289,10 @@ def cmd_influence(args) -> int:
             "var1": sol.var1, "var2": sol.var2,
             "residual_norm": sol.residual_norm,
         })
-        table = if_curve(sol, dist, beta, grid)
-        write_if_curve(out / f"if_curve_beta{beta:g}.csv", table)
+        curves[f"if_curve_beta{beta:g}.csv"] = if_curve(sol, dist, beta, grid)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, table in curves.items():
+        write_if_curve(out / name, table)
     payload = {
         "model": {
             "weights": [args.pi1, 1.0 - args.pi1],
@@ -307,11 +312,8 @@ def cmd_influence(args) -> int:
 
 
 def cmd_image(args) -> int:
-    out = Path(args.out)
-    sidecar = out.with_suffix(out.suffix + ".json")
-    for target in (out, sidecar):
-        if target.exists() and not args.force:
-            raise InputError(f"output path {target} exists (use --force to overwrite)")
+    out = _free_out_path(args.out, args.force)
+    sidecar = _free_out_path(out.with_suffix(out.suffix + ".json"), args.force)
     grid = load_image(args.image)
     cfg = _algo_config(args, 0.02)
     seg = segment(grid, args.k, cfg)

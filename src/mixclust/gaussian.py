@@ -184,21 +184,3 @@ def dpd_integral(log_det: float, p: int, beta: float) -> float:
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     return float(np.exp(-0.5 * beta * (p * LOG_2PI + log_det) - 0.5 * p * np.log1p(beta)))
-
-
-def component_beta_objective(data, comp: GaussianComponent, beta: float) -> float:
-    """Sample fit criterion for one component at downweighting exponent beta.
-
-    For beta > 0 returns ``mean(phi^beta) / beta - I_beta / (1 + beta)``
-    where ``I_beta`` is :func:`dpd_integral`. The beta = 0 path returns the
-    mean log-likelihood, the limiting criterion up to constants.
-    """
-    data = as_data_matrix(data)
-    if data.shape[0] == 0:
-        raise ValueError("empty data")
-    logs = log_density(data, comp)
-    if beta == 0.0:
-        return float(np.mean(logs))
-    powered = np.exp(beta * logs)
-    integral = dpd_integral(comp.log_det, comp.dim, beta)
-    return float(np.mean(powered) / beta - integral / (1.0 + beta))

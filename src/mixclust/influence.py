@@ -9,8 +9,9 @@ moment equations of the two components. :func:`solve_functional` solves
 that system by damped Newton, taking its Jacobian from the analytic
 derivative ``A`` of the eight equations. Every integral in both is
 f_j^beta * P(x - mu_j) against the data law over (a, b) or its complement,
-P a polynomial of degree at most 4 given by a coefficient row (c0..c4):
-one adaptive ``quad`` call over one scalar ``math`` kernel.
+P a polynomial of degree at most 4 given by a coefficient row (c0..c4),
+so it is that row times the closed-form truncated moments M_0..M_4 of
+f_j^beta against the law: no quadrature, and numpy and ``math`` only.
 
 Differentiating the system under point-mass contamination at ``y`` yields
 an 8x8 linear system ``A @ IF = B(y)`` with the same matrix ``A``, taken at
@@ -26,12 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.integrate import quad
-from scipy.special import ndtr
 
 from .constraints import ConstraintConfig
 from .errors import ConstraintBoundaryError, GeometryError, SolveError
@@ -39,7 +38,13 @@ from .gaussian import LOG_2PI
 
 IF_COLUMNS = ("pi1", "pi2", "a", "b", "mu1", "mu2", "s1", "s2")
 
-_QUAD_OPTS = dict(epsabs=1e-10, epsrel=1e-10, limit=200)
+
+def __getattr__(name):
+    # ``quad`` is served only for bench/tracer.py's span, until the benchmark drops it.
+    if name != "quad":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.integrate import quad
+    return quad
 
 
 @dataclass(frozen=True)
@@ -64,15 +69,10 @@ class TrueDistribution:
         return sum(w * np.exp(-0.5 * (x - m) ** 2 / v) / np.sqrt(2.0 * np.pi * v)
                    for w, m, v in zip(self.weights, self.means, self.variances))
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return sum(w * ndtr((x - m) / np.sqrt(v))
+    def cdf(self, x: float) -> float:
+        """Distribution function at the scalar ``x``."""
+        return sum(0.5 * w * math.erfc((m - x) / math.sqrt(2.0 * v))
                    for w, m, v in zip(self.weights, self.means, self.variances))
-
-    def support(self, spread: float = 12.0) -> tuple[float, float]:
-        sds = np.sqrt(self.variances)
-        return (float(min(m - spread * s for m, s in zip(self.means, sds))),
-                float(max(m + spread * s for m, s in zip(self.means, sds))))
 
 
 @dataclass(frozen=True)
@@ -103,52 +103,52 @@ class _Measure:
     atom_y: float = 0.0
     atom_eps: float = 0.0
 
-    @cached_property
-    def _law(self) -> tuple:
-        """Per law component: (log(w / sqrt(2 pi v)), m, -1 / (2 v))."""
-        return tuple((math.log(w) - 0.5 * (LOG_2PI + math.log(v)), float(m), -0.5 / v)
-                     for w, m, v in zip(self.dist.weights, self.dist.means, self.dist.variances))
-
     def mass_between(self, a: float, b: float) -> float:
-        base = float(self.dist.cdf(b) - self.dist.cdf(a))
-        if self.atom_eps == 0.0:
-            return base
+        base = self.dist.cdf(b) - self.dist.cdf(a)
         return (1.0 - self.atom_eps) * base + self.atom_eps * float(a < self.atom_y < b)
 
     def density(self, x: float) -> float:
         """Density of the continuous part at x; the atom adds none."""
         return (1.0 - self.atom_eps) * float(self.dist.pdf(x))
 
-    def kernel(self, coef, mu: float, var: float, beta: float):
-        """Scalar f^beta(x) * P(x - mu) * p(x): two ``math.exp`` and a Horner sum."""
-        c0, c1, c2, c3, c4 = map(float, coef)
-        mu, var, beta = float(mu), float(var), float(beta)
-        h, lognorm = -0.5 * beta / var, -0.5 * beta * (LOG_2PI + math.log(var))
-        (l1, m1, g1), (l2, m2, g2) = self._law
-        e1, e2, exp = lognorm + l1, lognorm + l2, math.exp
+    def moments(self, mu: float, var: float, beta: float, lo: float, hi: float) -> np.ndarray:
+        """M_j = integral over (lo, hi) of z^j f^beta(x) dP(x), z = x - mu, j = 0..4.
 
-        def integrand(x):
-            z, y1, y2 = x - mu, x - m1, x - m2
-            q = h * z * z
-            return ((c0 + z * (c1 + z * (c2 + z * (c3 + z * c4))))
-                    * (exp(e1 + q + g1 * y1 * y1) + exp(e2 + q + g2 * y2 * y2)))
-        return integrand
+        Each law component times f^beta is a scaled normal N(mu + d, tau^2): with
+        g = exp(-(z - d)^2 / 2 tau^2), M_k = d M_{k-1} + tau^2 ((k - 1) M_{k-2} -
+        [z^{k-1} g]_lo^hi) (Johnson, Kotz & Balakrishnan 1994, ch. 13).
+        """
+        total = np.zeros(5)
+        for w, m, v in zip(self.dist.weights, self.dist.means, self.dist.variances):
+            den = var + beta * v
+            tau2, d = v * var / den, (m - mu) * var / den
+            scale = w * math.exp(-0.5 * (math.log(2.0 * math.pi * v) + beta * (
+                LOG_2PI + math.log(var)) + beta * (m - mu) ** 2 / den))
+            # The normal mass of (lo, hi), from the tail that keeps its precision.
+            sl, su = ((x - mu - d) / math.sqrt(2.0 * tau2) for x in (lo, hi))
+            mass = math.erfc(sl) - math.erfc(su) if sl > 0.0 else math.erfc(-su) - math.erfc(-sl)
+            # (z, g) at each endpoint; both vanish at an infinite one.
+            (zl, gl), (zh, gh) = ((0.0, 0.0) if math.isinf(x) else (x - mu, math.exp(
+                -(x - mu - d) ** 2 / (2.0 * tau2))) for x in (lo, hi))
+            mom = [math.sqrt(0.5 * math.pi * tau2) * mass, 0.0, 0.0, 0.0, 0.0]
+            for k in range(1, 5):  # at k = 1 the M_{k-2} term is 0 * M_4 = 0
+                mom[k] = d * mom[k - 1] + tau2 * ((k - 1) * mom[k - 2]
+                                                  - zh ** (k - 1) * gh + zl ** (k - 1) * gl)
+            total += scale * np.array(mom)
+        total *= 1.0 - self.atom_eps
+        if self.atom_eps and lo < self.atom_y < hi:  # identity rows: f^beta(y) z^j
+            total += self.atom_eps * _weighted(np.eye(5), mu, var, beta, self.atom_y)
+        return total
 
     def integrals(self, beta: float, a: float, b: float, mu1: float, mu2: float,
                   v1: float, v2: float, rows: slice = slice(0, 2)) -> tuple:
         """Integrals of f_j^beta * P for the chosen coefficient rows (by default
-        location and spread): component 1 on (a, b), component 2 off it, within
-        the law's support widened to contain (a, b)."""
-        lo, hi = self.dist.support()
-        regions = ((mu1, v1, [(a, b)]), (mu2, v2, [(min(lo, a - 1.0), a), (b, max(hi, b + 1.0))]))
-        return tuple([sum(self._span(coef, mu, var, beta, left, right) for left, right in spans)
-                      for coef in _poly_rows(var, beta)[rows]] for mu, var, spans in regions)
-
-    def _span(self, coef, mu: float, var: float, beta: float, lo: float, hi: float) -> float:
-        """Integral over (lo, hi): ``quad`` against the law, plus the atom inside it."""
-        val, _ = quad(self.kernel(coef, mu, var, beta), lo, hi, **_QUAD_OPTS)
-        atom = _weighted(coef, mu, var, beta, self.atom_y) if lo < self.atom_y < hi else 0.0
-        return float((1.0 - self.atom_eps) * val + self.atom_eps * atom)
+        location and spread): component 1 on (a, b), component 2 on
+        (-inf, a) and (b, inf)."""
+        inner = self.moments(mu1, v1, beta, a, b)
+        outer = self.moments(mu2, v2, beta, -math.inf, a) + self.moments(mu2, v2, beta, b, math.inf)
+        return tuple(np.array(_poly_rows(v, beta)[rows]) @ mom
+                     for v, mom in ((v1, inner), (v2, outer)))
 
 
 def _f_pow_beta(x, mu: float, var: float, beta: float):

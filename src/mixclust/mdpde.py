@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveDenominatorError, NotPositiveDefiniteError
-from .gaussian import (
-    LOG_2PI,
-    GaussianComponent,
-    log_density,
-    mahalanobis_sq,
-)
+from .gaussian import GaussianComponent, mahalanobis_sq
 
 # Unitless guard: the covariance denominator must exceed MIN_DENOMINATOR * n,
 # and it also scales the eigenvalue floor of the robust starting point.
@@ -211,27 +206,3 @@ def fit_component(data, beta: float, cfg: IrlsConfig | None = None,
             converged = True
             break
     return ComponentFit(estimate=comp, iterations=iterations, converged=converged)
-
-
-def estimating_equation_residual(data, comp: GaussianComponent, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals of the two density-power estimating equations.
-
-    Returns the left-hand sides of
-
-    ``mean_i phi^beta(X_i) (X_i - mean) = 0`` and
-    ``mean_i phi^beta(X_i) (cov - S_i) = c0 * cov``,
-
-    with ``S_i`` the centered outer products and
-    ``c0 = beta (2*pi)**(-p*beta/2) det(cov)**(-beta/2) (1+beta)**(-(p+2)/2)``.
-    Both residuals vanish at any fixed point of :func:`irls_step`.
-    ``data`` is a finite float (n, p) array.
-    """
-    n, p = data.shape
-    phi_beta = np.exp(beta * log_density(data, comp))
-    centered = data - comp.mean
-    vec = (phi_beta[:, None] * centered).mean(axis=0)
-    scatter = np.einsum("n,ni,nj->ij", phi_beta, centered, centered) / n
-    c0 = beta * np.exp(-0.5 * beta * (p * LOG_2PI + comp.log_det)
-                       - 0.5 * (p + 2) * np.log1p(beta))
-    mat = phi_beta.mean() * comp.cov - scatter - c0 * comp.cov
-    return vec, mat

@@ -19,7 +19,6 @@ from mixclust import (
     TrueDistribution,
     check_constraints,
     enforce_constraints,
-    estimating_equation_residual,
     fit,
     fit_component,
     influence_at,
@@ -31,6 +30,7 @@ from mixclust.clustering import initialize, update_weights
 from mixclust.imageseg import PixelGrid, segment
 from mixclust.influence import if_curve
 from mixclust.simulation import generate, paper_design, run_experiment
+from oracles import estimating_equation_residual
 
 IF_MODEL = TrueDistribution(weights=(0.5, 0.5), means=(0.0, 5.0), variances=(1.0, 4.0))
 IF_CFG = ConstraintConfig(c=5.0, c1=0.1)

@@ -154,6 +154,14 @@ class TestFitCommand:
         assert main(["fit", str(toy_csv), "--k", "2", "--restarts", "1",
                      "--out", str(out), "--force"]) == 0
 
+    def test_refused_settings_leave_no_out(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        path.write_text("1.0,2.0\n3.0,4.0\n5.0,6.5\n")
+        out = tmp_path / "fo"
+        assert main(["fit", str(path), "--k", "0", "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_small_scenario(self, tmp_path, capsys):
@@ -263,11 +271,19 @@ class TestInfluenceCommand:
         ["--beta", "-0.5"], ["--beta", "nan"], ["--beta", "inf"], ["--c", "0.5"],
     ])
     def test_invalid_model_refused_before_output(self, tmp_path, capsys, flags):
-        # Refused at the boundary: no quadrature runs and no --out is made.
+        # Refused at the boundary: nothing is solved and no --out is made.
         out = tmp_path / "o"
         code = main(["influence", *flags, "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_failed_solve_leaves_no_out(self, tmp_path, capsys):
+        # Betas 0.1 and 0.2 solve inside c = 3; beta 1.0 reaches a variance
+        # ratio of 3.12, so the run fails after two curves are computed.
+        out = tmp_path / "o"
+        assert main(["influence", "--c", "3.0", "--out", str(out)]) == 3
+        assert "constraint set" in capsys.readouterr().err
         assert not out.exists()
 
     def test_default_model_outputs(self, tmp_path):

@@ -12,7 +12,6 @@ from mixclust import (
     MixtureParams,
     assign,
     check_constraints,
-    component_beta_objective,
     detect_outliers,
     fit,
     fit_component,
@@ -24,6 +23,7 @@ from mixclust import (
 )
 from mixclust.clustering import component_fit_score, discriminants
 from mixclust.gaussian import as_data_matrix
+from oracles import component_beta_objective
 
 
 def two_comp_params(mu1=0.0, mu2=5.0, v1=1.0, v2=1.0, w1=0.5):

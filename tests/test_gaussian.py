@@ -11,11 +11,11 @@ from mixclust import (
     DimensionMismatchError,
     GaussianComponent,
     NotPositiveDefiniteError,
-    component_beta_objective,
     dpd_integral,
     log_density,
     mahalanobis_sq,
 )
+from oracles import component_beta_objective
 
 
 def random_spd(rng, p, scale=1.0):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from mixclust import (
     ConstraintBoundaryError,
@@ -58,7 +59,7 @@ class TestModel:
             TrueDistribution(weights=weights, means=means, variances=variances)
 
 
-class TestKernel:
+class TestMoments:
     # The stationarity integrands as first written, one per coefficient row
     # of _poly_rows, without the data-law density.
     FORMULAS = [
@@ -70,15 +71,51 @@ class TestKernel:
         lambda f, z, v, beta: f * (0.5 * beta / v * (z**2 / v - 1.0) ** 2 - z**2 / v**2),
     ]
 
-    @pytest.mark.parametrize("row", range(6))
-    @pytest.mark.parametrize("mu, var, beta", [(0.3, 1.2, 0.1), (4.6, 3.5, 1.0)])
-    def test_scalar_kernel_matches_numpy_formula(self, row, mu, var, beta):
-        xs = np.random.default_rng(11).uniform(-10.0, 25.0, size=64)
-        kernel = _Measure(MODEL).kernel(_poly_rows(var, beta)[row], mu, var, beta)
-        got = np.array([kernel(float(x)) for x in xs])
-        want = (self.FORMULAS[row](_f_pow_beta(xs, mu, var, beta), xs - mu, var, beta)
-                * MODEL.pdf(xs))
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    def oracle(self, measure, mu, var, beta, lo, hi):
+        """Each row's integral over (lo, hi): adaptive quadrature against the
+        law, plus the atom's share."""
+        def term(x, row):
+            return self.FORMULAS[row](_f_pow_beta(x, mu, var, beta), x - mu, var, beta)
+
+        y, eps = measure.atom_y, measure.atom_eps
+        return np.array([
+            (1.0 - eps) * quad(lambda x: term(x, row) * MODEL.pdf(x), lo, hi,
+                               epsabs=1e-13, epsrel=1e-13, limit=400)[0]
+            + eps * (lo < y < hi) * term(y, row) for row in range(6)])
+
+    @pytest.mark.parametrize("lo, hi", [(-30.0, 2.2), (-np.inf, -0.7), (6.1, np.inf)],
+                             ids=["far-tail", "lower-half-line", "upper-half-line"])
+    @pytest.mark.parametrize("beta", [0.1, 1.0])
+    @pytest.mark.parametrize("mu, var", [(0.3, 1.2), (4.6, 3.5)], ids=["near-1", "near-2"])
+    def test_moment_rows_match_quadrature(self, mu, var, beta, lo, hi):
+        measure = _Measure(MODEL)
+        got = np.array(_poly_rows(var, beta)) @ measure.moments(mu, var, beta, lo, hi)
+        want = self.oracle(measure, mu, var, beta, lo, hi)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("lo", [6.1, 14.0, 25.0])
+    def test_upper_tail_mirrors_lower_tail(self, lo):
+        # Far upper tails keep their relative precision: the moments over
+        # (lo, inf) are the mirrored law's over (-inf, -lo), with z^j -> (-z)^j.
+        mirrored = TrueDistribution(weights=MODEL.weights, means=(0.0, -5.0),
+                                    variances=MODEL.variances)
+        got = _Measure(MODEL).moments(4.6, 3.5, 0.1, lo, np.inf)
+        want = _Measure(mirrored).moments(-4.6, 3.5, 0.1, -np.inf, -lo) * (-1.0) ** np.arange(5)
+        assert got[0] > 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("a, b", [(-1.3, 2.9), (1.6, 6.2)],
+                             ids=["atom-inside", "atom-outside"])
+    def test_contaminated_integrals_match_quadrature(self, a, b):
+        # Component 1 on (a, b), component 2 on both half-lines off it.
+        measure = _Measure(MODEL, atom_y=1.0, atom_eps=1e-2)
+        (mu1, v1), (mu2, v2), beta = (0.3, 1.2), (4.6, 3.5), 0.1
+        inner, outer = measure.integrals(beta, a, b, mu1, mu2, v1, v2, rows=slice(0, 6))
+        np.testing.assert_allclose(inner, self.oracle(measure, mu1, v1, beta, a, b),
+                                   rtol=1e-12, atol=1e-15)
+        want = (self.oracle(measure, mu2, v2, beta, -np.inf, a)
+                + self.oracle(measure, mu2, v2, beta, b, np.inf))
+        np.testing.assert_allclose(outer, want, rtol=1e-12, atol=1e-15)
 
 
 class TestSolve:
@@ -179,19 +216,20 @@ class TestSharedDerivative:
         assert r2 <= r1**2
         assert r3 <= r2**2
 
-    def test_solve_quad_budget(self, monkeypatch):
-        # Structural guard: a finite-difference Jacobian re-runs every
-        # residual integral twelve times per step (984 quad calls here).
+    def test_solve_integral_budget(self, monkeypatch):
+        # Structural guard: this solve evaluates 43 integral sets (32 residuals
+        # and 11 analytic Jacobians); a finite-difference Jacobian would add
+        # twelve residuals per step, over 150 in all.
         calls = []
-        original = influence.quad
+        original = _Measure.integrals
 
-        def counting(*args, **kwargs):
+        def counting(self, *args, **kwargs):
             calls.append(1)
-            return original(*args, **kwargs)
+            return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(influence, "quad", counting)
+        monkeypatch.setattr(_Measure, "integrals", counting)
         solve_functional(MODEL, 0.1, CFG)
-        assert len(calls) <= 400
+        assert len(calls) <= 50
 
 
 class TestLinearSystem:
@@ -236,7 +274,7 @@ class TestLinearSystem:
                 total += half * np.sum(weights * fn(mid + half * nodes))
             return total
 
-        lo, hi = MODEL.support()
+        lo, hi = -19.0, 29.0  # twelve law standard deviations beyond either mean
         a, b = sol_01.a, sol_01.b
 
         def score1(x):

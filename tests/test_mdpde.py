@@ -8,8 +8,6 @@ from mixclust import (
     IrlsConfig,
     NonPositiveDenominatorError,
     NotPositiveDefiniteError,
-    component_beta_objective,
-    estimating_equation_residual,
     fit_component,
     irls_step,
     irls_weights,
@@ -17,6 +15,7 @@ from mixclust import (
     robust_init,
 )
 from mixclust.mdpde import MIN_DENOMINATOR
+from oracles import component_beta_objective, estimating_equation_residual
 
 TIGHT = IrlsConfig(epsilon=1e-11, max_iter=3000)
 

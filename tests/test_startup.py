@@ -1,6 +1,7 @@
-"""Start-up cost: only ``influence`` (and ``uniform_chisq`` contamination)
-load scipy. Each check runs in a fresh interpreter, because this test
-process has long since imported scipy itself."""
+"""Start-up cost: only ``uniform_chisq`` contamination loads scipy; the
+influence functional computes its integrals in closed form with numpy and
+``math``. Each check runs in a fresh interpreter, because this test process
+has long since imported scipy itself."""
 
 import os
 import subprocess
@@ -45,6 +46,21 @@ def test_cli_help_loads_no_scipy(command):
         f"print({SCIPY_LOADED}, file=sys.stderr)\n")
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.strip() == "[]"
+
+
+def test_influence_loads_no_scipy():
+    proc = run_python(
+        "import sys\n"
+        "import numpy as np\n"
+        "import mixclust.influence as inf\n"
+        f"assert {SCIPY_LOADED} == []\n"
+        "dist = inf.TrueDistribution(weights=(0.5, 0.5), means=(0.0, 5.0), variances=(1.0, 4.0))\n"
+        "sol = inf.solve_functional(dist, 0.1)\n"
+        "curve = inf.if_curve(sol, dist, 0.1, np.linspace(-10.0, 10.0, 21))\n"
+        "assert np.isfinite(curve).all()\n"
+        f"print({SCIPY_LOADED})\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_uniform_chisq_without_prior_scipy():

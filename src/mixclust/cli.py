@@ -12,7 +12,6 @@ Cluster labels in emitted files are 1-based; arrays inside the library are
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -28,7 +27,6 @@ from .imageseg import load_image, reconstruct, save_ppm, segment, sidecar_payloa
 from .schemas import validate
 from .simulation import (
     ScenarioSpec,
-    aggregate_rows,
     default_threshold,
     default_workers,
     paper_design,
@@ -151,7 +149,21 @@ def cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_scenario(path, replications_override: int | None) -> tuple[ScenarioSpec, dict]:
+# Every scenario field but the required "p", with the value a file that omits
+# it gets. None means the value comes from p: "means", "weights" and
+# "contamination_level" from paper_design, "threshold" from default_threshold.
+SCENARIO_DEFAULTS = {
+    "n": 1000, "k": 3, "means": None, "cov_scale": 1.0, "weights": None,
+    "contamination": "none", "contamination_level": None, "replications": 20,
+    "seed": 0, "betas": [0.1], "c": 20.0, "c1": 0.1, "threshold": None,
+    "restarts": 10, "max_outer_iter": 100,
+}
+
+
+def _load_scenario(path, replications: int | None,
+                   seed: int) -> tuple[ScenarioSpec, list[AlgoConfig]]:
+    """The scenario and one algorithm configuration per beta, every setting
+    read from the file; ``replications``, when given, replaces the file's."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"scenario file not found: {path}")
@@ -160,40 +172,39 @@ def _load_scenario(path, replications_override: int | None) -> tuple[ScenarioSpe
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON ({exc})") from None
-    known = {"n", "p", "k", "means", "cov_scale", "weights", "contamination",
-             "contamination_level", "replications", "seed", "c", "c1",
-             "threshold", "restarts", "max_outer_iter", "betas"}
-    unknown = set(raw) - known
+    if not isinstance(raw, dict):
+        raise InputError(f"{path}: a scenario must be a JSON object")
+    unknown = set(raw) - {"p", *SCENARIO_DEFAULTS}
     if unknown:
         raise InputError(f"{path}: unknown fields {sorted(unknown)}")
     try:
         p = int(raw["p"])
-        base = paper_design(
-            p=p,
-            cov_scale=float(raw.get("cov_scale", 1.0)),
-            contamination=raw.get("contamination", "none"),
-            n=int(raw.get("n", 1000)),
-            replications=int(raw.get("replications", 20)),
-            seed=int(raw.get("seed", 0)),
-        )
+        design = paper_design(p=p, contamination=raw.get("contamination", "none"))
+        f = SCENARIO_DEFAULTS | {
+            "means": design.means, "weights": design.weights,
+            "contamination_level": design.contamination_level,
+            "threshold": default_threshold(p)} | raw
+        if replications is not None:
+            f["replications"] = replications
+        if not isinstance(f["betas"], list) or not f["betas"]:
+            raise ValueError("betas must be a non-empty list")
         spec = ScenarioSpec(
-            n=base.n,
-            p=base.p,
-            k=int(raw.get("k", 3)),
-            means=np.asarray(raw["means"], dtype=float) if "means" in raw else base.means,
-            cov_scale=base.cov_scale,
-            weights=np.asarray(raw["weights"], dtype=float) if "weights" in raw else base.weights,
-            contamination=base.contamination,
-            contamination_level=float(raw.get("contamination_level",
-                                              base.contamination_level)),
-            replications=base.replications,
-            seed=base.seed,
-        )
+            n=int(f["n"]), p=p, k=int(f["k"]), means=f["means"],
+            cov_scale=float(f["cov_scale"]), weights=f["weights"],
+            contamination=f["contamination"],
+            contamination_level=float(f["contamination_level"]),
+            replications=int(f["replications"]), seed=int(f["seed"]))
+        cfgs = [AlgoConfig(
+            beta=float(beta),
+            constraint=ConstraintConfig(c=float(f["c"]), c1=float(f["c1"])),
+            outlier_threshold=float(f["threshold"]),
+            max_outer_iter=int(f["max_outer_iter"]),
+            n_restarts=int(f["restarts"]),
+            seed=seed,
+        ) for beta in f["betas"]]
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"{path}: invalid scenario ({exc})") from None
-    if replications_override is not None:
-        spec = dataclasses.replace(spec, replications=replications_override)
-    return spec, raw
+    return spec, cfgs
 
 
 def _print_table(spec: ScenarioSpec, labels: list[str], aggregates: dict) -> None:
@@ -201,15 +212,14 @@ def _print_table(spec: ScenarioSpec, labels: list[str], aggregates: dict) -> Non
           f"n={spec.n}  replications={spec.replications}")
     header = f"{'metric':28s}" + "".join(f"{lbl:>14s}" for lbl in labels)
     print(header)
-    second = ("misclassification", "(detected outliers)") if spec.contamination == "none" \
-        else ("misclassification", "(undetected proportion)")
-    line = f"{second[0]:28s}"
+    key, label = ("detected", "(detected outliers)") if spec.contamination == "none" \
+        else ("undetected", "(undetected proportion)")
+    line = f"{'misclassification':28s}"
     for lbl in labels:
         val = aggregates[lbl]["misclassification"]
         line += f"{val:>14.4f}" if val is not None else f"{'-':>14s}"
     print(line)
-    key = "detected" if spec.contamination == "none" else "undetected"
-    line = f"{second[1]:28s}"
+    line = f"{label:28s}"
     for lbl in labels:
         val = aggregates[lbl][key]
         line += f"{('(' + format(val, '.4g') + ')'):>14s}" if val is not None else f"{'-':>14s}"
@@ -219,28 +229,12 @@ def _print_table(spec: ScenarioSpec, labels: list[str], aggregates: dict) -> Non
 def cmd_simulate(args) -> int:
     if args.workers < 1:
         raise InputError("--workers must be at least 1")
-    spec, raw = _load_scenario(args.spec, args.replications)
+    spec, cfgs = _load_scenario(args.spec, args.replications, args.seed)
     out = _free_out_path(args.out, args.force)
-    betas = raw.get("betas", [args.beta])
-    threshold = raw.get("threshold", args.threshold)
-    if threshold is None:
-        threshold = default_threshold(spec.p)
-    cfgs, labels = [], []
-    for beta in betas:
-        cfgs.append(AlgoConfig(
-            beta=float(beta),
-            constraint=ConstraintConfig(c=float(raw.get("c", args.c)),
-                                        c1=float(raw.get("c1", args.c1))),
-            outlier_threshold=float(threshold),
-            max_outer_iter=int(raw.get("max_outer_iter", args.max_iter)),
-            n_restarts=int(raw.get("restarts", args.restarts)),
-            seed=args.seed,
-        ))
-        labels.append(f"beta={beta:g}")
-    report = run_experiment(spec, cfgs, labels, workers=args.workers)
+    report = run_experiment(spec, cfgs, workers=args.workers)
     out.mkdir(parents=True, exist_ok=True)
     report.to_csv(out / "replications.csv")
-    aggregates = aggregate_rows(report.rows, labels)
+    aggregates = report.aggregates
     payload = {
         "scenario": {
             "n": spec.n, "p": spec.p, "k": spec.k,
@@ -249,11 +243,11 @@ def cmd_simulate(args) -> int:
             "replications": spec.replications, "seed": spec.seed,
             "cov_scale": spec.cov_scale,
         },
-        "configs": labels,
+        "configs": report.config_labels,
         "aggregates": aggregates,
     }
     _write_json(out / "report.json", payload, schema="simulation_report")
-    _print_table(spec, labels, aggregates)
+    _print_table(spec, report.config_labels, aggregates)
     return EXIT_OK
 
 
@@ -329,7 +323,7 @@ def cmd_image(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, c1: float = 0.1) -> None:
+def _add_algo_flags(sub: argparse.ArgumentParser, c1: float = 0.1) -> None:
     sub.add_argument("--beta", type=float, default=0.1,
                      help="downweighting exponent in [0, 1]")
     sub.add_argument("--c", type=float, default=20.0, help="eigenvalue ratio bound")
@@ -338,6 +332,10 @@ def _add_common(sub: argparse.ArgumentParser, c1: float = 0.1) -> None:
                      help="outlier threshold (default depends on dimension)")
     sub.add_argument("--restarts", type=int, default=10)
     sub.add_argument("--max-iter", dest="max_iter", type=int, default=100)
+    _add_common(sub)
+
+
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", type=str, required=True, help="output path")
     sub.add_argument("--force", action="store_true",
@@ -353,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = subs.add_parser("fit", help="cluster a CSV of numeric rows")
     p_fit.add_argument("csv", type=str)
     p_fit.add_argument("--k", type=int, required=True)
-    _add_common(p_fit)
+    _add_algo_flags(p_fit)
     p_fit.set_defaults(func=cmd_fit)
 
     p_sim = subs.add_parser("simulate", help="run a scenario file")
@@ -388,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_img.add_argument("--k", type=int, default=2)
     # Pixels live on [0, 1] channels: the shared floor of 0.1 would hold every
     # covariance at a standard deviation of 0.32 and flag nothing.
-    _add_common(p_img, c1=1e-4)
+    _add_algo_flags(p_img, c1=1e-4)
     p_img.set_defaults(func=cmd_image)
     return parser
 

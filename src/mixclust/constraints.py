@@ -29,30 +29,20 @@ class ConstraintConfig:
             raise ValueError("eigenvalue floor c1 must be positive")
 
 
-def _spectra(covs) -> list[tuple[np.ndarray, np.ndarray]]:
-    if not covs:
-        raise ValueError("need at least one covariance")
-    out = []
-    dim = None
-    for cov in covs:
-        cov = validate_cov(cov)
-        if dim is None:
-            dim = cov.shape[0]
-        elif cov.shape[0] != dim:
-            raise ValueError("covariances must share a common dimension")
-        vals, vecs = np.linalg.eigh(cov)
-        out.append((vals, vecs))
-    return out
-
-
 _REL_TOL = 1e-9  # eigensolver noise allowance, matters only at c = 1
 
 
 def check_constraints(covs, cfg: ConstraintConfig) -> tuple[bool, float, float]:
     """Return (feasible, M, m): global max/min eigenvalues over all components.
-    Each covariance is checked by :func:`~mixclust.gaussian.validate_cov`."""
-    spectra = _spectra(covs)
-    pooled = np.concatenate([vals for vals, _ in spectra])
+
+    This is the API edge: each covariance is checked by
+    :func:`~mixclust.gaussian.validate_cov` before its spectrum is read, and
+    all must share one dimension. :func:`enforce_constraints` checks nothing.
+    """
+    covs = [validate_cov(cov) for cov in covs]
+    if not covs or len({cov.shape for cov in covs}) > 1:
+        raise ValueError("need at least one covariance, all of one dimension")
+    pooled = np.concatenate([np.linalg.eigh(cov)[0] for cov in covs])
     big, small = float(pooled.max()), float(pooled.min())
     feasible = (small >= cfg.c1 * (1.0 - _REL_TOL)
                 and big <= cfg.c * small * (1.0 + _REL_TOL))
@@ -67,11 +57,11 @@ def enforce_constraints(covs, cfg: ConstraintConfig) -> list[np.ndarray]:
     ``[t, c*t]``. The threshold ``t >= c1`` is scanned over the candidates
     ``{c1} | {lambda} | {lambda / c}`` and the one minimizing the sum of
     squared log-deviations between original and clipped eigenvalues wins.
-    The output always satisfies :func:`check_constraints`. Each input is
-    checked by :func:`~mixclust.gaussian.validate_cov`, the package's own
-    covariances included; the output is finite and exactly symmetric.
+    The output always satisfies :func:`check_constraints`. The inputs are
+    trusted to be finite, exactly symmetric matrices of one dimension, as
+    ``_m_step`` passes them; the output is finite and exactly symmetric too.
     """
-    spectra = _spectra(covs)
+    spectra = [np.linalg.eigh(cov) for cov in covs]
     pooled = np.concatenate([vals for vals, _ in spectra])
     small, big = float(pooled.min()), float(pooled.max())
     if small >= cfg.c1 and big <= cfg.c * small:

@@ -37,6 +37,8 @@ from .errors import ConstraintBoundaryError, GeometryError, SolveError
 from .gaussian import LOG_2PI
 
 IF_COLUMNS = ("pi1", "pi2", "a", "b", "mu1", "mu2", "s1", "s2")
+# if_curve refuses an influence matrix whose condition number exceeds this.
+MAX_CONDITION = 1e12
 
 
 def __getattr__(name):
@@ -412,9 +414,9 @@ def assemble_if_system(sol: FunctionalSolution, dist: TrueDistribution,
 
 
 def influence_at(sol: FunctionalSolution, dist: TrueDistribution,
-                 beta: float, y: float, *, max_condition: float = 1e12) -> np.ndarray:
+                 beta: float, y: float) -> np.ndarray:
     """Influence vector at contamination point ``y``: the one-point curve."""
-    return if_curve(sol, dist, beta, [float(y)], max_condition=max_condition)[0, 1:]
+    return if_curve(sol, dist, beta, [float(y)])[0, 1:]
 
 
 def numeric_if_oracle(dist: TrueDistribution, beta: float,
@@ -447,7 +449,7 @@ def numeric_if_oracle(dist: TrueDistribution, beta: float,
 
 
 def if_curve(sol: FunctionalSolution, dist: TrueDistribution, beta: float,
-             y_grid, *, max_condition: float = 1e12) -> np.ndarray:
+             y_grid) -> np.ndarray:
     """Influence vectors over a grid: rows ``(y, pi1, pi2, a, b, mu1, mu2, s1, s2)``.
 
     The matrix does not depend on y, so the whole grid is one linear solve.
@@ -455,7 +457,7 @@ def if_curve(sol: FunctionalSolution, dist: TrueDistribution, beta: float,
     y_grid = np.asarray(y_grid, dtype=float)
     A, B = assemble_if_system(sol, dist, beta, y_grid)
     cond = float(np.linalg.cond(A))
-    if not np.isfinite(cond) or cond > max_condition:
+    if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise SolveError(f"influence matrix ill-conditioned (estimate {cond:.3e})")
     return np.column_stack([y_grid, np.linalg.solve(A, B).T])
 

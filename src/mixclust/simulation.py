@@ -61,11 +61,13 @@ class ScenarioSpec:
         elif not 0.0 < self.contamination_level < 1.0:
             raise ValueError("contamination level must lie in (0, 1)")
         expected = 1.0 - self.contamination_level
-        if abs(self.weights.sum() - expected) > 1e-9:
-            raise ValueError(
-                f"weights must sum to {expected} (1 minus the contamination level)")
+        if self.weights.shape != (self.k,) or not abs(self.weights.sum() - expected) <= 1e-9:
+            raise ValueError(f"weights must be {self.k} values summing to {expected} "
+                             "(1 minus the contamination level)")
         if self.cov_scale <= 0:
             raise ValueError("cov_scale must be positive")
+        if self.replications < 1:
+            raise ValueError("replications must be at least 1")
 
     @property
     def n_outliers(self) -> int:
@@ -389,8 +391,7 @@ def default_workers() -> int:
     return len(os.sched_getaffinity(0)) if _pool_available() else 1
 
 
-def run_experiment(spec: ScenarioSpec, algo_cfgs: list[AlgoConfig],
-                   config_labels: list[str] | None = None,
+def run_experiment(spec: ScenarioSpec, algo_cfgs: list[AlgoConfig], *,
                    workers: int = 1) -> SimulationReport:
     """Run the replication pipeline: generate, contaminate, fit, score.
 
@@ -400,13 +401,13 @@ def run_experiment(spec: ScenarioSpec, algo_cfgs: list[AlgoConfig],
     ``min(workers, replications)`` forked processes, each with one BLAS
     thread; otherwise they run in this process, whose BLAS settings are
     never changed. Typed failures become rows inside the worker; any other
-    exception propagates to the caller.
+    exception propagates to the caller. Each configuration is labelled
+    ``beta=<beta>``, so their betas must differ.
     """
-    if config_labels is None:
-        config_labels = [f"beta={cfg.beta:g}" for cfg in algo_cfgs]
-    if len(config_labels) != len(algo_cfgs):
-        raise ValueError("one label per configuration required")
-    report = SimulationReport(spec=spec, config_labels=list(config_labels))
+    config_labels = [f"beta={cfg.beta:g}" for cfg in algo_cfgs]
+    if len(set(config_labels)) != len(config_labels):
+        raise ValueError(f"configurations need distinct betas, got {config_labels}")
+    report = SimulationReport(spec=spec, config_labels=config_labels)
     reps = range(spec.replications)
     one_rep = partial(_run_replication, spec, algo_cfgs=algo_cfgs, labels=config_labels)
     n_workers = min(workers, spec.replications)

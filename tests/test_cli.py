@@ -238,6 +238,40 @@ class TestSimulateCommand:
         spec_path.write_text(json.dumps({"p": 2, "bogus_field": 1}))
         assert main(["simulate", str(spec_path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("field", [
+        {"betas": 0.3}, {"betas": [None]}, {"betas": []}, {"betas": [0.1, 0.1]},
+        {"c": None}, {"restarts": "x"}, {"weights": None}, {"replications": 0},
+    ])
+    def test_malformed_setting_exit_2(self, tmp_path, capsys, field):
+        spec = {
+            "n": 60, "p": 2, "k": 2, "means": [[0, 0], [7, 7]],
+            "weights": [0.5, 0.5], "replications": 1, "restarts": 1,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec | field))
+        out = tmp_path / "o"
+        assert main(["simulate", str(spec_path), "--out", str(out), "--workers", "1"]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["5", "[1, 2]", '"p"'])
+    def test_non_object_scenario_exit_2(self, tmp_path, capsys, text):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(text)
+        assert main(["simulate", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_algorithm_flag_refused(self, tmp_path, capsys):
+        # The scenario file owns the algorithm settings; argparse stops the flag.
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"p": 2, "betas": [0.3]}))
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(spec_path), "--beta", "0.3", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--beta" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bundled_scenario_ships(self):
         from importlib.resources import files
 

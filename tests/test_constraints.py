@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixclust import ConstraintConfig, check_constraints, enforce_constraints
+from mixclust import (
+    ConstraintConfig,
+    NotPositiveDefiniteError,
+    check_constraints,
+    enforce_constraints,
+)
 
 
 def random_cov_set(seed, k=None, p=None, spread=4.0):
@@ -39,6 +44,16 @@ class TestCheck:
     def test_floor_violation(self):
         ok, _, _ = check_constraints([0.01 * np.eye(2)], ConstraintConfig(c=100, c1=0.1))
         assert not ok
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[1.0, 0.5], [0.1, 1.0]]),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    ])
+    def test_invalid_covariance_rejected(self, bad):
+        # check_constraints is the API edge; enforce_constraints trusts its input.
+        with pytest.raises(NotPositiveDefiniteError):
+            check_constraints([np.eye(2), bad], ConstraintConfig(c=20, c1=0.1))
 
     def test_pools_across_components(self):
         covs = [np.diag([1.0, 2.0]), np.diag([30.0, 5.0])]

@@ -320,12 +320,13 @@ class TestLinearSystem:
             assert curve[i, 0] == y
             np.testing.assert_allclose(curve[i, 1:], want, rtol=1e-12, atol=1e-12)
 
-    def test_ill_conditioned_matrix_refused(self, sol_01):
+    def test_ill_conditioned_matrix_refused(self, sol_01, monkeypatch):
         # Any 8x8 matrix other than a scaled orthogonal one has cond > 1.
+        monkeypatch.setattr(influence, "MAX_CONDITION", 1.0)
         with pytest.raises(SolveError, match="ill-conditioned"):
-            if_curve(sol_01, MODEL, 0.1, np.linspace(-5, 5, 11), max_condition=1.0)
+            if_curve(sol_01, MODEL, 0.1, np.linspace(-5, 5, 11))
         with pytest.raises(SolveError, match="ill-conditioned"):
-            influence_at(sol_01, MODEL, 0.1, 2.0, max_condition=1.0)
+            influence_at(sol_01, MODEL, 0.1, 2.0)
 
 
 class TestCurves:

@@ -56,6 +56,13 @@ class TestSpecs:
                          weights=np.array([0.5, 0.5]), contamination="annulus",
                          contamination_level=0.1)
 
+    @pytest.mark.parametrize("weights", [[1.0], [0.5, np.nan], np.nan])
+    def test_one_finite_weight_per_cluster(self, weights):
+        # a wrong count or a NaN, whose sum no tolerance comparison can fail
+        with pytest.raises(ValueError, match="weights must be 2 values"):
+            ScenarioSpec(n=100, p=2, k=2, means=np.zeros((2, 2)), cov_scale=1.0,
+                         weights=weights)
+
     def test_default_thresholds(self):
         assert default_threshold(2) == 1e-3
         assert default_threshold(10) == 1e-24

@@ -25,13 +25,8 @@ from .constraints import ConstraintConfig
 from .errors import ImageFormatError, MixclustError
 from .imageseg import load_image, reconstruct, save_ppm, segment, sidecar_payload
 from .schemas import validate
-from .simulation import (
-    ScenarioSpec,
-    default_threshold,
-    default_workers,
-    paper_design,
-    run_experiment,
-)
+from .simulation import ScenarioSpec, default_threshold, paper_design, run_experiment
+from .workers import default_workers
 
 log = logging.getLogger("mixclust")
 
@@ -114,7 +109,7 @@ def cmd_fit(args) -> int:
     n, p = data.shape
     cfg = _algo_config(args, default_threshold(p))
     out = _free_out_path(args.out, args.force)
-    result = fit(data, args.k, cfg)
+    result = fit(data, args.k, cfg, workers=default_workers())
     out.mkdir(parents=True, exist_ok=True)
     payload = {
         "n": int(n),
@@ -160,6 +155,15 @@ SCENARIO_DEFAULTS = {
 }
 
 
+def _whole(value, name: str) -> int:
+    """A JSON number with an integral value, as an int; booleans, strings
+    and fractions are refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _load_scenario(path, replications: int | None,
                    seed: int) -> tuple[ScenarioSpec, list[AlgoConfig]]:
     """The scenario and one algorithm configuration per beta, every setting
@@ -178,7 +182,7 @@ def _load_scenario(path, replications: int | None,
     if unknown:
         raise InputError(f"{path}: unknown fields {sorted(unknown)}")
     try:
-        p = int(raw["p"])
+        p = _whole(raw["p"], "p")
         design = paper_design(p=p, contamination=raw.get("contamination", "none"))
         f = SCENARIO_DEFAULTS | {
             "means": design.means, "weights": design.weights,
@@ -189,17 +193,18 @@ def _load_scenario(path, replications: int | None,
         if not isinstance(f["betas"], list) or not f["betas"]:
             raise ValueError("betas must be a non-empty list")
         spec = ScenarioSpec(
-            n=int(f["n"]), p=p, k=int(f["k"]), means=f["means"],
+            n=_whole(f["n"], "n"), p=p, k=_whole(f["k"], "k"), means=f["means"],
             cov_scale=float(f["cov_scale"]), weights=f["weights"],
             contamination=f["contamination"],
             contamination_level=float(f["contamination_level"]),
-            replications=int(f["replications"]), seed=int(f["seed"]))
+            replications=_whole(f["replications"], "replications"),
+            seed=_whole(f["seed"], "seed"))
         cfgs = [AlgoConfig(
             beta=float(beta),
             constraint=ConstraintConfig(c=float(f["c"]), c1=float(f["c1"])),
             outlier_threshold=float(f["threshold"]),
-            max_outer_iter=int(f["max_outer_iter"]),
-            n_restarts=int(f["restarts"]),
+            max_outer_iter=_whole(f["max_outer_iter"], "max_outer_iter"),
+            n_restarts=_whole(f["restarts"], "restarts"),
             seed=seed,
         ) for beta in f["betas"]]
     except (KeyError, ValueError, TypeError) as exc:

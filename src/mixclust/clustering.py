@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .gaussian import (
     log_density,
 )
 from .mdpde import IrlsConfig, fit_component
+from .workers import fork_map
 
 log = logging.getLogger(__name__)
 
@@ -342,7 +344,14 @@ def fit_single(data, k: int, cfg: AlgoConfig,
     }
 
 
-def fit(data, k: int, cfg: AlgoConfig | None = None) -> ClusteringResult:
+def _run_restart(data, k: int, cfg: AlgoConfig, r: int) -> dict:
+    """Restart r: its initialization, drawn from a generator seeded by
+    ``(cfg.seed, r)``, then :func:`fit_single` from there."""
+    init_params, init_labels = initialize(data, k, np.random.default_rng([cfg.seed, r]))
+    return fit_single(data, k, cfg, init_params, init_labels)
+
+
+def fit(data, k: int, cfg: AlgoConfig | None = None, *, workers: int = 1) -> ClusteringResult:
     """Fit a k-component robust mixture with multi-restart selection.
 
     Each restart draws its own initialization from a generator seeded by
@@ -360,8 +369,24 @@ def fit(data, k: int, cfg: AlgoConfig | None = None) -> ClusteringResult:
     column-major (Fortran order; data already stored so is not copied),
     so the kernels compute on ``data.T``, a C-contiguous (p, n) view whose
     rows are the coordinates.
+
+    With ``workers > 1`` (Linux only) the restarts run in a pool of
+    ``min(workers, n_restarts)`` forked processes, each with one BLAS
+    thread (:func:`~mixclust.workers.fork_map`). ``mixclust fit`` passes one
+    per CPU the process may run on, so ``taskset`` limits them. Outcomes
+    are compared in restart order as they arrive, by the same rule, and only
+    the best is kept, so the result is byte-identical for every worker
+    count. A restart's exception reaches the caller with its own type. The
+    replications of :func:`~mixclust.simulation.run_experiment` call this
+    serially, because their pool is one level up, and so does
+    :func:`~mixclust.imageseg.segment`: its few restarts are each about one
+    outer iteration over every pixel, where forking and sending back the
+    (n,) results cost what a second core saves, and its distance GEMM
+    already uses the BLAS threads.
     """
     cfg = cfg or AlgoConfig()
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     data = np.asfortranarray(as_data_matrix(data))
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -369,10 +394,10 @@ def fit(data, k: int, cfg: AlgoConfig | None = None) -> ClusteringResult:
         raise ValueError(f"need at least k={k} observations, got {data.shape[0]}")
     best: dict | None = None
     best_restart = -1
-    for r in range(cfg.n_restarts):
-        rng = np.random.default_rng([cfg.seed, r])
-        init_params, init_labels = initialize(data, k, rng)
-        outcome = fit_single(data, k, cfg, init_params, init_labels)
+    # Outcomes are reduced one by one: the tie rule is not associative, so
+    # no subset of restarts may be reduced on its own first.
+    outcomes = fork_map(partial(_run_restart, data, k, cfg), range(cfg.n_restarts), workers)
+    for r, outcome in enumerate(outcomes):
         if outcome["degenerate"]:
             log.debug("restart %d degenerate after %d iterations", r, outcome["iterations"])
             continue

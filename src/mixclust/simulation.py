@@ -9,9 +9,7 @@ regular observations after the best label permutation.
 
 from __future__ import annotations
 
-import ctypes
 import itertools
-import os
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -20,6 +18,7 @@ import numpy as np
 from .clustering import AlgoConfig, ClusteringResult, fit
 from .errors import MixclustError, SamplingError
 from .gaussian import as_data_matrix
+from .workers import fork_map
 
 CONTAMINATION_KINDS = ("none", "uniform_chisq", "annulus", "outlying_cluster")
 
@@ -354,43 +353,6 @@ def _run_replication(spec: ScenarioSpec, rep: int, algo_cfgs: list[AlgoConfig],
     return rows
 
 
-# Thread-count setters exported by the OpenBLAS builds that numpy and scipy
-# bundle (64-bit and 32-bit integer ABIs) and by a plain OpenBLAS.
-_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads",
-                     "openblas_set_num_threads")
-_PROC_MAPS = "/proc/self/maps"
-
-
-def _one_blas_thread() -> None:
-    """Pool initializer: pin every OpenBLAS mapped into this worker to one
-    thread. Left alone, each forked worker restarts OpenBLAS's own threads,
-    which spin through the small BLAS calls of an n~1000 fit and compete
-    with the other workers for the cores."""
-    with open(_PROC_MAPS, encoding="utf-8") as fh:
-        # address, perms, offset, device, inode, path (which may hold spaces)
-        paths = {line.split(None, 5)[-1].strip() for line in fh if "openblas" in line}
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for name in _OPENBLAS_SETTERS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(1)
-                break
-
-
-def _pool_available() -> bool:
-    """The worker pool needs ``fork`` and ``/proc/self/maps`` (Linux)."""
-    return hasattr(os, "fork") and os.path.exists(_PROC_MAPS)
-
-
-def default_workers() -> int:
-    """One worker per CPU this process may run on; 1 where there is no pool."""
-    return len(os.sched_getaffinity(0)) if _pool_available() else 1
-
-
 def run_experiment(spec: ScenarioSpec, algo_cfgs: list[AlgoConfig], *,
                    workers: int = 1) -> SimulationReport:
     """Run the replication pipeline: generate, contaminate, fit, score.
@@ -399,33 +361,18 @@ def run_experiment(spec: ScenarioSpec, algo_cfgs: list[AlgoConfig], *,
     results do not depend on the execution order or the worker count. With
     ``workers > 1`` (Linux only) replications run in a pool of
     ``min(workers, replications)`` forked processes, each with one BLAS
-    thread; otherwise they run in this process, whose BLAS settings are
-    never changed. Typed failures become rows inside the worker; any other
-    exception propagates to the caller. Each configuration is labelled
-    ``beta=<beta>``, so their betas must differ.
+    thread (:func:`~mixclust.workers.fork_map`); otherwise they run in this
+    process, whose BLAS settings are never changed. Each replication fits
+    its restarts serially: the pool is already one level up. Typed failures
+    become rows inside the worker; any other exception propagates to the
+    caller. Each configuration is labelled ``beta=<beta>``, so their betas
+    must differ.
     """
     config_labels = [f"beta={cfg.beta:g}" for cfg in algo_cfgs]
     if len(set(config_labels)) != len(config_labels):
         raise ValueError(f"configurations need distinct betas, got {config_labels}")
     report = SimulationReport(spec=spec, config_labels=config_labels)
-    reps = range(spec.replications)
     one_rep = partial(_run_replication, spec, algo_cfgs=algo_cfgs, labels=config_labels)
-    n_workers = min(workers, spec.replications)
-    if n_workers > 1 and _pool_available():
-        # Imported here: they add about 0.5 MiB and 2.5 ms to the start-up of
-        # every CLI call, and only this branch uses them.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork, not spawn: workers start from this process's loaded modules
-        # instead of importing numpy and mixclust again. mixclust starts no
-        # Python threads, and OpenBLAS stops its own before a fork.
-        with ProcessPoolExecutor(max_workers=n_workers,
-                                 mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_one_blas_thread) as pool:
-            chunks = list(pool.map(one_rep, reps))
-    else:
-        chunks = map(one_rep, reps)
-    for chunk in chunks:
+    for chunk in fork_map(one_rep, range(spec.replications), workers):
         report.rows.extend(chunk)
     return report

@@ -1,4 +1,7 @@
-"""Shared test plumbing: collects acceptance criterion lines for the summary."""
+"""Shared test plumbing: collects acceptance criterion lines for the summary
+and fails any test that leaves a worker process behind."""
+
+import multiprocessing
 
 import pytest
 
@@ -17,6 +20,12 @@ def criterion_report():
             pytest.fail(line)
 
     return _report
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left_running():
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

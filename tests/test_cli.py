@@ -96,6 +96,26 @@ class TestFitCommand:
             outs.append(out)
         for name in ("result.json", "assignments.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        # Same bytes whatever the worker count, in one process with the
+        # default BLAS threads: the serial fit's distance GEMM threads, while
+        # each forked worker runs one BLAS thread.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from mixclust import AlgoConfig, fit\n"
+             "from mixclust.cli import read_csv_matrix\n"
+             f"data = read_csv_matrix({str(csv)!r})\n"
+             "def summary(res):\n"
+             "    params = res.params\n"
+             "    arrays = [params.weights, *[c.mean for c in params.components],\n"
+             "              *[c.cov for c in params.components], res.assignments,\n"
+             "              res.outlier_flags, res.outlier_types, res.discriminants]\n"
+             "    return ([a.tobytes() for a in arrays], res.objective, res.iterations,\n"
+             "            res.restart_index, res.stable, res.selection_score)\n"
+             "cfg = AlgoConfig(n_restarts=2, seed=0)\n"
+             "serial, *pooled = [summary(fit(data, 2, cfg, workers=w)) for w in (1, 2, 4)]\n"
+             "assert all(other == serial for other in pooled)\n"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         code = main(["fit", str(tmp_path / "nope.csv"), "--k", "2",
@@ -241,6 +261,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("field", [
         {"betas": 0.3}, {"betas": [None]}, {"betas": []}, {"betas": [0.1, 0.1]},
         {"c": None}, {"restarts": "x"}, {"weights": None}, {"replications": 0},
+        {"p": 2.9}, {"restarts": True}, {"replications": 1.5},
     ])
     def test_malformed_setting_exit_2(self, tmp_path, capsys, field):
         spec = {

@@ -6,10 +6,12 @@ from scipy.optimize import minimize
 
 from mixclust import (
     AlgoConfig,
+    DegenerateClusteringError,
     DimensionMismatchError,
     GaussianComponent,
     IrlsConfig,
     MixtureParams,
+    NotPositiveDefiniteError,
     assign,
     check_constraints,
     detect_outliers,
@@ -241,7 +243,6 @@ class TestFit:
                           rng.uniform(-20.0, 20.0, (6, 3))])
         cfg = AlgoConfig(beta=0.2, n_restarts=3, seed=2, assignment_rule=rule)
         by_rows = fit(np.ascontiguousarray(data), 2, cfg)
-        by_cols = fit(np.asfortranarray(data), 2, cfg)
 
         def arrays(res):
             params = res.params
@@ -250,9 +251,14 @@ class TestFit:
                     res.outlier_flags, res.outlier_types, res.discriminants,
                     np.array([res.objective, res.selection_score])]
 
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays(by_rows), arrays(by_cols)))
-        assert (by_rows.iterations, by_rows.restart_index, by_rows.stable) == \
-            (by_cols.iterations, by_cols.restart_index, by_cols.stable)
+        # and so does the worker count: restarts in 2 and in 3 forked workers
+        others = [fit(np.asfortranarray(data), 2, cfg),
+                  *(fit(data, 2, cfg, workers=workers) for workers in (2, 4))]
+        for other in others:
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(arrays(by_rows), arrays(other), strict=True))
+            assert (by_rows.iterations, by_rows.restart_index, by_rows.stable) == \
+                (other.iterations, other.restart_index, other.stable)
 
     def test_fits_column_major_data_without_copying(self, monkeypatch):
         seen = []
@@ -376,46 +382,91 @@ class TestFit:
         assert len(calls) == k * (restarts + sum(iterations))
 
     @staticmethod
-    def _nudged_restarts(monkeypatch, nudge):
-        """Run the real ``fit_single``, but make restart 0 degenerate and
-        add ``nudge(r, score)`` to the selection score of restart r."""
-        real = fit_single
-        outcomes = []
+    def _patch_restarts(monkeypatch, data, k, cfg, change):
+        """Run the real ``fit_single``, but pass restart r's outcome through
+        ``change(r, outcome)``. The restart is told by its initial means, so
+        the patch holds in forked workers too."""
+        def key(params):
+            return b"".join(c.mean.tobytes() for c in params.components)
 
-        def patched(*args, **kwargs):
-            r = len(outcomes)
-            out = dict(real(*args, **kwargs))
+        starts = {key(initialize(data, k, np.random.default_rng([cfg.seed, r]))[0]): r
+                  for r in range(cfg.n_restarts)}
+        assert len(starts) == cfg.n_restarts
+        real = fit_single
+
+        def patched(data, k, cfg, init_params, *args):
+            return change(starts[key(init_params)], real(data, k, cfg, init_params, *args))
+
+        monkeypatch.setattr("mixclust.clustering.fit_single", patched)
+
+    @classmethod
+    def _nudged_restarts(cls, monkeypatch, data, cfg, nudge):
+        """Make restart 0 degenerate and add ``nudge(r, score)`` to the
+        selection score of restart r. Returns the outcomes, by restart, of
+        the restarts run in this process."""
+        outcomes = {}
+
+        def change(r, out):
+            out = dict(out)
             if r == 0:
                 out = {"degenerate": True, "iterations": out["iterations"]}
             else:
                 out["selection_score"] += nudge(r, out["selection_score"])
-            outcomes.append(out)
+            outcomes[r] = out
             return out
 
-        monkeypatch.setattr("mixclust.clustering.fit_single", patched)
+        cls._patch_restarts(monkeypatch, data, 2, cfg, change)
         return outcomes
 
-    def test_restart_ties_keep_earliest(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_restart_ties_keep_earliest(self, monkeypatch, workers):
         # Later restarts reach the same fixed point and score a few ulp
         # higher, as rounding in a label-dependent order makes them do.
-        outcomes = self._nudged_restarts(
-            monkeypatch, lambda r, s: r * abs(np.spacing(s)))
         rng = np.random.default_rng(18)
         data = blob_data(rng, [np.zeros(2), np.full(2, 9.0)], 40)
-        res = fit(data, 2, AlgoConfig(beta=0.2, n_restarts=5, seed=0))
-        partitions = {frozenset(frozenset(np.flatnonzero(out["assignments"] == j))
-                                for j in range(2)) for out in outcomes[1:]}
+        cfg = AlgoConfig(beta=0.2, n_restarts=5, seed=0)
+        outcomes = self._nudged_restarts(
+            monkeypatch, data, cfg, lambda r, s: r * abs(np.spacing(s)))
+        fit(data, 2, cfg)  # records every restart's outcome in this process
+        partitions = {frozenset(frozenset(np.flatnonzero(outcomes[r]["assignments"] == j))
+                                for j in range(2)) for r in range(1, 5)}
         assert len(partitions) == 1
         assert outcomes[4]["selection_score"] > outcomes[1]["selection_score"]
-        assert res.restart_index == 1
+        assert fit(data, 2, cfg, workers=workers).restart_index == 1
 
     def test_genuinely_better_restart_wins(self, monkeypatch):
-        self._nudged_restarts(
-            monkeypatch, lambda r, s: 1e-9 * max(1.0, abs(s)) if r == 3 else 0.0)
         rng = np.random.default_rng(18)
         data = blob_data(rng, [np.zeros(2), np.full(2, 9.0)], 40)
-        res = fit(data, 2, AlgoConfig(beta=0.2, n_restarts=5, seed=0))
-        assert res.restart_index == 3
+        cfg = AlgoConfig(beta=0.2, n_restarts=5, seed=0)
+        self._nudged_restarts(
+            monkeypatch, data, cfg, lambda r, s: 1e-9 * max(1.0, abs(s)) if r == 3 else 0.0)
+        assert fit(data, 2, cfg).restart_index == 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("failing", [2, None])
+    def test_restart_failures_reach_caller(self, monkeypatch, workers, failing):
+        # failing=r: restart r raises a typed error, which reaches the caller
+        # with its own type; failing=None: every restart degenerates.
+        def change(r, out):
+            if failing is None:
+                return {"degenerate": True, "iterations": out["iterations"]}
+            if r == failing:
+                raise NotPositiveDefiniteError(f"restart {r}")
+            return out
+
+        rng = np.random.default_rng(21)
+        data = blob_data(rng, [np.zeros(2), np.full(2, 9.0)], 40)
+        cfg = AlgoConfig(beta=0.2, n_restarts=4, seed=0)
+        self._patch_restarts(monkeypatch, data, 2, cfg, change)
+        raised, match = ((DegenerateClusteringError, "every restart") if failing is None
+                         else (NotPositiveDefiniteError, f"restart {failing}"))
+        with pytest.raises(raised, match=match):
+            fit(data, 2, cfg, workers=workers)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_worker_count_below_one(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            fit(np.arange(12.0).reshape(6, 2), 2, AlgoConfig(n_restarts=2), workers=workers)
 
     def test_needs_k_points(self):
         with pytest.raises(ValueError):

@@ -60,7 +60,10 @@ def test_traced_fit_runs(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(TRACER), "--spans", str(spans), "--",
          "fit", str(csv), "--k", "2", "--restarts", "2", "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=env, capture_output=True, text=True, timeout=120,
+        # One CPU, so the CLI fits serially: spans recorded in forked
+        # workers never reach the tracer.
+        preexec_fn=lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}))
     assert proc.returncode == 0, proc.stderr
     metrics = load_tracer().layer_metrics(json.loads(spans.read_text()))
     assert metrics["clustering.fit.calls"] == 1

@@ -128,13 +128,13 @@ def cmd_fit(args) -> int:
         "outlier_count": int(result.outlier_flags.sum()),
     }
     _write_json(out / "result.json", payload, schema="fit_result")
+    rows = zip(result.assignments.tolist(), result.discriminants.tolist(),
+               result.outlier_flags.tolist(), result.outlier_types.tolist())
     with open(out / "assignments.csv", "w", encoding="utf-8") as fh:
         fh.write("row,cluster,discriminant,outlier,outlier_type\n")
-        for i in range(n):
-            otype = result.outlier_types[i]
-            fh.write(
-                f"{i + 1},{result.assignments[i] + 1},{result.discriminants[i]:.12g},"
-                f"{int(result.outlier_flags[i])},{otype + 1 if otype >= 0 else ''}\n")
+        fh.writelines(
+            f"{i},{label + 1},{disc:.12g},{int(flag)},{otype + 1 if otype >= 0 else ''}\n"
+            for i, (label, disc, flag, otype) in enumerate(rows, 1))
     log.info("fit written to %s", out)
     return EXIT_OK
 

@@ -19,8 +19,10 @@ import numpy as np
 from .constraints import ConstraintConfig, enforce_constraints
 from .errors import DegenerateClusteringError, NonPositiveDenominatorError
 from .gaussian import (
+    BLOCK,
     GaussianComponent,
     as_data_matrix,
+    column_blocks,
     dpd_integral,
     log_density,
 )
@@ -128,23 +130,45 @@ def assign(data, params: MixtureParams, rule: str = "likelihood") -> tuple[np.nd
     """Hard assignment plus the (n, k) matrix of ``log phi_j(x_i)`` behind it.
 
     The default rule picks the cluster with the largest weighted density
-    ``log(weight_j) + log phi_j`` (ties go to the smallest index). The
-    "distance" rule picks the nearest mean in Euclidean distance. The matrix
-    carries no weights: :func:`discriminants` adds them for the rows' own
-    clusters. ``data`` is a finite float (n, p) array, as :func:`fit` passes it.
+    ``log(weight_j) + log phi_j`` (a zero weight gives -inf). The "distance"
+    rule picks the nearest mean in Euclidean distance. A running strict
+    comparison sends ties to the smallest index, as ``argmax`` does. The
+    matrix (column-major) carries no weights: :func:`discriminants` adds
+    them for the rows' own clusters. ``data`` is a finite float (n, p)
+    array, as :func:`fit` passes it. Both rules compute in one pair of
+    (p, min(n, BLOCK)) scratch buffers, never a (p, n) temporary.
     """
-    log_phi = np.column_stack([log_density(data, comp) for comp in params.components])
+    if rule not in ASSIGNMENT_RULES:
+        raise ValueError(f"unknown assignment rule {rule!r}")
+    n, p = data.shape
+    diff, z = np.empty((p, min(n, BLOCK))), np.empty((p, min(n, BLOCK)))
+    log_phi = np.empty((n, params.k), order="F")
+    for j, comp in enumerate(params.components):
+        log_density(data, comp, (diff, z, log_phi[:, j]))
+    score = np.empty(n)
     if rule == "likelihood":
         with np.errstate(divide="ignore"):
-            labels = np.argmax(np.log(params.weights) + log_phi, axis=1)
-    elif rule == "distance":
-        # one (p, n) temporary per component, not an (n, k, p) block
-        d2 = np.column_stack([((data.T - c.mean[:, None]) ** 2).sum(axis=0)
-                              for c in params.components])
-        labels = np.argmin(d2, axis=1)
+            logw = np.log(params.weights)
+        scores = (np.add(log_phi[:, j], logw[j], out=score) for j in range(params.k))
+        better = np.greater
     else:
-        raise ValueError(f"unknown assignment rule {rule!r}")
+        scores = (_sq_distances(data, c.mean, diff, z, score) for c in params.components)
+        better = np.less
+    labels = np.zeros(n, dtype=np.intp)
+    best = next(scores).copy()
+    for j, s in enumerate(scores, 1):
+        wins = better(s, best)
+        np.copyto(labels, j, where=wins)
+        np.copyto(best, s, where=wins)
     return labels, log_phi
+
+
+def _sq_distances(data, mean, diff, z, out):
+    """Squared distances of the rows of ``data`` to ``mean``, into ``out``."""
+    for cols, d, sq in column_blocks(len(out), diff, z):
+        np.subtract(data.T[:, cols], mean[:, None], out=d)
+        np.sum(np.square(d, out=sq), axis=0, out=out[cols])
+    return out
 
 
 def discriminants(params: MixtureParams, labels, log_phi) -> np.ndarray:
@@ -381,8 +405,9 @@ def fit(data, k: int, cfg: AlgoConfig | None = None, *, workers: int = 1) -> Clu
     serially, because their pool is one level up, and so does
     :func:`~mixclust.imageseg.segment`: its few restarts are each about one
     outer iteration over every pixel, where forking and sending back the
-    (n,) results cost what a second core saves, and its distance GEMM
-    already uses the BLAS threads.
+    (n,) results cost what a second core saves; its per-pixel distances
+    run in blocks (:func:`~mixclust.gaussian.mahalanobis_sq`) that never
+    wake the BLAS threads.
     """
     cfg = cfg or AlgoConfig()
     if workers < 1:

@@ -16,6 +16,10 @@ from .errors import DimensionMismatchError, NotPositiveDefiniteError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
+# Widest column block of the distance kernels. A (p, p) x (p, 8192) GEMM ran
+# on one OpenBLAS thread for every p up to 20; a (3, 131 072) one used two.
+BLOCK = 8192
+
 
 def as_data_matrix(data) -> np.ndarray:
     """Coerce ``data`` to an (n, p) float matrix; 1-D input becomes (n, 1)."""
@@ -120,13 +124,28 @@ class GaussianComponent:
         return 2.0 * float(np.sum(np.log(np.diag(self._chol))))
 
 
+def column_blocks(n: int, diff: np.ndarray, z: np.ndarray):
+    """Each of ``ceil(n / BLOCK)`` near-equal column spans, as a slice and
+    contiguous (p, width) views of the front of ``diff`` and ``z``. No span
+    is one column wide, which numpy would multiply by GEMV, rounding otherwise."""
+    p, parts = diff.shape[0], -(-n // BLOCK)
+    for i in range(parts):
+        cols = slice(n * i // parts, n * (i + 1) // parts)
+        size = p * (cols.stop - cols.start)
+        yield (cols, diff.reshape(-1)[:size].reshape(p, -1),
+               z.reshape(-1)[:size].reshape(p, -1))
+
+
 def mahalanobis_sq(x, comp: GaussianComponent, work=None):
     """Squared Mahalanobis distance (x - mean)' cov^{-1} (x - mean).
 
     The kernel computes on ``x.T``: ``inv(L) @ (x.T - mean[:, None])``, then
     a column sum of squares. For the column-major (n, p) data that
     :func:`~mixclust.clustering.fit` passes, ``x.T`` is a C-contiguous
-    (p, n) view, so every pass runs over contiguous n-long rows.
+    (p, n) view, so every pass runs over contiguous rows. Past ``BLOCK``
+    points the three calls run per block (:func:`column_blocks`), whose
+    GEMM never wakes OpenBLAS's threads; every sum is within one column, so
+    the bits do not depend on the blocking.
 
     Parameters
     ----------
@@ -134,42 +153,49 @@ def mahalanobis_sq(x, comp: GaussianComponent, work=None):
         A single p-vector or an (n, p) matrix of points.
     comp : GaussianComponent
     work : tuple of ndarray, optional
-        ``(diff, z, out)``: float buffers of shapes (p, n), (p, n) and (n,)
-        for an (n, p) float matrix ``x``. The kernel then trusts ``x`` (no
-        coercion or shape check), computes in the buffers and returns
-        ``out``, with the same bits as without them. The reweighted
-        iteration passes its own buffers here.
+        ``(diff, z, out)``: C-contiguous float (p, m) scratch, m = n up to
+        ``BLOCK`` points and m >= ``BLOCK`` past it, and the (n,) output, for
+        an (n, p) float matrix ``x``. The kernel then trusts ``x`` (no
+        coercion or shape check) and returns ``out``.
 
     Returns
     -------
     float or ndarray
         Scalar for a single point, length-n vector for a matrix.
     """
-    if work is not None:
-        diff, z, out = work
-        np.subtract(x.T, comp.mean[:, None], out=diff)
-        np.matmul(np.linalg.inv(comp.chol), diff, out=z)
-        return np.einsum("ij,ij->j", z, z, out=out)
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if pts.shape[1] != comp.dim:
-        raise DimensionMismatchError(
-            f"point dimension {pts.shape[1]} does not match component dimension {comp.dim}"
-        )
+    single = work is None and np.ndim(x) == 1
+    if work is None:
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.shape[1] != comp.dim:
+            raise DimensionMismatchError(
+                f"point dimension {x.shape[1]} does not match component dimension {comp.dim}")
+        m = min(len(x), BLOCK)
+        work = np.empty((comp.dim, m)), np.empty((comp.dim, m)), np.empty(len(x))
+    diff, z, out = work
     # One GEMM with the inverse Cholesky factor: faster than a triangular
-    # solve at every (n, p) this package meets, and numpy-only. The
-    # difference is C-ordered whatever the layout of x, as in ``work``.
-    z = np.linalg.inv(comp.chol) @ np.subtract(pts.T, comp.mean[:, None], order="C")
-    q = np.einsum("ij,ij->j", z, z)
-    return float(q[0]) if single else q
+    # solve at every (n, p) this package meets, and numpy-only.
+    inv_chol = np.linalg.inv(comp.chol)
+    if len(out) <= BLOCK:
+        np.subtract(x.T, comp.mean[:, None], out=diff)
+        np.matmul(inv_chol, diff, out=z)
+        np.einsum("ij,ij->j", z, z, out=out)
+    else:
+        for cols, d, zb in column_blocks(len(out), diff, z):
+            np.subtract(x.T[:, cols], comp.mean[:, None], out=d)
+            np.matmul(inv_chol, d, out=zb)
+            np.einsum("ij,ij->j", zb, zb, out=out[cols])
+    return float(out[0]) if single else out
 
 
-def log_density(x, comp: GaussianComponent):
+def log_density(x, comp: GaussianComponent, work=None):
     """Log of the p-variate normal density at ``x``; checks ``x`` as
-    :func:`mahalanobis_sq` does and trusts ``comp``."""
-    q = mahalanobis_sq(x, comp)
-    return -0.5 * (comp.dim * LOG_2PI + comp.log_det + q)
+    :func:`mahalanobis_sq` does and trusts ``comp``. With its ``work`` the
+    density is written into, and returned as, the (n,) output."""
+    q = mahalanobis_sq(x, comp, work)
+    if work is None:
+        return -0.5 * (comp.dim * LOG_2PI + comp.log_det + q)
+    np.add(q, comp.dim * LOG_2PI + comp.log_det, out=q)
+    return np.multiply(q, -0.5, out=q)
 
 
 def dpd_integral(log_det: float, p: int, beta: float) -> float:

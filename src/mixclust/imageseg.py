@@ -97,6 +97,8 @@ def _decode_ppm(blob: bytes) -> PixelGrid:
             raise ImageFormatError("malformed PPM header") from exc
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
+    if width <= 0 or height <= 0:
+        raise ImageFormatError(f"PPM image has no pixels ({width}x{height})")
     if maxval <= 0 or maxval > 255:
         raise ImageFormatError(f"unsupported PPM maxval {maxval}")
     need = width * height * 3
@@ -137,6 +139,8 @@ def _decode_png(blob: bytes) -> PixelGrid:
         if len(chunk) < length:
             raise ImageFormatError("truncated PNG chunk")
         if ctype == b"IHDR":
+            if length != 13:
+                raise ImageFormatError(f"PNG header chunk is {length} bytes, not 13")
             header = struct.unpack(">IIBBBBB", chunk)
         elif ctype == b"IDAT":
             idat.extend(chunk)
@@ -146,6 +150,8 @@ def _decode_png(blob: bytes) -> PixelGrid:
     if header is None or not idat:
         raise ImageFormatError("missing PNG header or pixel data")
     width, height, depth, color, comp, filt, interlace = header
+    if width == 0 or height == 0:
+        raise ImageFormatError(f"PNG image has no pixels ({width}x{height})")
     if depth != 8 or comp != 0 or filt != 0 or interlace != 0:
         raise ImageFormatError("only baseline 8-bit non-interlaced PNG is supported")
     channels = {0: 1, 2: 3, 4: 2, 6: 4}.get(color)

@@ -136,9 +136,10 @@ def irls_step(data, comp: GaussianComponent, beta: float, work=None) -> Gaussian
     ``data`` is a finite float (n, p) array, as :func:`fit_component` passes it.
     The step computes on ``data.T`` in ``work`` (buffers shaped as
     :func:`_work_buffers` makes them, allocated per call when omitted): the
-    weighted mean is ``data.T @ w`` and the scatter a (p, n) x (n, p)
-    product. It trusts its own result: the new component is built by
-    :meth:`GaussianComponent.trusted`.
+    distances run in blocks (:func:`~mixclust.gaussian.mahalanobis_sq`), but
+    the weighted mean ``data.T @ w`` and the (p, n) x (n, p) scatter stay
+    whole-length, as blocking their sums would change the bits. It trusts
+    its own result: the new component is built by :meth:`GaussianComponent.trusted`.
     """
     n, p = data.shape
     work = work if work is not None else _work_buffers(n, p)

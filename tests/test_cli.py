@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 from mixclust.cli import main, read_csv_matrix
 from mixclust.schemas import SchemaError, validate
-from tests.test_imageseg import two_tone_grid
+from tests.test_imageseg import malformed_images, two_tone_grid
 from mixclust.imageseg import PixelGrid, load_image, save_ppm
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -431,6 +432,17 @@ class TestImageCommand:
         code = main(["image", str(bad), "--k", "2", "--out", str(tmp_path / "r.ppm")])
         assert code == 2
 
+
+    @pytest.mark.parametrize("name", sorted(malformed_images()))
+    def test_malformed_header_exit_2(self, tmp_path, capsys, name):
+        blob, message = malformed_images()[name]
+        img = tmp_path / name
+        img.write_bytes(blob)
+        out = tmp_path / "r.ppm"
+        assert main(["image", str(img), "--k", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(message, err)
+        assert not out.exists() and not (tmp_path / "r.ppm.json").exists()
 
 class TestSchemas:
     def test_rejects_missing_key(self):

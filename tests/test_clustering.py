@@ -1,5 +1,7 @@
 """Full clustering loop: assignment, weights, objective, restarts, outliers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -23,8 +25,8 @@ from mixclust import (
     pseudo_beta_likelihood,
     update_weights,
 )
-from mixclust.clustering import component_fit_score, discriminants
-from mixclust.gaussian import as_data_matrix
+from mixclust.clustering import ASSIGNMENT_RULES, component_fit_score, discriminants
+from mixclust.gaussian import BLOCK, LOG_2PI, as_data_matrix
 from oracles import component_beta_objective
 
 
@@ -100,6 +102,67 @@ class TestAssign:
         params = two_comp_params(v1=100.0, w1=0.99)
         labels, _ = assign(np.array([[4.0]]), params, rule="distance")
         assert labels[0] == 1  # nearest mean, weights and spreads ignored
+
+
+BLOCK_NS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
+
+
+def tied_mixtures(p, rng):
+    """Two mixtures over the same three components, where components 0 and
+    1 are one normal (every row ties between them under both rules): equal
+    weights, and a zero weight on component 0."""
+    a = rng.standard_normal((p, p))
+    comps = [GaussianComponent(np.zeros(p), np.eye(p))] * 2 + [
+        GaussianComponent(np.full(p, 1.5), a @ a.T + p * np.eye(p))]
+    return [MixtureParams(np.array([0.25, 0.25, 0.5]), comps),
+            MixtureParams(np.array([0.0, 0.5, 0.5]), comps)]
+
+
+class TestAssignBlocked:
+    """``assign`` against one-shot oracles: the (p, n) GEMM for log phi,
+    ``argmax`` of the weighted densities, ``argmin`` of the distances."""
+
+    @pytest.mark.parametrize("n", BLOCK_NS)
+    @pytest.mark.parametrize("p", [1, 3, 6])
+    def test_bit_identical_to_one_shot(self, n, p):
+        rng = np.random.default_rng([n, p])
+        x = np.asfortranarray(0.75 + 1.5 * rng.standard_normal((n, p)))
+        x[0] = 0.0  # on the twin components' mean
+        for params in tied_mixtures(p, rng):
+            log_phi = np.empty((n, params.k))
+            for j, comp in enumerate(params.components):
+                z = np.linalg.inv(comp.chol) @ (x.T - comp.mean[:, None])
+                log_phi[:, j] = -0.5 * (p * LOG_2PI + comp.log_det + np.einsum("ij,ij->j", z, z))
+            with np.errstate(divide="ignore"):
+                likelihood = np.argmax(np.log(params.weights) + log_phi, axis=1)
+            distance = np.argmin(np.column_stack(
+                [((x.T - c.mean[:, None]) ** 2).sum(0) for c in params.components]), axis=1)
+            for rule, expected in (("likelihood", likelihood), ("distance", distance)):
+                labels, got = assign(x, params, rule)
+                assert labels.dtype == expected.dtype and np.array_equal(labels, expected)
+                assert np.array_equal(got, log_phi)
+            # the twins tie on every row: the oracles pick 0, or 1 past a zero weight
+            zero = int(params.weights[0] == 0.0)
+            assert likelihood[0] == zero and not np.any(likelihood == 1 - zero)
+            assert distance[0] == 0 and not np.any(distance == 1)
+
+    @pytest.mark.parametrize("rule", ASSIGNMENT_RULES)
+    def test_no_full_length_scratch(self, rule):
+        n, p, k = 100_000, 8, 2
+        rng = np.random.default_rng(5)
+        x = np.asfortranarray(rng.standard_normal((n, p)))
+        params = MixtureParams(np.array([0.5, 0.5]), [
+            GaussianComponent(np.zeros(p), np.eye(p)),
+            GaussianComponent(np.ones(p), 2.0 * np.eye(p))])
+        tracemalloc.start()
+        try:
+            assign(x, params, rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the returned (n, k) matrix and labels, a few (n,) vectors and the
+        # two (p, BLOCK) scratch buffers; no (p, n) temporary
+        assert peak < (k + 4) * 8 * n + 2 * 8 * p * BLOCK
 
 
 class TestWeightsUpdate:
@@ -359,9 +422,9 @@ class TestFit:
     def test_final_mixture_evaluated_once_per_restart(self, monkeypatch):
         calls = []
 
-        def counting(x, comp):
+        def counting(*args):
             calls.append(1)
-            return log_density(x, comp)
+            return log_density(*args)
 
         real = fit_single
         iterations = []

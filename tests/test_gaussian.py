@@ -15,6 +15,7 @@ from mixclust import (
     log_density,
     mahalanobis_sq,
 )
+from mixclust.gaussian import BLOCK
 from oracles import component_beta_objective
 
 
@@ -125,6 +126,34 @@ class TestMahalanobisAccuracy:
                 z.append((diff[i] - sum(chol[i][j] * z[j] for j in range(i))) / chol[i][i])
             exact = sum(v * v for v in z)
             assert abs(float((Fraction(q) - exact) / exact)) <= bound
+
+
+BLOCK_NS = pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+
+
+class TestBlockedKernel:
+    """The blocked kernel against a one-shot GEMM over every column, bit for bit."""
+
+    @BLOCK_NS
+    @pytest.mark.parametrize("p", [1, 3, 6])
+    def test_bit_identical_to_one_shot(self, n, p):
+        # Several components and draws: a one-column GEMV rounds differently
+        # from the GEMM in about half of the columns, so one draw could miss it.
+        for cond in (1.0, 1e4, 1e8):
+            comp, _, rng = conditioned_component(p, cond)
+            for _ in range(3):
+                x = np.asfortranarray(comp.mean + 3.0 * rng.standard_normal((n, p)))
+                z = np.linalg.inv(comp.chol) @ (x.T - comp.mean[:, None])
+                expected = np.einsum("ij,ij->j", z, z)
+                assert np.array_equal(mahalanobis_sq(x, comp), expected)
+                # scratch of min(n, BLOCK) columns, as assign passes it, and of
+                # all n, as the reweighted iteration passes its own buffers
+                for m in {min(n, BLOCK), n}:
+                    out = np.full(n, np.nan)
+                    got = mahalanobis_sq(x, comp, (np.empty((p, m)), np.empty((p, m)), out))
+                    assert got is out and np.array_equal(out, expected)
+                    work = (np.empty((p, m)), np.empty((p, m)), np.empty(n))
+                    assert np.array_equal(log_density(x, comp, work), log_density(x, comp))
 
 
 class TestLogDensity:

@@ -73,6 +73,19 @@ def filtered_png(arr):
             + chunk(b"IDAT", zlib.compress(b"".join(lines))) + chunk(b"IEND", b""))
 
 
+def malformed_images():
+    """File name -> (bytes, message pattern) of headers the decoders must
+    refuse: a PNG whose IHDR chunk is 9 bytes instead of 13 (its CRC is not
+    checked), and 0x0 PNG and PPM images."""
+    good = filtered_png(np.zeros((2, 2, 3), dtype=np.uint8))
+    return {
+        "short_ihdr.png": (good[:8] + struct.pack(">I", 9) + good[12:25] + bytes(4)
+                           + good[33:], "header chunk is 9 bytes"),
+        "empty.png": (filtered_png(np.zeros((0, 0, 3), dtype=np.uint8)), r"no pixels \(0x0\)"),
+        "empty.ppm": (b"P6\n0 0\n255\n", r"no pixels \(0x0\)"),
+    }
+
+
 def per_byte_png_pixels(blob):
     """(n, 3) float pixels of a :func:`filtered_png` blob, decoded one byte at
     a time as the package's decoder once did."""
@@ -220,6 +233,14 @@ class TestIo:
         path = tmp_path / "trunc.ppm"
         path.write_bytes(b"P6\n4 4\n255\n\x00\x01")
         with pytest.raises(ImageFormatError):
+            load_image(path)
+
+    @pytest.mark.parametrize("name", sorted(malformed_images()))
+    def test_malformed_header_refused(self, tmp_path, name):
+        blob, message = malformed_images()[name]
+        path = tmp_path / name
+        path.write_bytes(blob)
+        with pytest.raises(ImageFormatError, match=message):
             load_image(path)
 
     def test_unknown_format(self, tmp_path):

@@ -7,15 +7,26 @@ seed. The MIXCLUST_LOG environment variable sets the log level.
 
 Cluster labels in emitted files are 1-based; arrays inside the library are
 0-based.
+
+Run as a program, this module hands over to :func:`mixclust.__main__.main`
+before it imports numpy, so the program runs one OpenBLAS thread unless
+its caller set ``OPENBLAS_NUM_THREADS``. Imported, it changes no BLAS
+setting.
 """
 
 from __future__ import annotations
+
+import sys
+
+if __name__ == "__main__":
+    from .__main__ import main as _start
+
+    sys.exit(_start())
 
 import argparse
 import json
 import logging
 import os
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -410,7 +421,3 @@ def main(argv=None) -> int:
     except MixclustError as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

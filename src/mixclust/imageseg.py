@@ -39,6 +39,8 @@ class PixelGrid:
     pixels: np.ndarray
 
     def __post_init__(self):
+        if self.width <= 0 or self.height <= 0:
+            raise ValueError(f"image size must be positive, got {self.width}x{self.height}")
         self.pixels = np.asarray(self.pixels, dtype=float).reshape(-1, 3)
         if len(self.pixels) != self.width * self.height:
             raise ValueError("pixel count must equal width * height")

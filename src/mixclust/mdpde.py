@@ -45,14 +45,17 @@ class ComponentFit:
     converged: bool
 
 
-def _floored_component(mean: np.ndarray, cov: np.ndarray, floor: float) -> GaussianComponent:
-    """Build a component, flooring eigenvalues at ``floor`` when needed."""
+def _floored_component(mean: np.ndarray, cov: np.ndarray) -> GaussianComponent:
+    """Build a component from the symmetrised ``cov``, flooring its eigenvalues
+    at ``max(1e-12 * trace, 1e-12)`` when it is not positive definite.
+    Degenerate clusters (identical points) produce a zero scatter matrix;
+    the minimal floor keeps the next weight evaluation defined."""
     cov = 0.5 * (cov + cov.T)
     try:
         return GaussianComponent.trusted(mean, cov)
     except NotPositiveDefiniteError:
         vals, vecs = np.linalg.eigh(cov)
-        vals = np.maximum(vals, floor)
+        vals = np.maximum(vals, max(1e-12 * max(np.trace(cov), 0.0), 1e-12))
         fixed = (vecs * vals) @ vecs.T
         return GaussianComponent.trusted(mean, 0.5 * (fixed + fixed.T))
 
@@ -154,10 +157,7 @@ def irls_step(data, comp: GaussianComponent, beta: float, work=None) -> Gaussian
     diff, scaled, _ = work
     np.subtract(data.T, mean[:, None], out=diff)
     np.multiply(diff, w, out=scaled)
-    cov = scaled @ diff.T / denom
-    # Degenerate clusters (identical points) produce a zero scatter matrix;
-    # floor minimally so the next weight evaluation stays defined.
-    return _floored_component(mean, cov, max(1e-12 * max(np.trace(cov), 0.0), 1e-12))
+    return _floored_component(mean, scaled @ diff.T / denom)
 
 
 def _norm(d: np.ndarray) -> float:
@@ -174,6 +174,8 @@ def fit_component(data, beta: float, cfg: IrlsConfig | None = None,
     iterates until both the Euclidean mean delta and Frobenius covariance
     delta drop to ``cfg.epsilon``, or ``cfg.max_iter`` is reached.
     Non-convergence is reported through ``converged=False``, not an error.
+    At ``beta == 0`` the weights do not depend on the start, so the first
+    step is the (unweighted) fixed point and the fit stops there, converged.
 
     A denominator-guard failure on the very first step propagates (the
     start is already too downweighted to move); tripping later stops the
@@ -199,6 +201,11 @@ def fit_component(data, beta: float, cfg: IrlsConfig | None = None,
             if iterations == 1:
                 raise
             iterations -= 1
+            break
+        if beta == 0.0:
+            # Every weight is exactly 1, so the next step would repeat this
+            # one bit for bit: the first step is the fixed point.
+            comp, converged = new, True
             break
         delta_mean = _norm(new.mean - comp.mean)
         delta_cov = _norm(new.cov - comp.cov)

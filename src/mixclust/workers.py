@@ -7,6 +7,10 @@ each pinned to one OpenBLAS thread, and yields the results in item order.
 The function reaches the workers through the fork itself, so large
 arguments bound into it (the (n, p) data) are never pickled; only the
 items and the results are.
+
+This pool is mixclust's only parallelism. The ``mixclust`` program starts
+with one OpenBLAS thread (:mod:`mixclust.__main__`), but a library caller
+keeps whatever thread count it set, so each worker pins its own.
 """
 
 from __future__ import annotations
@@ -76,9 +80,10 @@ def fork_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
     them keeps only what it needs. An exception raised by ``fn`` reaches
     the caller with its own type when its item's result is read; the items
     not yet started are then cancelled. Each worker runs one BLAS thread;
-    the calling process's BLAS settings are never changed, and without a
-    pool ``fn`` runs in it. ``fn`` must not rely on state it changes in
-    the calling process, because a worker changes only its own copy.
+    the calling process's BLAS settings are never changed here, and without
+    a pool ``fn`` runs in it with them. ``fn`` must not rely on state it
+    changes in the calling process, because a worker changes only its own
+    copy.
     """
     items = list(items)
     n_workers = min(workers, len(items))

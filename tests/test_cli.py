@@ -71,11 +71,12 @@ class TestFitCommand:
         assert (out1 / "assignments.csv").read_bytes() == (out2 / "assignments.csv").read_bytes()
 
     def test_blas_thread_count_keeps_bytes(self, tmp_path):
-        # Same bytes whatever the BLAS thread count. Measured on a 2-CPU
-        # host (OpenBLAS 0.3.31, each shape in a fresh process), OpenBLAS
-        # splits the (5, 5) x (5, n) distance GEMM over threads only from
-        # about 40 500 rows; the (5, n) x (n, 5) scatter did not thread even
-        # at 60 000. So each cluster has 44 000.
+        # Same bytes whatever the BLAS thread count. The program runs one
+        # thread unless its caller sets one, so the second run asks for two.
+        # Measured on a 2-CPU host (OpenBLAS 0.3.31, each shape in a fresh
+        # process), OpenBLAS splits the (5, 5) x (5, n) distance GEMM over
+        # threads only from about 40 500 rows; the (5, n) x (n, 5) scatter
+        # did not thread even at 60 000. So each cluster has 44 000.
         rng = np.random.default_rng(3)
         csv = tmp_path / "large.csv"
         np.savetxt(csv, np.vstack([rng.standard_normal((44_000, 5)),
@@ -86,13 +87,13 @@ class TestFitCommand:
                if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
         outs = []
-        for threads in ("1", None):
+        for threads in ("1", "2"):
             out = tmp_path / f"threads_{threads}"
-            run_env = dict(env, OPENBLAS_NUM_THREADS=threads) if threads else env
             proc = subprocess.run(
                 [sys.executable, "-m", "mixclust.cli", "fit", str(csv), "--k", "2",
                  "--restarts", "2", "--seed", "0", "--out", str(out)],
-                env=run_env, capture_output=True, text=True, timeout=120)
+                env=dict(env, OPENBLAS_NUM_THREADS=threads), capture_output=True,
+                text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
             outs.append(out)
         for name in ("result.json", "assignments.csv"):

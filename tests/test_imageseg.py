@@ -163,6 +163,12 @@ class TestIo:
         again = load_image(path)
         assert encode_ppm(again) == encode_ppm(grid)
 
+    @pytest.mark.parametrize("width, height", [(-1, -1), (0, 0), (-2, 3)])
+    def test_grid_refuses_non_positive_size(self, width, height):
+        # (-1, -1) matches one pixel's count, and would encode as "P6\n-1 -1"
+        with pytest.raises(ValueError, match="size must be positive"):
+            PixelGrid(width, height, np.zeros((max(width * height, 0), 3)))
+
     def test_png_all_white(self, tmp_path):
         path = tmp_path / "white.png"
         write_png(path, np.full((2, 2, 3), 255, dtype=np.uint8))

@@ -300,6 +300,10 @@ class AllocatingIrls:
                     raise
                 iterations -= 1
                 break
+            if beta == 0.0:
+                # every weight is 1: the first step is the fixed point
+                comp, converged = new, True
+                break
             delta_mean = float(np.linalg.norm(new.mean - comp.mean))
             delta_cov = float(np.linalg.norm(new.cov - comp.cov))
             comp = new
@@ -346,13 +350,17 @@ class TestBitIdentity:
         assert (got.iterations, got.converged) == (iterations, converged)
         # the operand order moves only the last bits of every step
         assert oracle.row_major_gap <= 1e-12
+        if beta == 0.0:
+            # the one-step rule: a second step repeats the first bit for bit
+            again = oracle.step(data, want, beta)
+            assert same_bits(again.mean, want.mean) and same_bits(again.cov, want.cov)
         return oracle, got
 
     @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("p", [1, 6])
     def test_cold_start(self, beta, p):
         _, got = self.assert_matches_oracle(contaminated(31 + p, 400, p), beta)
-        assert got.iterations > 1
+        assert got.iterations == 1 if beta == 0.0 else got.iterations > 1
 
     @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
     def test_warm_start(self, beta):

@@ -1,8 +1,11 @@
-"""Start-up cost: only ``uniform_chisq`` contamination loads scipy; the
-influence functional computes its integrals in closed form with numpy and
-``math``. Each check runs in a fresh interpreter, because this test process
-has long since imported scipy itself."""
+"""Start-up cost: ``import mixclust`` loads no numpy, the ``mixclust``
+program runs one OpenBLAS thread unless its caller chose a count, only
+``uniform_chisq`` contamination loads scipy, and the influence functional
+computes its integrals in closed form with numpy and ``math``. Each check
+runs in a fresh interpreter, because this test process has long since
+imported numpy and scipy itself."""
 
+import json
 import os
 import subprocess
 import sys
@@ -18,14 +21,93 @@ INFLUENCE_NAMES = ("FunctionalSolution", "TrueDistribution", "assemble_if_system
                    "if_curve", "influence_at", "numeric_if_oracle", "solve_functional")
 
 
-def run_python(code: str) -> subprocess.CompletedProcess:
+def run_python(code: str, **env_changes) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter; an ``env_changes`` value of None
+    removes that variable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for key, value in env_changes.items():
+        env.pop(key, None)
+        if value is not None:
+            env[key] = value
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
 
 
 SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+# Prints the thread count of every OpenBLAS mapped into the process.
+PRINT_BLAS_THREADS = (
+    "import ctypes\n"
+    "with open('/proc/self/maps', encoding='utf-8') as fh:\n"
+    "    paths = {line.split(None, 5)[-1].strip() for line in fh if 'openblas' in line}\n"
+    "counts = []\n"
+    "for path in sorted(paths):\n"
+    "    lib = ctypes.CDLL(path)\n"
+    "    for name in ('scipy_openblas_get_num_threads64_', 'scipy_openblas_get_num_threads',\n"
+    "                 'openblas_get_num_threads'):\n"
+    "        getter = getattr(lib, name, None)\n"
+    "        if getter is not None:\n"
+    "            getter.argtypes, getter.restype = [], ctypes.c_int\n"
+    "            counts.append(getter())\n"
+    "            break\n"
+    "print(counts)\n")
+
+
+def blas_threads(proc: subprocess.CompletedProcess) -> list[int]:
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not counts:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    return counts
+
+
+def run_program(module: str, **env_changes) -> subprocess.CompletedProcess:
+    """Run ``module`` as ``__main__`` with ``influence --help``, then print
+    the BLAS thread counts."""
+    return run_python(
+        "import runpy, sys\n"
+        "sys.argv = ['mixclust', 'influence', '--help']\n"
+        "try:\n"
+        f"    runpy.run_module({module!r}, run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        + PRINT_BLAS_THREADS, **env_changes)
+
+
+def test_import_loads_no_numpy():
+    proc = run_python("import sys, mixclust\n"
+                      "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+                      "assert mixclust.fit.__module__ == 'mixclust.clustering'\n"
+                      "assert mixclust.influence.__name__ == 'mixclust.influence'\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", ["mixclust.cli", "mixclust"])
+def test_program_runs_one_blas_thread(module):
+    counts = blas_threads(run_program(module, OPENBLAS_NUM_THREADS=None))
+    assert counts == [1] * len(counts)
+
+
+def test_program_keeps_caller_thread_count():
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS runs at most one thread per CPU this process may use")
+    counts = blas_threads(run_program("mixclust.cli", OPENBLAS_NUM_THREADS="2"))
+    assert counts == [2] * len(counts)
+
+
+def test_library_import_changes_no_blas_setting():
+    # numpy's own default count, whatever it is on this machine
+    plain = blas_threads(run_python("import numpy\n" + PRINT_BLAS_THREADS,
+                                    OPENBLAS_NUM_THREADS=None))
+    proc = run_python(
+        "import os\n"
+        "before = dict(os.environ)\n"
+        "import mixclust, mixclust.cli\n"
+        "mixclust.fit\n"
+        "assert dict(os.environ) == before, 'environment changed'\n"
+        + PRINT_BLAS_THREADS, OPENBLAS_NUM_THREADS=None)
+    assert blas_threads(proc) == plain
 
 
 def test_import_loads_no_scipy():
@@ -89,6 +171,17 @@ def test_lazy_influence_names():
     listed = dir(mixclust)
     assert all(name in listed for name in INFLUENCE_NAMES)
     assert all(getattr(mixclust, name) is getattr(influence, name) for name in INFLUENCE_NAMES)
+
+
+def test_every_public_name_served():
+    import importlib
+
+    for name in mixclust.__all__:
+        module = importlib.import_module(getattr(mixclust, name).__module__)
+        assert getattr(module, name) is getattr(mixclust, name)
+    namespace = {}
+    exec("from mixclust import *", namespace)
+    assert set(mixclust.__all__) <= set(namespace)
 
 
 def test_unknown_attribute_raises():

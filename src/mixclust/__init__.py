@@ -27,7 +27,7 @@ _PUBLIC = {
     "gaussian": ("GaussianComponent", "dpd_integral", "log_density", "mahalanobis_sq"),
     "imageseg": ("PixelGrid", "SegmentationResult", "load_image", "reconstruct", "segment"),
     "influence": ("FunctionalSolution", "TrueDistribution", "assemble_if_system", "if_curve",
-                  "influence_at", "numeric_if_oracle", "solve_functional"),
+                  "influence_at", "solve_functional"),
     "mdpde": ("ComponentFit", "IrlsConfig", "fit_component", "irls_step", "irls_weights",
               "robust_init"),
     "simulation": ("LabeledSample", "ScenarioSpec", "SimulationReport", "bias_mse",

@@ -69,14 +69,15 @@ def _free_out_path(out: str | Path, force: bool) -> Path:
 
 def read_csv_matrix(path) -> np.ndarray:
     """Strict CSV reader: comma separated, '.' decimals, optional single
-    header row detected by a non-numeric first line. Errors carry the
-    offending 1-based line number."""
+    header row detected by a non-numeric first line. A leading UTF-8
+    byte-order mark is dropped, not read into the first cell. Errors carry
+    the offending 1-based line number."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"input file not found: {path}")
     rows: list[list[float]] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

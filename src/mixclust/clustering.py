@@ -317,8 +317,7 @@ def _reseed_empty(labels: np.ndarray, params: MixtureParams, log_phi: np.ndarray
 
 
 def fit_single(data, k: int, cfg: AlgoConfig,
-               init_params: MixtureParams,
-               init_assignments: np.ndarray | None = None) -> dict:
+               init_params: MixtureParams, init_assignments: np.ndarray) -> dict:
     """Run one restart of the outer loop from an explicit initialization.
 
     Returns a dict with the degenerate flag and iterations and, unless the
@@ -334,10 +333,7 @@ def fit_single(data, k: int, cfg: AlgoConfig,
     float (n, p) array, as :func:`fit` passes it.
     """
     params = init_params
-    if init_assignments is None:
-        assignments, _ = assign(data, params, cfg.assignment_rule)
-    else:
-        assignments = np.asarray(init_assignments, dtype=int).copy()
+    assignments = np.asarray(init_assignments, dtype=int).copy()
     reseeds = np.zeros(k, dtype=int)
     prev_comps: list[GaussianComponent] | None = None
     stable = False

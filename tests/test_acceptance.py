@@ -23,14 +23,13 @@ from mixclust import (
     fit_component,
     influence_at,
     log_density,
-    numeric_if_oracle,
     solve_functional,
 )
 from mixclust.clustering import initialize, update_weights
 from mixclust.imageseg import PixelGrid, segment
 from mixclust.influence import if_curve
 from mixclust.simulation import generate, paper_design, run_experiment
-from oracles import estimating_equation_residual
+from oracles import estimating_equation_residual, numeric_if_oracle
 
 IF_MODEL = TrueDistribution(weights=(0.5, 0.5), means=(0.0, 5.0), variances=(1.0, 4.0))
 IF_CFG = ConstraintConfig(c=5.0, c1=0.1)

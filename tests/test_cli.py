@@ -31,6 +31,13 @@ class TestCsvReader:
         data = read_csv_matrix(toy_csv)
         assert data.shape == (6, 2)
 
+    @pytest.mark.parametrize("header", ["", "x,y\n"], ids=["no-header", "header"])
+    def test_byte_order_mark_keeps_first_row(self, tmp_path, header):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(("\ufeff" + header + "1.0,2.0\n3.0,4.0\n5.0,6.5\n").encode("utf-8"))
+        np.testing.assert_array_equal(read_csv_matrix(path),
+                                      [[1.0, 2.0], [3.0, 4.0], [5.0, 6.5]])
+
     def test_ragged_row_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n3,4\n5\n")

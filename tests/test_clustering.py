@@ -358,10 +358,12 @@ class TestFit:
         data = blob_data(rng, [np.zeros(2), np.full(2, 7.0)], 50)
         params, _ = initialize(data, 2, np.random.default_rng(3))
         cfg = AlgoConfig(beta=0.2, seed=0)
-        out_a = fit_single(data, 2, cfg, params)
+        out_a = fit_single(data, 2, cfg, params,
+                           assign(data, params, cfg.assignment_rule)[0])
         flipped = MixtureParams(weights=params.weights[::-1].copy(),
                                 components=list(params.components[::-1]))
-        out_b = fit_single(data, 2, cfg, flipped)
+        out_b = fit_single(data, 2, cfg, flipped,
+                           assign(data, flipped, cfg.assignment_rule)[0])
         part_a = {frozenset(np.flatnonzero(out_a["assignments"] == j)) for j in range(2)}
         part_b = {frozenset(np.flatnonzero(out_b["assignments"] == j)) for j in range(2)}
         assert part_a == part_b

@@ -13,7 +13,6 @@ from mixclust import (
     assemble_if_system,
     if_curve,
     influence_at,
-    numeric_if_oracle,
     solve_functional,
 )
 import mixclust.influence as influence
@@ -26,6 +25,7 @@ from mixclust.influence import (
     _reduced_jacobian,
     _system_residual,
 )
+from oracles import ContaminatedMeasure, numeric_if_oracle
 
 MODEL = TrueDistribution(weights=(0.5, 0.5), means=(0.0, 5.0), variances=(1.0, 4.0))
 CFG = ConstraintConfig(c=5.0, c1=0.1)
@@ -77,7 +77,7 @@ class TestMoments:
         def term(x, row):
             return self.FORMULAS[row](_f_pow_beta(x, mu, var, beta), x - mu, var, beta)
 
-        y, eps = measure.atom_y, measure.atom_eps
+        y, eps = getattr(measure, "atom_y", 0.0), getattr(measure, "atom_eps", 0.0)
         return np.array([
             (1.0 - eps) * quad(lambda x: term(x, row) * MODEL.pdf(x), lo, hi,
                                epsabs=1e-13, epsrel=1e-13, limit=400)[0]
@@ -108,7 +108,7 @@ class TestMoments:
                              ids=["atom-inside", "atom-outside"])
     def test_contaminated_integrals_match_quadrature(self, a, b):
         # Component 1 on (a, b), component 2 on both half-lines off it.
-        measure = _Measure(MODEL, atom_y=1.0, atom_eps=1e-2)
+        measure = ContaminatedMeasure(MODEL, atom_y=1.0, atom_eps=1e-2)
         (mu1, v1), (mu2, v2), beta = (0.3, 1.2), (4.6, 3.5), 0.1
         inner, outer = measure.integrals(beta, a, b, mu1, mu2, v1, v2, rows=slice(0, 6))
         np.testing.assert_allclose(inner, self.oracle(measure, mu1, v1, beta, a, b),
@@ -181,9 +181,9 @@ class TestSolve:
 
 
 class TestSharedDerivative:
-    @pytest.mark.parametrize("measure", [_Measure(MODEL),
-                                         _Measure(MODEL, atom_y=1.0, atom_eps=1e-2)],
-                             ids=["clean", "contaminated"])
+    @pytest.mark.parametrize("measure", [
+        _Measure(MODEL), ContaminatedMeasure(MODEL, atom_y=1.0, atom_eps=1e-2)],
+        ids=["clean", "contaminated"])
     def test_reduced_jacobian_matches_central_differences(self, sol_01, measure):
         # a point well away from the solution, so every chain-rule term counts
         u = np.array([sol_01.mu1 + 0.3, sol_01.mu2 - 0.4, np.log(sol_01.var1) + 0.2,

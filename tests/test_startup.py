@@ -1,9 +1,10 @@
-"""Start-up cost: ``import mixclust`` loads no numpy, the ``mixclust``
-program runs one OpenBLAS thread unless its caller chose a count, only
-``uniform_chisq`` contamination loads scipy, and the influence functional
-computes its integrals in closed form with numpy and ``math``. Each check
-runs in a fresh interpreter, because this test process has long since
-imported numpy and scipy itself."""
+"""Start-up cost and dependencies: ``import mixclust`` loads no numpy, the
+``mixclust`` program runs one OpenBLAS thread unless its caller chose a
+count, and no path needs scipy: the influence functional computes its
+integrals in closed form with numpy and ``math``, and ``uniform_chisq``
+contamination its chi-square cutoff. Each check runs in a fresh
+interpreter, because this test process has long since imported numpy and
+scipy itself."""
 
 import json
 import os
@@ -18,7 +19,7 @@ import mixclust
 ROOT = Path(__file__).resolve().parents[1]
 
 INFLUENCE_NAMES = ("FunctionalSolution", "TrueDistribution", "assemble_if_system",
-                   "if_curve", "influence_at", "numeric_if_oracle", "solve_functional")
+                   "if_curve", "influence_at", "solve_functional")
 
 
 def run_python(code: str, **env_changes) -> subprocess.CompletedProcess:
@@ -35,6 +36,21 @@ def run_python(code: str, **env_changes) -> subprocess.CompletedProcess:
 
 
 SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+# Installs an import finder that refuses every scipy module, as if scipy
+# were not installed, and checks that it does.
+BLOCK_SCIPY = (
+    "class NoScipy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.split('.')[0] == 'scipy':\n"
+    "            raise ImportError(f'scipy is blocked: {name}')\n"
+    "sys.meta_path.insert(0, NoScipy())\n"
+    "try:\n"
+    "    import scipy.special\n"
+    "except ImportError:\n"
+    "    pass\n"
+    "else:\n"
+    "    raise SystemExit('the blocker let scipy load')\n")
 
 # Prints the thread count of every OpenBLAS mapped into the process.
 PRINT_BLAS_THREADS = (
@@ -145,21 +161,22 @@ def test_influence_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_uniform_chisq_without_prior_scipy():
-    # The chi-square cutoff is imported inside the sampler; for p = 2 the
-    # 97.5th percentile is -2 log(0.025), checked here without scipy.
-    proc = run_python(
-        "import math, sys\n"
-        "import numpy as np\n"
-        "from mixclust import generate, paper_design\n"
-        f"assert {SCIPY_LOADED} == []\n"
-        "spec = paper_design(p=2, contamination='uniform_chisq', n=2000, seed=3)\n"
-        "sample = generate(spec, np.random.default_rng(3))\n"
-        "out = sample.data[sample.true_outlier_flags]\n"
-        "assert len(out) == spec.n_outliers\n"
-        "d2 = ((out[:, None, :] - spec.means[None]) ** 2).sum(axis=2)\n"
-        "assert np.all(d2.min(axis=1) / spec.cov_scale > -2.0 * math.log(0.025))\n")
-    assert proc.returncode == 0, proc.stderr
+def test_uniform_chisq_simulate_without_scipy(tmp_path):
+    # The same run with scipy refused and with scipy available: exit 0 and
+    # the same bytes, so the chi-square cutoff needs no scipy.
+    spec = tmp_path / "chisq.json"
+    spec.write_text(json.dumps({"p": 3, "contamination": "uniform_chisq", "n": 300,
+                                "replications": 2, "restarts": 2}), encoding="utf-8")
+    runs = []
+    for blocker in (BLOCK_SCIPY, ""):
+        out = tmp_path / f"out{len(runs)}"
+        argv = ["simulate", str(spec), "--workers", "1", "--out", str(out)]
+        proc = run_python("import sys\n" + blocker + "import mixclust.cli\n"
+                          f"sys.exit(mixclust.cli.main({argv!r}))\n")
+        assert proc.returncode == 0, proc.stderr
+        runs.append([proc.stdout] + [(out / name).read_bytes()
+                                     for name in ("replications.csv", "report.json")])
+    assert runs[0] == runs[1]
 
 
 def test_lazy_influence_names():

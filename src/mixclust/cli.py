@@ -28,16 +28,19 @@ import json
 import logging
 import os
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .clustering import AlgoConfig, fit
 from .constraints import ConstraintConfig
 from .errors import ImageFormatError, MixclustError
-from .imageseg import load_image, reconstruct, save_ppm, segment, sidecar_payload
-from .schemas import validate
-from .simulation import ScenarioSpec, default_threshold, paper_design, run_experiment
-from .workers import default_workers
+
+if TYPE_CHECKING:
+    from .clustering import AlgoConfig
+    from .simulation import ScenarioSpec
+
+# Each subcommand imports the modules it runs in its own function, so none
+# loads what only another uses (influence, for one, needs no clustering).
 
 log = logging.getLogger("mixclust")
 
@@ -52,6 +55,8 @@ class InputError(Exception):
 
 def _write_json(path: Path, payload: dict, schema: str | None = None) -> None:
     if schema is not None:
+        from .schemas import validate
+
         validate(payload, schema)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -101,6 +106,8 @@ def read_csv_matrix(path) -> np.ndarray:
 
 
 def _algo_config(args, threshold: float) -> AlgoConfig:
+    from .clustering import AlgoConfig
+
     return AlgoConfig(
         beta=args.beta,
         constraint=ConstraintConfig(c=args.c, c1=args.c1),
@@ -117,6 +124,10 @@ def _algo_config(args, threshold: float) -> AlgoConfig:
 
 
 def cmd_fit(args) -> int:
+    from .clustering import fit
+    from .simulation import default_threshold
+    from .workers import default_workers
+
     data = read_csv_matrix(args.csv)
     n, p = data.shape
     cfg = _algo_config(args, default_threshold(p))
@@ -180,6 +191,9 @@ def _load_scenario(path, replications: int | None,
                    seed: int) -> tuple[ScenarioSpec, list[AlgoConfig]]:
     """The scenario and one algorithm configuration per beta, every setting
     read from the file; ``replications``, when given, replaces the file's."""
+    from .clustering import AlgoConfig
+    from .simulation import ScenarioSpec, default_threshold, paper_design
+
     path = Path(path)
     if not path.exists():
         raise InputError(f"scenario file not found: {path}")
@@ -244,11 +258,15 @@ def _print_table(spec: ScenarioSpec, labels: list[str], aggregates: dict) -> Non
 
 
 def cmd_simulate(args) -> int:
-    if args.workers < 1:
+    from .simulation import run_experiment
+    from .workers import default_workers
+
+    workers = default_workers() if args.workers is None else args.workers
+    if workers < 1:
         raise InputError("--workers must be at least 1")
     spec, cfgs = _load_scenario(args.spec, args.replications, args.seed)
     out = _free_out_path(args.out, args.force)
-    report = run_experiment(spec, cfgs, workers=args.workers)
+    report = run_experiment(spec, cfgs, workers=workers)
     out.mkdir(parents=True, exist_ok=True)
     report.to_csv(out / "replications.csv")
     aggregates = report.aggregates
@@ -274,7 +292,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_influence(args) -> int:
-    # Imported here, so the other subcommands never load the influence module.
     from .influence import TrueDistribution, if_curve, solve_functional, write_if_curve
 
     if not all(0.0 < beta < np.inf for beta in args.beta):
@@ -323,6 +340,8 @@ def cmd_influence(args) -> int:
 
 
 def cmd_image(args) -> int:
+    from .imageseg import load_image, reconstruct, save_ppm, segment, sidecar_payload
+
     out = _free_out_path(args.out, args.force)
     sidecar = _free_out_path(out.with_suffix(out.suffix + ".json"), args.force)
     grid = load_image(args.image)
@@ -375,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("spec", type=str)
     p_sim.add_argument("--replications", type=int, default=None,
                        help="override the scenario's replication count")
-    p_sim.add_argument("--workers", type=int, default=default_workers(),
+    p_sim.add_argument("--workers", type=int, default=None,
                        help="replications run in this many forked processes "
                             "with one BLAS thread each (Linux; default: one per CPU)")
     _add_common(p_sim)

@@ -11,6 +11,7 @@ flagged once, on the winner.
 from __future__ import annotations
 
 import logging
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -135,40 +136,42 @@ def assign(data, params: MixtureParams, rule: str = "likelihood") -> tuple[np.nd
     comparison sends ties to the smallest index, as ``argmax`` does. The
     matrix (column-major) carries no weights: :func:`discriminants` adds
     them for the rows' own clusters. ``data`` is a finite float (n, p)
-    array, as :func:`fit` passes it. Both rules compute in one pair of
-    (p, min(n, BLOCK)) scratch buffers, never a (p, n) temporary.
+    array, as :func:`fit` passes it. Both rules compute in (p, min(n, BLOCK))
+    scratch buffers, and the comparison runs per block of rows, so nothing
+    but the matrix and the labels is n long.
     """
     if rule not in ASSIGNMENT_RULES:
         raise ValueError(f"unknown assignment rule {rule!r}")
     n, p = data.shape
-    diff, z = np.empty((p, min(n, BLOCK))), np.empty((p, min(n, BLOCK)))
+    m = min(n, BLOCK)
+    diff, z = np.empty((p, m)), np.empty((p, m))
     log_phi = np.empty((n, params.k), order="F")
     for j, comp in enumerate(params.components):
         log_density(data, comp, (diff, z, log_phi[:, j]))
-    score = np.empty(n)
-    if rule == "likelihood":
+    likelihood = rule == "likelihood"
+    if likelihood:
         with np.errstate(divide="ignore"):
             logw = np.log(params.weights)
-        scores = (np.add(log_phi[:, j], logw[j], out=score) for j in range(params.k))
-        better = np.greater
-    else:
-        scores = (_sq_distances(data, c.mean, diff, z, score) for c in params.components)
-        better = np.less
+    better = np.greater if likelihood else np.less
     labels = np.zeros(n, dtype=np.intp)
-    best = next(scores).copy()
-    for j, s in enumerate(scores, 1):
-        wins = better(s, best)
-        np.copyto(labels, j, where=wins)
-        np.copyto(best, s, where=wins)
+    top, other = np.empty(m), np.empty(m)
+    # Up to BLOCK rows, the scratch itself is the one block.
+    blocks = [(slice(0, n), diff, z)] if n <= BLOCK else column_blocks(n, diff, z)
+    for cols, d, sq in blocks:
+        width = cols.stop - cols.start
+        best, s, block_labels = top[:width], other[:width], labels[cols]
+        for j, comp in enumerate(params.components):
+            score = s if j else best
+            if likelihood:
+                np.add(log_phi[cols, j], logw[j], out=score)
+            else:
+                np.subtract(data.T[:, cols], comp.mean[:, None], out=d)
+                np.sum(np.square(d, out=sq), axis=0, out=score)
+            if j:
+                wins = better(s, best)
+                np.copyto(block_labels, j, where=wins)
+                np.copyto(best, s, where=wins)
     return labels, log_phi
-
-
-def _sq_distances(data, mean, diff, z, out):
-    """Squared distances of the rows of ``data`` to ``mean``, into ``out``."""
-    for cols, d, sq in column_blocks(len(out), diff, z):
-        np.subtract(data.T[:, cols], mean[:, None], out=d)
-        np.sum(np.square(d, out=sq), axis=0, out=out[cols])
-    return out
 
 
 def discriminants(params: MixtureParams, labels, log_phi) -> np.ndarray:
@@ -176,7 +179,9 @@ def discriminants(params: MixtureParams, labels, log_phi) -> np.ndarray:
     from those rows' own-cluster log-densities ``log_phi`` (length n)."""
     with np.errstate(divide="ignore"):
         logw = np.log(params.weights)
-    return np.exp(logw[labels] + log_phi)
+    out = logw[labels]
+    out += log_phi
+    return np.exp(out, out=out)
 
 
 def update_weights(assignments, n: int, k: int) -> np.ndarray:
@@ -222,7 +227,8 @@ def component_fit_score(log_phi, params: MixtureParams, assignments, beta: float
         if beta == 0.0:
             total += logs.sum()
         else:
-            total += np.exp(beta * logs).sum() / beta
+            logs *= beta  # ``logs`` is a copy; its exponentials go in place
+            total += np.exp(logs, out=logs).sum() / beta
             total -= len(logs) * dpd_integral(comp.log_det, comp.dim, beta) / (1.0 + beta)
     return float(total / len(log_phi))
 
@@ -240,8 +246,7 @@ def initialize(data, k: int, rng: np.random.Generator) -> tuple[MixtureParams, n
         weights=np.full(k, 1.0 / k),
         components=[GaussianComponent.trusted(data[i].copy(), eye.copy()) for i in idx],
     )
-    labels, _ = assign(data, params)
-    return params, labels
+    return params, assign(data, params)[0]
 
 
 def detect_outliers(disc, assignments, threshold: float) -> tuple[np.ndarray, np.ndarray]:
@@ -281,8 +286,19 @@ def _m_step(data, assignments, k: int, cfg: AlgoConfig,
 
 
 def _own_column(matrix: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """``matrix[i, labels[i]]`` for every row i, as a new length-n array."""
-    return np.take_along_axis(matrix, labels[:, None], axis=1)[:, 0]
+    """``matrix[i, labels[i]]`` for every row i, as a new length-n array,
+    built column by column with no length-n index array."""
+    out = matrix[:, 0].copy()
+    for j in range(1, matrix.shape[1]):
+        np.copyto(out, matrix[:, j], where=labels == j)
+    return out
+
+
+def _same_labels(a: np.ndarray, b: np.ndarray) -> bool:
+    """``array_equal`` for two label vectors of one length, compared per
+    ``BLOCK`` so that no length-n mask is built; stops at the first block
+    that differs."""
+    return all(np.array_equal(a[i:i + BLOCK], b[i:i + BLOCK]) for i in range(0, len(a), BLOCK))
 
 
 def _reseed_empty(labels: np.ndarray, params: MixtureParams, log_phi: np.ndarray,
@@ -316,9 +332,8 @@ def _reseed_empty(labels: np.ndarray, params: MixtureParams, log_phi: np.ndarray
     return False
 
 
-def fit_single(data, k: int, cfg: AlgoConfig,
-               init_params: MixtureParams, init_assignments: np.ndarray) -> dict:
-    """Run one restart of the outer loop from an explicit initialization.
+def fit_single(data, k: int, cfg: AlgoConfig, init_assignments: np.ndarray) -> dict:
+    """Run one restart of the outer loop from an initial assignment.
 
     Returns a dict with the degenerate flag and iterations and, unless the
     restart degenerated, params, assignments, ``log_phi`` (each row's
@@ -330,29 +345,28 @@ def fit_single(data, k: int, cfg: AlgoConfig,
     fit too. When ``max_outer_iter`` is hit, ``stable`` is False and the
     params come from the M-step before that last reassignment, so the
     weights need not equal the final cluster shares. ``data`` is a finite
-    float (n, p) array, as :func:`fit` passes it.
+    float (n, p) array, as :func:`fit` passes it. ``init_assignments`` is
+    only read, and the returned assignments are a new array.
     """
-    params = init_params
-    assignments = np.asarray(init_assignments, dtype=int).copy()
+    assignments = np.asarray(init_assignments, dtype=int)
+    # Only ``assignments`` may hold the initial labels: it drops them at the
+    # first reassignment.
+    del init_assignments
     reseeds = np.zeros(k, dtype=int)
     prev_comps: list[GaussianComponent] | None = None
-    stable = False
     for iterations in range(1, cfg.max_outer_iter + 1):
         params = _m_step(data, assignments, k, cfg, prev_comps)
         prev_comps = params.components
-        new_labels, log_phi = assign(data, params, cfg.assignment_rule)
-        degenerate = _reseed_empty(new_labels, params, log_phi, reseeds)
-        if degenerate:
+        labels, log_phi = assign(data, params, cfg.assignment_rule)
+        if _reseed_empty(labels, params, log_phi, reseeds):
+            return {"degenerate": True, "iterations": iterations}
+        stable = _same_labels(labels, assignments)
+        assignments = labels
+        if stable or iterations == cfg.max_outer_iter:
             break
-        # Read the own-cluster column after the reseed moved rows, and free
-        # the (n, k) matrix before the next assignment builds another.
-        log_phi = _own_column(log_phi, new_labels)
-        if np.array_equal(new_labels, assignments):
-            stable = True
-            break
-        assignments = new_labels
-    if degenerate:
-        return {"degenerate": True, "iterations": iterations}
+        del log_phi  # free the (n, k) matrix before the next assignment builds another
+    # The own-cluster column, read after the reseed moved rows.
+    log_phi = _own_column(log_phi, assignments)
     return {
         "degenerate": False,
         "params": params,
@@ -365,10 +379,24 @@ def fit_single(data, k: int, cfg: AlgoConfig,
 
 
 def _run_restart(data, k: int, cfg: AlgoConfig, r: int) -> dict:
-    """Restart r: its initialization, drawn from a generator seeded by
-    ``(cfg.seed, r)``, then :func:`fit_single` from there."""
-    init_params, init_labels = initialize(data, k, np.random.default_rng([cfg.seed, r]))
-    return fit_single(data, k, cfg, init_params, init_labels)
+    """Restart r: its initial assignment, drawn from a generator seeded by
+    ``(cfg.seed, r)``, then :func:`fit_single` from there. The labels go
+    straight into the call, so this frame does not keep them alive."""
+    return fit_single(data, k, cfg, initialize(data, k, np.random.default_rng([cfg.seed, r]))[1])
+
+
+def _keep_better(best: tuple[int, dict] | None, r: int, outcome: dict) -> tuple[int, dict] | None:
+    """``(r, outcome)`` when restart r beats ``best`` (``(restart, outcome)``
+    or None) by the rule :func:`fit` states, else ``best``."""
+    if outcome["degenerate"]:
+        log.debug("restart %d degenerate after %d iterations", r, outcome["iterations"])
+        return best
+    if best is None:
+        return r, outcome
+    top = best[1]["selection_score"]
+    if outcome["selection_score"] - top > RESTART_TIE_RTOL * max(1.0, abs(top)):
+        return r, outcome
+    return best
 
 
 def fit(data, k: int, cfg: AlgoConfig | None = None, *, workers: int = 1) -> ClusteringResult:
@@ -396,9 +424,13 @@ def fit(data, k: int, cfg: AlgoConfig | None = None, *, workers: int = 1) -> Clu
     per CPU the process may run on, so ``taskset`` limits them. Outcomes
     are compared in restart order as they arrive, by the same rule, and only
     the best is kept, so the result is byte-identical for every worker
-    count. A restart's exception reaches the caller with its own type. The
-    replications of :func:`~mixclust.simulation.run_experiment` call this
-    serially, because their pool is one level up, and so does
+    count. Memory does not grow with the restart count: while a restart
+    runs serially, this process holds the data, the best finished outcome
+    and that restart's working set. (In the pool, an outcome that arrives
+    ahead of its turn waits there until it is compared.) A restart's
+    exception reaches the caller with its own type. The replications of
+    :func:`~mixclust.simulation.run_experiment` call this serially,
+    because their pool is one level up, and so does
     :func:`~mixclust.imageseg.segment`: its few restarts are each about one
     outer iteration over every pixel, where forking and sending back the
     (n,) results cost what a second core saves; its per-pixel distances
@@ -413,22 +445,18 @@ def fit(data, k: int, cfg: AlgoConfig | None = None, *, workers: int = 1) -> Clu
         raise ValueError("k must be at least 1")
     if data.shape[0] < k:
         raise ValueError(f"need at least k={k} observations, got {data.shape[0]}")
-    best: dict | None = None
-    best_restart = -1
     # Outcomes are reduced one by one: the tie rule is not associative, so
-    # no subset of restarts may be reduced on its own first.
-    outcomes = fork_map(partial(_run_restart, data, k, cfg), range(cfg.n_restarts), workers)
-    for r, outcome in enumerate(outcomes):
-        if outcome["degenerate"]:
-            log.debug("restart %d degenerate after %d iterations", r, outcome["iterations"])
-            continue
-        score = outcome["selection_score"]
-        if best is None or score - best["selection_score"] > \
-                RESTART_TIE_RTOL * max(1.0, abs(best["selection_score"])):
-            best = outcome
-            best_restart = r
+    # no subset of restarts may be reduced on its own first. Each outcome is
+    # bound only inside ``_keep_better``, so while restart r runs the one
+    # finished outcome alive is the best, not restart r - 1's as well.
+    best = None
+    with closing(fork_map(partial(_run_restart, data, k, cfg), range(cfg.n_restarts),
+                          workers)) as outcomes:
+        for r in range(cfg.n_restarts):
+            best = _keep_better(best, r, next(outcomes))
     if best is None:
         raise DegenerateClusteringError("every restart emptied a cluster twice")
+    best_restart, best = best
     params, labels, log_phi = best["params"], best["assignments"], best["log_phi"]
     disc = discriminants(params, labels, log_phi)
     flags, types = detect_outliers(disc, labels, cfg.outlier_threshold)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .clustering import AlgoConfig, fit
 from .errors import ImageFormatError
+from .gaussian import BLOCK
 
 OUTLIER_BASE_COLORS = [(1.0, 1.0, 1.0), (0.545, 0.271, 0.075)]  # white, brown
 
@@ -114,9 +115,20 @@ def _decode_ppm(blob: bytes) -> PixelGrid:
 
 
 def encode_ppm(grid: PixelGrid) -> bytes:
+    """Binary PPM of the grid: each channel times 255, rounded half to even
+    and clipped to [0, 255]. The rows are converted per ``BLOCK`` in one
+    (BLOCK, 3) float buffer, straight into the (n, 3) bytes."""
     header = f"P6\n{grid.width} {grid.height}\n255\n".encode("ascii")
-    body = np.rint(grid.pixels * 255.0).clip(0, 255).astype(np.uint8).tobytes()
-    return header + body
+    n = len(grid.pixels)
+    body = np.empty((n, 3), dtype=np.uint8)
+    levels = np.empty((min(n, BLOCK), 3))
+    for start in range(0, n, BLOCK):
+        rows = slice(start, min(start + BLOCK, n))
+        buf = levels[:rows.stop - start]
+        np.multiply(grid.pixels[rows], 255.0, out=buf)
+        np.rint(buf, out=buf)
+        body[rows] = np.clip(buf, 0, 255, out=buf)
+    return header + body.tobytes()
 
 
 def save_ppm(grid: PixelGrid, path) -> None:
@@ -250,7 +262,7 @@ def segment(grid: PixelGrid, k: int, cfg: AlgoConfig) -> SegmentationResult:
 
 def reconstruct(grid: PixelGrid, seg: SegmentationResult) -> PixelGrid:
     """Repaint every pixel with its cluster mean; outliers get type colors."""
-    out = seg.cluster_colors[seg.assignments].copy()
+    out = seg.cluster_colors[seg.assignments]  # indexing makes a new array
     flagged = seg.outlier_flags
     if np.any(flagged):
         out[flagged] = seg.outlier_colors[seg.outlier_types[flagged]]

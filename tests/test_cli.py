@@ -428,7 +428,7 @@ class TestImageCommand:
         grid, _ = two_tone_grid(side=12, noise_fraction=0.0)
         img = tmp_path / "img.ppm"
         save_ppm(grid, img)
-        monkeypatch.setattr("mixclust.cli.sidecar_payload", lambda seg: {"k": 2})
+        monkeypatch.setattr("mixclust.imageseg.sidecar_payload", lambda seg: {"k": 2})
         out = tmp_path / "recon.ppm"
         code = main(["image", str(img), "--k", "2", "--restarts", "1", "--out", str(out)])
         assert code == 3

@@ -25,7 +25,8 @@ from mixclust import (
     pseudo_beta_likelihood,
     update_weights,
 )
-from mixclust.clustering import ASSIGNMENT_RULES, component_fit_score, discriminants
+from mixclust.clustering import (ASSIGNMENT_RULES, _run_restart, component_fit_score,
+                                 discriminants)
 from mixclust.gaussian import BLOCK, LOG_2PI, as_data_matrix
 from oracles import component_beta_objective
 
@@ -160,9 +161,10 @@ class TestAssignBlocked:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the returned (n, k) matrix and labels, a few (n,) vectors and the
-        # two (p, BLOCK) scratch buffers; no (p, n) temporary
-        assert peak < (k + 4) * 8 * n + 2 * 8 * p * BLOCK
+        # the returned (n, k) matrix and labels, the two (p, BLOCK) scratch
+        # buffers and the per-block comparison's two (BLOCK,) scores and
+        # mask; no (p, n) temporary and no other (n,) vector
+        assert peak < (k + 1) * 8 * n + 2 * 8 * (p + 2) * BLOCK + BLOCK
 
 
 class TestWeightsUpdate:
@@ -358,12 +360,10 @@ class TestFit:
         data = blob_data(rng, [np.zeros(2), np.full(2, 7.0)], 50)
         params, _ = initialize(data, 2, np.random.default_rng(3))
         cfg = AlgoConfig(beta=0.2, seed=0)
-        out_a = fit_single(data, 2, cfg, params,
-                           assign(data, params, cfg.assignment_rule)[0])
+        out_a = fit_single(data, 2, cfg, assign(data, params, cfg.assignment_rule)[0])
         flipped = MixtureParams(weights=params.weights[::-1].copy(),
                                 components=list(params.components[::-1]))
-        out_b = fit_single(data, 2, cfg, flipped,
-                           assign(data, flipped, cfg.assignment_rule)[0])
+        out_b = fit_single(data, 2, cfg, assign(data, flipped, cfg.assignment_rule)[0])
         part_a = {frozenset(np.flatnonzero(out_a["assignments"] == j)) for j in range(2)}
         part_b = {frozenset(np.flatnonzero(out_b["assignments"] == j)) for j in range(2)}
         assert part_a == part_b
@@ -421,6 +421,27 @@ class TestFit:
         assert np.array_equal(res.outlier_flags,
                               len(data) * res.discriminants <= cfg.outlier_threshold)
 
+    def test_memory_does_not_grow_with_restarts(self):
+        # While a restart runs, only the best finished outcome is kept, so 4
+        # restarts peak as 2 do. Keeping restart r - 1's outcome as well
+        # adds one outcome (n labels and n own-cluster log-densities, 16
+        # bytes a row) from the third restart on; the bound is half that.
+        # Unequal blobs make a restart's working set, not the winner's final
+        # evaluation, the peak.
+        rng = np.random.default_rng(23)
+        data = np.asfortranarray(np.vstack([rng.standard_normal((24_000, 3)),
+                                            8.0 + rng.standard_normal((16_000, 3))]))
+        peaks = []
+        for restarts in (2, 4):
+            tracemalloc.start()
+            try:
+                fit(data, 2, AlgoConfig(n_restarts=restarts, seed=0), workers=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        n = len(data)
+        assert peaks[1] - peaks[0] < 8 * n
+
     def test_final_mixture_evaluated_once_per_restart(self, monkeypatch):
         calls = []
 
@@ -447,25 +468,17 @@ class TestFit:
         assert len(calls) == k * (restarts + sum(iterations))
 
     @staticmethod
-    def _patch_restarts(monkeypatch, data, k, cfg, change):
-        """Run the real ``fit_single``, but pass restart r's outcome through
-        ``change(r, outcome)``. The restart is told by its initial means, so
-        the patch holds in forked workers too."""
-        def key(params):
-            return b"".join(c.mean.tobytes() for c in params.components)
-
-        starts = {key(initialize(data, k, np.random.default_rng([cfg.seed, r]))[0]): r
-                  for r in range(cfg.n_restarts)}
-        assert len(starts) == cfg.n_restarts
-        real = fit_single
-
-        def patched(data, k, cfg, init_params, *args):
-            return change(starts[key(init_params)], real(data, k, cfg, init_params, *args))
-
-        monkeypatch.setattr("mixclust.clustering.fit_single", patched)
+    def _patch_restarts(monkeypatch, change):
+        """Run every restart for real, but pass restart r's outcome through
+        ``change(r, outcome)``. The patch is made before any fork, so it
+        holds in forked workers too. (Initial labels cannot tell restarts
+        apart: two restarts may start from one partition.)"""
+        real = _run_restart
+        monkeypatch.setattr("mixclust.clustering._run_restart",
+                            lambda data, k, cfg, r: change(r, real(data, k, cfg, r)))
 
     @classmethod
-    def _nudged_restarts(cls, monkeypatch, data, cfg, nudge):
+    def _nudged_restarts(cls, monkeypatch, nudge):
         """Make restart 0 degenerate and add ``nudge(r, score)`` to the
         selection score of restart r. Returns the outcomes, by restart, of
         the restarts run in this process."""
@@ -480,7 +493,7 @@ class TestFit:
             outcomes[r] = out
             return out
 
-        cls._patch_restarts(monkeypatch, data, 2, cfg, change)
+        cls._patch_restarts(monkeypatch, change)
         return outcomes
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -490,8 +503,7 @@ class TestFit:
         rng = np.random.default_rng(18)
         data = blob_data(rng, [np.zeros(2), np.full(2, 9.0)], 40)
         cfg = AlgoConfig(beta=0.2, n_restarts=5, seed=0)
-        outcomes = self._nudged_restarts(
-            monkeypatch, data, cfg, lambda r, s: r * abs(np.spacing(s)))
+        outcomes = self._nudged_restarts(monkeypatch, lambda r, s: r * abs(np.spacing(s)))
         fit(data, 2, cfg)  # records every restart's outcome in this process
         partitions = {frozenset(frozenset(np.flatnonzero(outcomes[r]["assignments"] == j))
                                 for j in range(2)) for r in range(1, 5)}
@@ -503,8 +515,7 @@ class TestFit:
         rng = np.random.default_rng(18)
         data = blob_data(rng, [np.zeros(2), np.full(2, 9.0)], 40)
         cfg = AlgoConfig(beta=0.2, n_restarts=5, seed=0)
-        self._nudged_restarts(
-            monkeypatch, data, cfg, lambda r, s: 1e-9 * max(1.0, abs(s)) if r == 3 else 0.0)
+        self._nudged_restarts(monkeypatch, lambda r, s: 1e-9 * max(1.0, abs(s)) if r == 3 else 0.0)
         assert fit(data, 2, cfg).restart_index == 3
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -522,7 +533,7 @@ class TestFit:
         rng = np.random.default_rng(21)
         data = blob_data(rng, [np.zeros(2), np.full(2, 9.0)], 40)
         cfg = AlgoConfig(beta=0.2, n_restarts=4, seed=0)
-        self._patch_restarts(monkeypatch, data, 2, cfg, change)
+        self._patch_restarts(monkeypatch, change)
         raised, match = ((DegenerateClusteringError, "every restart") if failing is None
                          else (NotPositiveDefiniteError, f"restart {failing}"))
         with pytest.raises(raised, match=match):

@@ -163,6 +163,19 @@ class TestIo:
         again = load_image(path)
         assert encode_ppm(again) == encode_ppm(grid)
 
+    # 131 x 129 pixels span three BLOCKs of rows, the last one short.
+    @pytest.mark.parametrize("width, height", [(1, 1), (7, 5), (131, 129)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_encode_ppm_matches_whole_array_formula(self, width, height, order):
+        rng = np.random.default_rng(width * height)
+        pixels = rng.random((width * height, 3))
+        # half-level ties, which round to even, and the two ends
+        pixels.flat[::7] = (rng.integers(0, 255, size=pixels.flat[::7].shape) + 0.5) / 255.0
+        pixels.flat[::11] = rng.integers(0, 2, size=pixels.flat[::11].shape)
+        grid = PixelGrid(width, height, np.asarray(pixels, order=order))
+        body = np.rint(grid.pixels * 255.0).clip(0, 255).astype(np.uint8).tobytes()
+        assert encode_ppm(grid) == f"P6\n{width} {height}\n255\n".encode("ascii") + body
+
     @pytest.mark.parametrize("width, height", [(-1, -1), (0, 0), (-2, 3)])
     def test_grid_refuses_non_positive_size(self, width, height):
         # (-1, -1) matches one pixel's count, and would encode as "P6\n-1 -1"

@@ -1,6 +1,7 @@
 """Start-up cost and dependencies: ``import mixclust`` loads no numpy, the
 ``mixclust`` program runs one OpenBLAS thread unless its caller chose a
-count, and no path needs scipy: the influence functional computes its
+count, each subcommand loads only the mixclust modules it runs, and no
+path needs scipy: the influence functional computes its
 integrals in closed form with numpy and ``math``, and ``uniform_chisq``
 contamination its chi-square cutoff. Each check runs in a fresh
 interpreter, because this test process has long since imported numpy and
@@ -12,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mixclust
@@ -177,6 +179,45 @@ def test_uniform_chisq_simulate_without_scipy(tmp_path):
         runs.append([proc.stdout] + [(out / name).read_bytes()
                                      for name in ("replications.csv", "report.json")])
     assert runs[0] == runs[1]
+
+
+# Modules a subcommand runs, and modules only the others run.
+SUBCOMMAND_MODULES = {
+    "fit": ({"clustering", "simulation", "schemas"}, {"imageseg", "influence"}),
+    "simulate": ({"clustering", "simulation", "schemas"}, {"imageseg", "influence"}),
+    "influence": ({"influence", "schemas"}, {"clustering", "imageseg", "simulation",
+                                             "workers"}),
+    "image": ({"clustering", "imageseg", "schemas"}, {"influence", "simulation"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_MODULES))
+def test_subcommand_imports_only_what_it_runs(tmp_path, command):
+    rng = np.random.default_rng(0)
+    if command == "fit":
+        np.savetxt(tmp_path / "in.csv", np.vstack([rng.normal(0, 1, (30, 2)),
+                                                   rng.normal(6, 1, (30, 2))]), delimiter=",")
+        argv = ["fit", "in.csv", "--k", "2", "--restarts", "2"]
+    elif command == "simulate":
+        (tmp_path / "in.json").write_text(json.dumps(
+            {"p": 2, "n": 60, "replications": 1, "restarts": 1}), encoding="utf-8")
+        argv = ["simulate", "in.json", "--workers", "1"]
+    elif command == "influence":
+        argv = ["influence", "--beta", "0.5", "--grid-points", "3"]
+    else:
+        px = np.where(np.arange(64)[:, None] % 8 < 4, 40, 200) + rng.integers(0, 9, (64, 3))
+        (tmp_path / "in.ppm").write_bytes(b"P6\n8 8\n255\n" + px.astype(np.uint8).tobytes())
+        argv = ["image", "in.ppm", "--k", "2", "--restarts", "2"]
+    proc = run_python(
+        "import json, os, sys\n"
+        f"os.chdir({str(tmp_path)!r})\n"
+        "import mixclust.cli\n"
+        f"assert mixclust.cli.main({argv + ['--out', 'out']!r}) == 0\n"
+        "print(json.dumps([m.split('.')[1] for m in sys.modules if m.startswith('mixclust.')]))\n")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.strip().splitlines()[-1]))
+    runs, others = SUBCOMMAND_MODULES[command]
+    assert runs <= loaded and not others & loaded
 
 
 def test_lazy_influence_names():

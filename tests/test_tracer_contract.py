@@ -41,8 +41,7 @@ def test_observed_results_keep_their_fields():
     rng = np.random.default_rng(0)
     data = np.vstack([rng.normal(0.0, 1.0, (30, 2)), rng.normal(6.0, 1.0, (30, 2))])
     cfg = AlgoConfig(beta=0.2, n_restarts=1, seed=0)
-    params, labels = initialize(data, 2, np.random.default_rng(0))
-    outcome = fit_single(data, 2, cfg, params, labels)
+    outcome = fit_single(data, 2, cfg, initialize(data, 2, np.random.default_rng(0))[1])
     assert isinstance(outcome, dict)
     assert isinstance(outcome["iterations"], int)
     assert isinstance(outcome["degenerate"], bool)

@@ -155,9 +155,7 @@ def assign(data, params: MixtureParams, rule: str = "likelihood") -> tuple[np.nd
     better = np.greater if likelihood else np.less
     labels = np.zeros(n, dtype=np.intp)
     top, other = np.empty(m), np.empty(m)
-    # Up to BLOCK rows, the scratch itself is the one block.
-    blocks = [(slice(0, n), diff, z)] if n <= BLOCK else column_blocks(n, diff, z)
-    for cols, d, sq in blocks:
+    for cols, d, sq in column_blocks(n, diff, z):
         width = cols.stop - cols.start
         best, s, block_labels = top[:width], other[:width], labels[cols]
         for j, comp in enumerate(params.components):
@@ -227,8 +225,7 @@ def component_fit_score(log_phi, params: MixtureParams, assignments, beta: float
         if beta == 0.0:
             total += logs.sum()
         else:
-            logs *= beta  # ``logs`` is a copy; its exponentials go in place
-            total += np.exp(logs, out=logs).sum() / beta
+            total += np.exp(beta * logs).sum() / beta
             total -= len(logs) * dpd_integral(comp.log_det, comp.dim, beta) / (1.0 + beta)
     return float(total / len(log_phi))
 
@@ -294,13 +291,6 @@ def _own_column(matrix: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def _same_labels(a: np.ndarray, b: np.ndarray) -> bool:
-    """``array_equal`` for two label vectors of one length, compared per
-    ``BLOCK`` so that no length-n mask is built; stops at the first block
-    that differs."""
-    return all(np.array_equal(a[i:i + BLOCK], b[i:i + BLOCK]) for i in range(0, len(a), BLOCK))
-
-
 def _reseed_empty(labels: np.ndarray, params: MixtureParams, log_phi: np.ndarray,
                   reseeds: np.ndarray) -> bool:
     """Move the lowest-discriminant points into emptied clusters, in place.
@@ -360,7 +350,7 @@ def fit_single(data, k: int, cfg: AlgoConfig, init_assignments: np.ndarray) -> d
         labels, log_phi = assign(data, params, cfg.assignment_rule)
         if _reseed_empty(labels, params, log_phi, reseeds):
             return {"degenerate": True, "iterations": iterations}
-        stable = _same_labels(labels, assignments)
+        stable = np.array_equal(labels, assignments)
         assignments = labels
         if stable or iterations == cfg.max_outer_iter:
             break

@@ -25,7 +25,7 @@ _PUBLIC = {
                "MixclustError", "NonPositiveDenominatorError", "NotPositiveDefiniteError",
                "SamplingError", "SchemaError", "SolveError"),
     "gaussian": ("GaussianComponent", "dpd_integral", "log_density", "mahalanobis_sq"),
-    "imageseg": ("PixelGrid", "SegmentationResult", "load_image", "reconstruct", "segment"),
+    "imageseg": ("PixelGrid", "load_image", "reconstruct", "segment"),
     "influence": ("FunctionalSolution", "TrueDistribution", "assemble_if_system", "if_curve",
                   "influence_at", "solve_functional"),
     "mdpde": ("ComponentFit", "IrlsConfig", "fit_component", "irls_step", "irls_weights",

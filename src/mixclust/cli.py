@@ -24,6 +24,7 @@ if __name__ == "__main__":
     sys.exit(_start())
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -53,11 +54,10 @@ class InputError(Exception):
     """User-facing input problem (maps to exit code 2)."""
 
 
-def _write_json(path: Path, payload: dict, schema: str | None = None) -> None:
-    if schema is not None:
-        from .schemas import validate
+def _write_json(path: Path, payload: dict, schema: str) -> None:
+    from .schemas import validate
 
-        validate(payload, schema)
+    validate(payload, schema)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -124,8 +124,7 @@ def _algo_config(args, threshold: float) -> AlgoConfig:
 
 
 def cmd_fit(args) -> int:
-    from .clustering import fit
-    from .simulation import default_threshold
+    from .clustering import default_threshold, fit
     from .workers import default_workers
 
     data = read_csv_matrix(args.csv)
@@ -191,8 +190,8 @@ def _load_scenario(path, replications: int | None,
                    seed: int) -> tuple[ScenarioSpec, list[AlgoConfig]]:
     """The scenario and one algorithm configuration per beta, every setting
     read from the file; ``replications``, when given, replaces the file's."""
-    from .clustering import AlgoConfig
-    from .simulation import ScenarioSpec, default_threshold, paper_design
+    from .clustering import AlgoConfig, default_threshold
+    from .simulation import ScenarioSpec, paper_design
 
     path = Path(path)
     if not path.exists():
@@ -294,7 +293,8 @@ def cmd_simulate(args) -> int:
 def cmd_influence(args) -> int:
     from .influence import TrueDistribution, if_curve, solve_functional, write_if_curve
 
-    if not all(0.0 < beta < np.inf for beta in args.beta):
+    betas = args.beta or [0.1, 0.2, 1.0]
+    if not all(0.0 < beta < np.inf for beta in betas):
         raise InputError("beta must be positive and finite; beta = 0 is refused because "
                          "the corresponding influence functions are unbounded")
     if args.grid_points < 1 or not np.isfinite([args.grid_lo, args.grid_hi]).all():
@@ -308,15 +308,9 @@ def cmd_influence(args) -> int:
     out = _free_out_path(args.out, args.force)
     grid = np.linspace(args.grid_lo, args.grid_hi, args.grid_points)
     solutions, curves = [], {}
-    for beta in args.beta:
+    for beta in betas:
         sol = solve_functional(dist, beta, cfg)
-        solutions.append({
-            "beta": float(beta), "a": sol.a, "b": sol.b,
-            "pi1": sol.pi1, "pi2": sol.pi2,
-            "mu1": sol.mu1, "mu2": sol.mu2,
-            "var1": sol.var1, "var2": sol.var2,
-            "residual_norm": sol.residual_norm,
-        })
+        solutions.append(dataclasses.asdict(sol))
         curves[f"if_curve_beta{beta:g}.csv"] = if_curve(sol, dist, beta, grid)
     out.mkdir(parents=True, exist_ok=True)
     for name, table in curves.items():
@@ -346,10 +340,10 @@ def cmd_image(args) -> int:
     sidecar = _free_out_path(out.with_suffix(out.suffix + ".json"), args.force)
     grid = load_image(args.image)
     cfg = _algo_config(args, 0.02)
-    seg = segment(grid, args.k, cfg)
+    result = segment(grid, args.k, cfg)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_ppm(reconstruct(grid, seg), out)
-    _write_json(sidecar, sidecar_payload(seg), schema="image_sidecar")
+    save_ppm(reconstruct(grid, result), out)
+    _write_json(sidecar, sidecar_payload(result, cfg), schema="image_sidecar")
     log.info("reconstruction written to %s", out)
     return EXIT_OK
 
@@ -431,8 +425,6 @@ def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("MIXCLUST_LOG", "WARNING").upper())
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "influence" and args.beta is None:
-        args.beta = [0.1, 0.2, 1.0]
     try:
         return args.func(args)
     except (InputError, ImageFormatError, ValueError, OSError) as exc:

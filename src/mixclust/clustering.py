@@ -68,6 +68,15 @@ class MixtureParams:
         return self.components[0].dim
 
 
+# Outlier thresholds used by the reference experiments, by dimension; the
+# default of ``AlgoConfig.outlier_threshold`` where a caller picks by p.
+THRESHOLD_BY_DIM = {2: 1e-3, 4: 1e-5, 6: 1e-8, 8: 1e-18, 10: 1e-24}
+
+
+def default_threshold(p: int) -> float:
+    return THRESHOLD_BY_DIM.get(p, 1e-8)
+
+
 @dataclass
 class AlgoConfig:
     """Tuning parameters for :func:`fit`.
@@ -103,8 +112,8 @@ class AlgoConfig:
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
-        if self.outlier_threshold < 0:
-            raise ValueError("outlier threshold must be nonnegative")
+        if not 0.0 <= self.outlier_threshold < np.inf:  # NaN fails too
+            raise ValueError("outlier threshold must be finite and nonnegative")
         if self.max_outer_iter < 1:
             raise ValueError("need at least one outer iteration")
         if self.n_restarts < 1:

@@ -23,10 +23,11 @@ class ConstraintConfig:
     c1: float = 0.1
 
     def __post_init__(self):
-        if self.c < 1:
-            raise ValueError("eigenvalue ratio bound c must be >= 1")
-        if self.c1 <= 0:
-            raise ValueError("eigenvalue floor c1 must be positive")
+        # Written so that NaN fails each test.
+        if not 1.0 <= self.c < np.inf:
+            raise ValueError("eigenvalue ratio bound c must be finite and >= 1")
+        if not 0.0 < self.c1 < np.inf:
+            raise ValueError("eigenvalue floor c1 must be finite and positive")
 
 
 _REL_TOL = 1e-9  # eigensolver noise allowance, matters only at c = 1

@@ -5,6 +5,8 @@ assignment step uses the nearest fitted mean (spatial data favors plain
 distance over the likelihood rule). Outliers are flagged with the usual
 weighted-density threshold and typed by their pre-flag cluster, so the
 reconstruction can give each anomaly source its own color.
+:func:`segment` returns :func:`fit`'s :class:`ClusteringResult`; the
+reconstruction and the JSON sidecar derive their colors from it.
 
 Image I/O covers binary PPM (P6) and baseline 8-bit PNG (gray, RGB, RGBA;
 alpha discarded) using only the standard library.
@@ -19,11 +21,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clustering import AlgoConfig, fit
+from .clustering import AlgoConfig, ClusteringResult, fit
 from .errors import ImageFormatError
 from .gaussian import BLOCK
 
 OUTLIER_BASE_COLORS = [(1.0, 1.0, 1.0), (0.545, 0.271, 0.075)]  # white, brown
+# The assignment rule segment fits with, whatever the configuration says.
+IMAGE_RULE = "distance"
 
 
 @dataclass
@@ -45,22 +49,8 @@ class PixelGrid:
         self.pixels = np.asarray(self.pixels, dtype=float).reshape(-1, 3)
         if len(self.pixels) != self.width * self.height:
             raise ValueError("pixel count must equal width * height")
-        if self.pixels.min() < 0.0 or self.pixels.max() > 1.0:
+        if not (self.pixels.min() >= 0.0 and self.pixels.max() <= 1.0):  # NaN fails too
             raise ValueError("channels must lie in [0, 1]")
-
-
-@dataclass
-class SegmentationResult:
-    assignments: np.ndarray
-    outlier_flags: np.ndarray
-    outlier_types: np.ndarray
-    params: object
-    cluster_colors: np.ndarray
-    outlier_colors: np.ndarray
-    objective: float
-    iterations: int
-    restart_index: int
-    config: dict
 
 
 # ---------------------------------------------------------------------------
@@ -227,65 +217,53 @@ def outlier_palette(k: int) -> np.ndarray:
     return np.asarray(colors, dtype=float)
 
 
-def segment(grid: PixelGrid, k: int, cfg: AlgoConfig) -> SegmentationResult:
+def segment(grid: PixelGrid, k: int, cfg: AlgoConfig) -> ClusteringResult:
     """Cluster the pixels with nearest-mean assignment and typed outliers.
 
-    ``cfg``'s assignment rule is replaced by the "distance" rule; its
-    other settings (threshold, constraints, restarts) apply as given.
+    ``cfg``'s assignment rule is replaced by ``IMAGE_RULE``; its other
+    settings (threshold, constraints, restarts) apply as given.
     """
     if k < 2:
         raise ValueError("image segmentation needs at least two clusters")
-    cfg = replace(cfg, assignment_rule="distance")
-    result = fit(grid.pixels, k, cfg)
-    return SegmentationResult(
-        assignments=result.assignments,
-        outlier_flags=result.outlier_flags,
-        outlier_types=result.outlier_types,
-        params=result.params,
-        cluster_colors=np.clip(
-            np.stack([c.mean for c in result.params.components]), 0.0, 1.0),
-        outlier_colors=outlier_palette(k),
-        objective=result.objective,
-        iterations=result.iterations,
-        restart_index=result.restart_index,
-        config={
+    return fit(grid.pixels, k, replace(cfg, assignment_rule=IMAGE_RULE))
+
+
+def _cluster_colors(result: ClusteringResult) -> np.ndarray:
+    return np.clip(np.stack([c.mean for c in result.params.components]), 0.0, 1.0)
+
+
+def reconstruct(grid: PixelGrid, result: ClusteringResult) -> PixelGrid:
+    """Repaint every pixel with its clipped cluster mean; outliers get
+    :func:`outlier_palette` colors by type."""
+    out = _cluster_colors(result)[result.assignments]  # indexing makes a new array
+    flagged = result.outlier_flags
+    if np.any(flagged):
+        out[flagged] = outlier_palette(result.params.k)[result.outlier_types[flagged]]
+    return PixelGrid(grid.width, grid.height, out)
+
+
+def sidecar_payload(result: ClusteringResult, cfg: AlgoConfig) -> dict:
+    """JSON-ready summary of a segmentation of ``cfg``'s settings."""
+    k = result.params.k
+    return {
+        "k": k,
+        "config": {
             "beta": cfg.beta,
             "threshold": cfg.outlier_threshold,
             "c": cfg.constraint.c,
             "c1": cfg.constraint.c1,
-            "assignment_rule": cfg.assignment_rule,
+            "assignment_rule": IMAGE_RULE,
             "restarts": cfg.n_restarts,
             "seed": cfg.seed,
         },
-    )
-
-
-def reconstruct(grid: PixelGrid, seg: SegmentationResult) -> PixelGrid:
-    """Repaint every pixel with its cluster mean; outliers get type colors."""
-    out = seg.cluster_colors[seg.assignments]  # indexing makes a new array
-    flagged = seg.outlier_flags
-    if np.any(flagged):
-        out[flagged] = seg.outlier_colors[seg.outlier_types[flagged]]
-    return PixelGrid(grid.width, grid.height, out)
-
-
-def sidecar_payload(seg: SegmentationResult) -> dict:
-    """JSON-ready summary of a segmentation."""
-    k = len(seg.cluster_colors)
-    counts = np.bincount(seg.assignments, minlength=k)
-    type_counts = np.bincount(
-        seg.outlier_types[seg.outlier_flags], minlength=k) if np.any(seg.outlier_flags) \
-        else np.zeros(k, dtype=int)
-    return {
-        "k": k,
-        "config": seg.config,
-        "objective": seg.objective,
-        "iterations": seg.iterations,
-        "restart_index": seg.restart_index,
-        "weights": [float(w) for w in seg.params.weights],
-        "cluster_colors": seg.cluster_colors.tolist(),
-        "outlier_colors": seg.outlier_colors.tolist(),
-        "pixels_per_cluster": counts.tolist(),
-        "outliers_per_type": type_counts.tolist(),
-        "total_outliers": int(seg.outlier_flags.sum()),
+        "objective": result.objective,
+        "iterations": result.iterations,
+        "restart_index": result.restart_index,
+        "weights": [float(w) for w in result.params.weights],
+        "cluster_colors": _cluster_colors(result).tolist(),
+        "outlier_colors": outlier_palette(k).tolist(),
+        "pixels_per_cluster": np.bincount(result.assignments, minlength=k).tolist(),
+        "outliers_per_type": np.bincount(
+            result.outlier_types[result.outlier_flags], minlength=k).tolist(),
+        "total_outliers": int(result.outlier_flags.sum()),
     }

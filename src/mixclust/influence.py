@@ -16,7 +16,9 @@ f_j^beta against the law: no quadrature, and numpy and ``math`` only.
 Differentiating the system under point-mass contamination at ``y`` yields
 an 8x8 linear system ``A @ IF = B(y)`` with the same matrix ``A``, taken at
 the solution; :func:`if_curve` solves it for a whole grid of ``y`` at once
-(:func:`influence_at` is its one-point case). Influence vectors are
+(:func:`influence_at` is its one-point case). :func:`assemble_if_system`
+builds ``A`` afresh on every call, from one Jacobian and one set of
+integrals, which is cheap next to the solve. Influence vectors are
 ordered ``(pi1, pi2, a, b, mu1, mu2, var1, var2)``.
 """
 
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -359,43 +360,30 @@ def solve_functional(dist: TrueDistribution, beta: float,
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _matrix_and_constants(sol: FunctionalSolution, dist: TrueDistribution,
-                          beta: float) -> tuple:
-    """The y-independent matrix of the influence system plus cached pieces.
-
-    The matrix is :func:`_stationarity_jacobian` at the solution under the
-    uncontaminated law, the same derivative Newton uses in the solve. It is
-    read-only, since every caller shares the cached array.
-    """
-    measure = _Measure(dist)
-    A = _stationarity_jacobian(sol.as_vector(), measure, beta)
-    A.setflags(write=False)
-    (c1, c3), (c2, c4) = measure.integrals(beta, sol.a, sol.b, sol.mu1, sol.mu2,
-                                           sol.var1, sol.var2)
-    return A, {"C1": c1, "C2": c2, "C3": c3, "C4": c4,
-               "mass": measure.mass_between(sol.a, sol.b)}
-
-
 def assemble_if_system(sol: FunctionalSolution, dist: TrueDistribution,
                        beta: float, y) -> tuple[np.ndarray, np.ndarray]:
     """Matrix and right-hand side of the influence linear system at ``y``.
 
-    The matrix is independent of ``y``, cached per (solution, beta) and
-    read-only; the right-hand side depends on ``y`` only through the
-    interval indicator and the bounded downweighted score and spread terms,
-    which is what makes every influence component bounded for beta > 0.
-    For an array of m points the right-hand sides are the columns of B.
+    The matrix is :func:`_stationarity_jacobian` at the solution under the
+    uncontaminated law, the same derivative Newton uses in the solve, and
+    does not depend on ``y``. The right-hand side depends on ``y`` only
+    through the interval indicator and the bounded downweighted score and
+    spread terms, which is what makes every influence component bounded
+    for beta > 0. For an array of m points the right-hand sides are the
+    columns of B.
     """
-    A, consts = _matrix_and_constants(sol, dist, beta)
+    measure = _Measure(dist)
+    A = _stationarity_jacobian(sol.as_vector(), measure, beta)
+    (loc1, spr1), (loc2, spr2) = measure.integrals(beta, sol.a, sol.b, sol.mu1, sol.mu2,
+                                                   sol.var1, sol.var2)
     y = np.asarray(y, dtype=float)
     inside = (sol.a < y) & (y < sol.b)
     own1 = _weighted(_poly_rows(sol.var1, beta)[:2], sol.mu1, sol.var1, beta, y) * inside
     own2 = _weighted(_poly_rows(sol.var2, beta)[:2], sol.mu2, sol.var2, beta, y) * ~inside
     B = np.zeros((8,) + y.shape)
-    B[0] = inside - consts["mass"]
-    B[4], B[6] = consts["C1"] - own1[0], consts["C3"] - own1[1]
-    B[5], B[7] = consts["C2"] - own2[0], consts["C4"] - own2[1]
+    B[0] = inside - measure.mass_between(sol.a, sol.b)
+    B[4], B[6] = loc1 - own1[0], spr1 - own1[1]
+    B[5], B[7] = loc2 - own2[0], spr2 - own2[1]
     return A, B
 
 

@@ -1,11 +1,13 @@
 """Shipped schemas for every JSON document the CLI emits, plus a validator.
 
 The validator understands the subset of JSON Schema the shipped schemas
-use: type, required, properties, items and enum. Unknown object keys are
-allowed unless a schema forbids them.
+use: type, required, properties and items. A number must be finite, since
+JSON cannot carry NaN or infinity. Unknown object keys are allowed.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import SchemaError
 
@@ -115,14 +117,14 @@ def _check(obj, schema: dict, path: str) -> None:
     if required_type == "number":
         if isinstance(obj, bool) or not isinstance(obj, (int, float)):
             raise SchemaError(f"{path}: expected number, got {type(obj).__name__}")
+        if isinstance(obj, float) and not math.isfinite(obj):
+            raise SchemaError(f"{path}: expected a finite number, got {obj}")
     elif required_type == "integer":
         if isinstance(obj, bool) or not isinstance(obj, int):
             raise SchemaError(f"{path}: expected integer, got {type(obj).__name__}")
     elif required_type is not None:
         if not isinstance(obj, _TYPES[required_type]):
             raise SchemaError(f"{path}: expected {required_type}, got {type(obj).__name__}")
-    if "enum" in schema and obj not in schema["enum"]:
-        raise SchemaError(f"{path}: {obj!r} not in {schema['enum']}")
     if required_type == "object":
         for key in schema.get("required", []):
             if key not in obj:

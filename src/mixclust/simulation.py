@@ -23,18 +23,11 @@ from .workers import fork_map
 
 CONTAMINATION_KINDS = ("none", "uniform_chisq", "annulus", "outlying_cluster")
 
-# Outlier thresholds used by the reference experiments, by dimension.
-THRESHOLD_BY_DIM = {2: 1e-3, 4: 1e-5, 6: 1e-8, 8: 1e-18, 10: 1e-24}
-
 UNIFORM_BOX_HALF_WIDTH = 10.0
 # uniform_chisq keeps a draw only beyond this upper-tail share of chi-square_p.
 CHISQ_TAIL = 0.025
 ANNULUS_RADII = (15.0, 20.0)
 OUTLYING_CENTER_VALUE = 20.0
-
-
-def default_threshold(p: int) -> float:
-    return THRESHOLD_BY_DIM.get(p, 1e-8)
 
 
 @dataclass

@@ -17,6 +17,12 @@ from mixclust.imageseg import PixelGrid, load_image, save_ppm
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# fit and image flags whose non-finite values the configuration refuses.
+NON_FINITE_ALGO_FLAGS = [
+    ["--threshold", "nan"], ["--threshold", "inf"], ["--threshold=-inf"],
+    ["--c", "nan"], ["--c", "inf"], ["--c1", "nan"], ["--c1", "inf"],
+]
+
 
 @pytest.fixture()
 def toy_csv(tmp_path):
@@ -191,6 +197,14 @@ class TestFitCommand:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", NON_FINITE_ALGO_FLAGS, ids=" ".join)
+    def test_non_finite_setting_exit_2(self, toy_csv, tmp_path, capsys, flags):
+        out = tmp_path / "fo"
+        assert main(["fit", str(toy_csv), "--k", "2", "--restarts", "1", *flags,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_small_scenario(self, tmp_path, capsys):
@@ -271,6 +285,10 @@ class TestSimulateCommand:
         {"betas": 0.3}, {"betas": [None]}, {"betas": []}, {"betas": [0.1, 0.1]},
         {"c": None}, {"restarts": "x"}, {"weights": None}, {"replications": 0},
         {"p": 2.9}, {"restarts": True}, {"replications": 1.5},
+        # json writes these as NaN and Infinity, which Python's reader accepts
+        {"threshold": float("nan")}, {"threshold": float("inf")},
+        {"threshold": float("-inf")}, {"c": float("inf")}, {"c": float("nan")},
+        {"c1": float("inf")}, {"c1": float("nan")},
     ])
     def test_malformed_setting_exit_2(self, tmp_path, capsys, field):
         spec = {
@@ -333,6 +351,7 @@ class TestInfluenceCommand:
         ["--var2", "inf"], ["--var1", "-1"], ["--mu1", "inf"], ["--mu2", "nan"],
         ["--grid-points", "0"], ["--grid-points", "-3"], ["--grid-lo", "nan"],
         ["--beta", "-0.5"], ["--beta", "nan"], ["--beta", "inf"], ["--c", "0.5"],
+        ["--c", "inf"], ["--c", "nan"], ["--c1", "inf"], ["--c1", "nan"],
     ])
     def test_invalid_model_refused_before_output(self, tmp_path, capsys, flags):
         # Refused at the boundary: nothing is solved and no --out is made.
@@ -428,11 +447,23 @@ class TestImageCommand:
         grid, _ = two_tone_grid(side=12, noise_fraction=0.0)
         img = tmp_path / "img.ppm"
         save_ppm(grid, img)
-        monkeypatch.setattr("mixclust.imageseg.sidecar_payload", lambda seg: {"k": 2})
+        monkeypatch.setattr("mixclust.imageseg.sidecar_payload",
+                            lambda result, cfg: {"k": 2})
         out = tmp_path / "recon.ppm"
         code = main(["image", str(img), "--k", "2", "--restarts", "1", "--out", str(out)])
         assert code == 3
         assert not (tmp_path / "recon.ppm.json").exists()
+
+    @pytest.mark.parametrize("flags", NON_FINITE_ALGO_FLAGS, ids=" ".join)
+    def test_non_finite_setting_exit_2(self, tmp_path, capsys, flags):
+        grid, _ = two_tone_grid(side=12, noise_fraction=0.0)
+        img = tmp_path / "img.ppm"
+        save_ppm(grid, img)
+        out = tmp_path / "recon.ppm"
+        assert main(["image", str(img), "--k", "2", "--restarts", "1", *flags,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists() and not (tmp_path / "recon.ppm.json").exists()
 
     def test_decode_failure_exit_2(self, tmp_path):
         bad = tmp_path / "bad.ppm"
@@ -461,6 +492,17 @@ class TestSchemas:
         with pytest.raises(SchemaError):
             validate({"model": {"weights": "no", "means": [], "variances": []},
                       "solutions": []}, "influence_solution")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_number(self, value):
+        # JSON has no NaN or infinity; json.dump would write a bare NaN/Infinity
+        def payload(w):
+            return {"model": {"weights": [0.5, w], "means": [0, 1], "variances": [1, 2]},
+                    "solutions": []}
+
+        validate(payload(0.5), "influence_solution")
+        with pytest.raises(SchemaError, match=r"\$\.model\.weights\[1\]: expected a finite"):
+            validate(payload(value), "influence_solution")
 
 
 def test_log_level_env_var(toy_csv, tmp_path, monkeypatch):

@@ -6,16 +6,25 @@ import zlib
 import numpy as np
 import pytest
 
-from mixclust import AlgoConfig, ConstraintConfig, ImageFormatError, load_image
+from mixclust import (
+    AlgoConfig,
+    ClusteringResult,
+    ConstraintConfig,
+    GaussianComponent,
+    ImageFormatError,
+    MixtureParams,
+    load_image,
+)
 from mixclust.imageseg import (
     PixelGrid,
-    SegmentationResult,
     encode_ppm,
     outlier_palette,
     reconstruct,
     save_ppm,
     segment,
+    sidecar_payload,
 )
+from mixclust.schemas import validate
 
 
 def write_png(path, array):
@@ -147,6 +156,18 @@ IMAGE_CFG = AlgoConfig(beta=0.2, outlier_threshold=0.02,
                        n_restarts=5, seed=3)
 
 
+def hand_result(means, assignments, flags, types) -> ClusteringResult:
+    """A segmentation result built by hand: equal weights, identity
+    covariances, and the given labels and outlier flags and types."""
+    k = len(means)
+    n = len(assignments)
+    params = MixtureParams(np.full(k, 1.0 / k), [GaussianComponent(m, np.eye(3)) for m in means])
+    return ClusteringResult(
+        params=params, assignments=np.asarray(assignments), outlier_flags=np.asarray(flags),
+        outlier_types=np.asarray(types), objective=0.0, iterations=1, restart_index=0,
+        discriminants=np.ones(n), stable=True)
+
+
 class TestIo:
     def test_ppm_byte_normalization(self, tmp_path):
         path = tmp_path / "gray.ppm"
@@ -181,6 +202,12 @@ class TestIo:
         # (-1, -1) matches one pixel's count, and would encode as "P6\n-1 -1"
         with pytest.raises(ValueError, match="size must be positive"):
             PixelGrid(width, height, np.zeros((max(width * height, 0), 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])
+    def test_grid_refuses_channels_outside_unit_interval(self, bad):
+        # NaN fails both the "below 0" and the "above 1" comparison
+        with pytest.raises(ValueError, match=r"channels must lie in \[0, 1\]"):
+            PixelGrid(1, 2, [[bad, 0.0, 0.0], [0.5, 0.5, 0.5]])
 
     def test_png_all_white(self, tmp_path):
         path = tmp_path / "white.png"
@@ -305,11 +332,9 @@ class TestSegment:
         cfg = AlgoConfig(beta=0.2, outlier_threshold=0.02,
                          constraint=ConstraintConfig(c=20.0, c1=0.1),
                          n_restarts=3, seed=1)
-        seg = segment(grid, 2, cfg)
-        assert seg.config["beta"] == 0.2
-        assert seg.config["threshold"] == 0.02
-        assert seg.config["c"] == 20.0
-        assert seg.config["c1"] == 0.1
+        payload = sidecar_payload(segment(grid, 2, cfg), cfg)
+        assert payload["config"] == {"beta": 0.2, "threshold": 0.02, "c": 20.0, "c1": 0.1,
+                                     "assignment_rule": "distance", "restarts": 3, "seed": 1}
 
     def test_determinism(self):
         grid, _ = two_tone_grid(side=24, seed=7)
@@ -328,15 +353,9 @@ class TestReconstruct:
     def test_all_outliers_one_type_monochrome(self):
         grid, _ = two_tone_grid(side=6, noise_fraction=0.0)
         n = grid.width * grid.height
-        seg = SegmentationResult(
-            assignments=np.zeros(n, dtype=int),
-            outlier_flags=np.ones(n, dtype=bool),
-            outlier_types=np.zeros(n, dtype=int),
-            params=None,
-            cluster_colors=np.array([[0.2, 0.2, 0.2], [0.8, 0.8, 0.8]]),
-            outlier_colors=outlier_palette(2),
-            objective=0.0, iterations=1, restart_index=0, config={})
-        recon = reconstruct(grid, seg)
+        result = hand_result([[0.2, 0.2, 0.2], [0.8, 0.8, 0.8]], np.zeros(n, dtype=int),
+                             np.ones(n, dtype=bool), np.zeros(n, dtype=int))
+        recon = reconstruct(grid, result)
         assert len(np.unique(recon.pixels, axis=0)) == 1
         assert np.allclose(recon.pixels[0], [1.0, 1.0, 1.0])
 
@@ -354,3 +373,23 @@ class TestReconstruct:
         pal = outlier_palette(5)
         assert pal.shape == (5, 3)
         assert len(np.unique(pal.round(6), axis=0)) == 5
+
+
+class TestSidecar:
+    def test_no_outliers_gives_integer_zeros(self):
+        result = hand_result([[0.1, 0.2, 0.3], [0.5, 0.5, 0.5], [0.9, 0.8, 0.7]],
+                             [0, 1, 2, 2], np.zeros(4, dtype=bool), np.full(4, -1))
+        payload = sidecar_payload(result, IMAGE_CFG)
+        validate(payload, "image_sidecar")
+        assert payload["outliers_per_type"] == [0, 0, 0]
+        assert all(type(count) is int for count in payload["outliers_per_type"])
+        assert payload["total_outliers"] == 0
+        assert payload["pixels_per_cluster"] == [1, 1, 2]
+
+    def test_colors_are_clipped_means_and_palette(self):
+        result = hand_result([[-0.5, 0.2, 1.5], [0.5, 0.5, 0.5]], [0, 1, 1],
+                             [True, False, False], [1, -1, -1])
+        payload = sidecar_payload(result, IMAGE_CFG)
+        assert payload["cluster_colors"] == [[0.0, 0.2, 1.0], [0.5, 0.5, 0.5]]
+        assert payload["outlier_colors"] == outlier_palette(2).tolist()
+        assert payload["outliers_per_type"] == [0, 1]

@@ -21,9 +21,8 @@ from mixclust import (
     run_experiment,
     undetected_outlier_proportion,
 )
-from mixclust.clustering import ClusteringResult
-from mixclust.simulation import (LabeledSample, ScenarioSpec, aggregate_rows, chisq_cutoff,
-                                 default_threshold)
+from mixclust.clustering import ClusteringResult, default_threshold
+from mixclust.simulation import LabeledSample, ScenarioSpec, aggregate_rows, chisq_cutoff
 
 
 def make_result(assignments, flags, k=3, p=2):

@@ -183,7 +183,7 @@ def test_uniform_chisq_simulate_without_scipy(tmp_path):
 
 # Modules a subcommand runs, and modules only the others run.
 SUBCOMMAND_MODULES = {
-    "fit": ({"clustering", "simulation", "schemas"}, {"imageseg", "influence"}),
+    "fit": ({"clustering", "schemas"}, {"imageseg", "influence", "simulation"}),
     "simulate": ({"clustering", "simulation", "schemas"}, {"imageseg", "influence"}),
     "influence": ({"influence", "schemas"}, {"clustering", "imageseg", "simulation",
                                              "workers"}),

@@ -28,8 +28,7 @@ _PUBLIC = {
     "imageseg": ("PixelGrid", "load_image", "reconstruct", "segment"),
     "influence": ("FunctionalSolution", "TrueDistribution", "assemble_if_system", "if_curve",
                   "influence_at", "solve_functional"),
-    "mdpde": ("ComponentFit", "IrlsConfig", "fit_component", "irls_step", "irls_weights",
-              "robust_init"),
+    "mdpde": ("ComponentFit", "fit_component", "irls_step", "irls_weights", "robust_init"),
     "simulation": ("LabeledSample", "ScenarioSpec", "SimulationReport", "bias_mse",
                    "contaminate_annulus", "contaminate_outlying_cluster",
                    "contaminate_uniform_chisq", "gen_pure", "generate", "paper_design",

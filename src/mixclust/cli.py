@@ -260,12 +260,9 @@ def cmd_simulate(args) -> int:
     from .simulation import run_experiment
     from .workers import default_workers
 
-    workers = default_workers() if args.workers is None else args.workers
-    if workers < 1:
-        raise InputError("--workers must be at least 1")
     spec, cfgs = _load_scenario(args.spec, args.replications, args.seed)
     out = _free_out_path(args.out, args.force)
-    report = run_experiment(spec, cfgs, workers=workers)
+    report = run_experiment(spec, cfgs, workers=default_workers())
     out.mkdir(parents=True, exist_ok=True)
     report.to_csv(out / "replications.csv")
     aggregates = report.aggregates
@@ -388,9 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("spec", type=str)
     p_sim.add_argument("--replications", type=int, default=None,
                        help="override the scenario's replication count")
-    p_sim.add_argument("--workers", type=int, default=None,
-                       help="replications run in this many forked processes "
-                            "with one BLAS thread each (Linux; default: one per CPU)")
     _add_common(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 

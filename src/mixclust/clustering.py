@@ -27,7 +27,7 @@ from .gaussian import (
     dpd_integral,
     log_density,
 )
-from .mdpde import IrlsConfig, fit_component
+from .mdpde import fit_component
 from .workers import fork_map
 
 log = logging.getLogger(__name__)
@@ -106,7 +106,6 @@ class AlgoConfig:
     max_outer_iter: int = 100
     n_restarts: int = 10
     seed: int = 0
-    irls: IrlsConfig = field(default_factory=IrlsConfig)
     assignment_rule: str = "likelihood"
 
     def __post_init__(self):
@@ -278,7 +277,7 @@ def _m_step(data, assignments, k: int, cfg: AlgoConfig,
         warm = prev[j] if prev is not None else None
         if len(members) >= p + 1:
             try:
-                comps.append(fit_component(members, cfg.beta, cfg.irls, init=warm).estimate)
+                comps.append(fit_component(members, cfg.beta, init=warm).estimate)
                 continue
             except NonPositiveDenominatorError:
                 pass

@@ -22,12 +22,12 @@ BLOCK = 8192
 
 
 def as_data_matrix(data) -> np.ndarray:
-    """Coerce ``data`` to an (n, p) float matrix; 1-D input becomes (n, 1)."""
+    """Coerce ``data`` to an (n, p) float matrix with p >= 1; 1-D input becomes (n, 1)."""
     arr = np.asarray(data, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    if arr.ndim != 2:
-        raise DimensionMismatchError(f"expected an (n, p) matrix, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[1] == 0:
+        raise DimensionMismatchError(f"expected an (n, p) matrix, p >= 1, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("data contains non-finite values")
     return arr

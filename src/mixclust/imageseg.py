@@ -161,13 +161,15 @@ def _decode_png(blob: bytes) -> PixelGrid:
     channels = {0: 1, 2: 3, 4: 2, 6: 4}.get(color)
     if channels is None:
         raise ImageFormatError(f"unsupported PNG color type {color}")
-    try:
-        raw = zlib.decompress(bytes(idat))
+    stride = width * channels
+    size = height * (stride + 1)
+    inflater = zlib.decompressobj()
+    try:  # at most one byte past the declared size: a longer stream is never inflated whole
+        raw = inflater.decompress(idat, size + 1)
     except zlib.error as exc:
         raise ImageFormatError("corrupt PNG stream") from exc
-    stride = width * channels
-    if len(raw) != height * (stride + 1):
-        raise ImageFormatError("PNG pixel data has the wrong length")
+    if len(raw) != size or not inflater.eof:
+        raise ImageFormatError("PNG pixel data has the wrong length or is cut short")
     out = np.zeros((height + 1, stride), dtype=np.uint8)  # row 0: the zero row above the image
     for row in range(1, height + 1):
         offset = (row - 1) * (stride + 1)

@@ -319,7 +319,7 @@ def _solve_system(measure: _Measure, beta: float, u0: np.ndarray) -> tuple[np.nd
 
 
 def solve_functional(dist: TrueDistribution, beta: float,
-                     cfg: ConstraintConfig | None = None) -> FunctionalSolution:
+                     cfg: ConstraintConfig) -> FunctionalSolution:
     """Solve the eight stationarity equations for the bounded-interval case.
 
     Newton starts from the data law's own parameters with the interval
@@ -330,7 +330,6 @@ def solve_functional(dist: TrueDistribution, beta: float,
     """
     if beta <= 0:
         raise ValueError("beta must be positive (the beta = 0 influence is unbounded)")
-    cfg = cfg or ConstraintConfig(c=5.0, c1=0.1)
     measure = _Measure(dist)
     (m1, m2), (v1, v2) = dist.means, dist.variances
     a0, b0 = _crossing_points(*dist.weights, m1, m2, v1, v2)

@@ -21,19 +21,10 @@ from .gaussian import GaussianComponent, mahalanobis_sq
 # and it also scales the eigenvalue floor of the robust starting point.
 MIN_DENOMINATOR = 1e-8
 
-
-@dataclass
-class IrlsConfig:
-    """Convergence controls for the reweighted iteration."""
-
-    epsilon: float = 1e-6
-    max_iter: int = 500
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+# The reweighted iteration stops once the mean and covariance steps are both
+# at most IRLS_TOL, or after IRLS_MAX_ITER steps (read at call time).
+IRLS_TOL = 1e-6
+IRLS_MAX_ITER = 500
 
 
 @dataclass
@@ -76,7 +67,7 @@ def _median(a: np.ndarray):
     return (0.0 + a[..., h - 1] + a[..., h]) / 2
 
 
-def robust_init(data) -> tuple[GaussianComponent, bool]:
+def robust_init(data) -> GaussianComponent:
     """Median-based starting point for the reweighted iteration.
 
     The mean starts at the componentwise medians. The covariance starts at
@@ -89,11 +80,6 @@ def robust_init(data) -> tuple[GaussianComponent, bool]:
     Each median is one in-place partition of a contiguous n-long run (a
     row of a (p, n) copy of ``data.T``, or one product of two centred
     coordinates), equal to ``np.median`` bit for bit.
-
-    Returns
-    -------
-    (GaussianComponent, bool)
-        The starting component and whether any eigenvalue had to be floored.
     """
     n, p = data.shape
     if n < 2:
@@ -107,10 +93,8 @@ def robust_init(data) -> tuple[GaussianComponent, bool]:
     cov *= 1.4826**2
     floor = max(MIN_DENOMINATOR * max(np.trace(cov), 0.0), 1e-12)
     vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
-    floored = bool(vals.min() < floor)
-    vals = np.maximum(vals, floor)
-    rebuilt = (vecs * vals) @ vecs.T
-    return GaussianComponent.trusted(center, 0.5 * (rebuilt + rebuilt.T)), floored
+    rebuilt = (vecs * np.maximum(vals, floor)) @ vecs.T
+    return GaussianComponent.trusted(center, 0.5 * (rebuilt + rebuilt.T))
 
 
 def _work_buffers(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -166,13 +150,12 @@ def _norm(d: np.ndarray) -> float:
     return math.sqrt(d.dot(d))
 
 
-def fit_component(data, beta: float, cfg: IrlsConfig | None = None,
-                  init: GaussianComponent | None = None) -> ComponentFit:
+def fit_component(data, beta: float, init: GaussianComponent | None = None) -> ComponentFit:
     """Fit one normal component by the reweighted iteration.
 
     Starts from :func:`robust_init` (or ``init`` when warm-starting) and
     iterates until both the Euclidean mean delta and Frobenius covariance
-    delta drop to ``cfg.epsilon``, or ``cfg.max_iter`` is reached.
+    delta drop to ``IRLS_TOL``, or ``IRLS_MAX_ITER`` steps are taken.
     Non-convergence is reported through ``converged=False``, not an error.
     At ``beta == 0`` the weights do not depend on the start, so the first
     step is the (unweighted) fixed point and the fit stops there, converged.
@@ -186,15 +169,14 @@ def fit_component(data, beta: float, cfg: IrlsConfig | None = None,
     contiguous n-long rows (any layout gives a correct fit). Every step
     works in one set of (p, n), (p, n) and (n,) buffers, allocated here.
     """
-    cfg = cfg or IrlsConfig()
     n, p = data.shape
     if n < 2:
         raise ValueError("covariance fitting needs at least two observations")
-    comp = init if init is not None else robust_init(data)[0]
+    comp = init if init is not None else robust_init(data)
     work = _work_buffers(n, p)
     converged = False
     iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
+    for iterations in range(1, IRLS_MAX_ITER + 1):
         try:
             new = irls_step(data, comp, beta, work)
         except NonPositiveDenominatorError:
@@ -210,7 +192,7 @@ def fit_component(data, beta: float, cfg: IrlsConfig | None = None,
         delta_mean = _norm(new.mean - comp.mean)
         delta_cov = _norm(new.cov - comp.cov)
         comp = new
-        if delta_mean <= cfg.epsilon and delta_cov <= cfg.epsilon:
+        if delta_mean <= IRLS_TOL and delta_cov <= IRLS_TOL:
             converged = True
             break
     return ComponentFit(estimate=comp, iterations=iterations, converged=converged)

@@ -46,7 +46,13 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if min(self.p, self.k) < 1:
+            raise ValueError(f"p and k must be at least 1, got p={self.p} and k={self.k}")
+        if self.n < self.k:
+            raise ValueError(f"n must be at least k={self.k}")
         self.means = np.asarray(self.means, dtype=float).reshape(self.k, self.p)
+        if not np.isfinite(self.means).all():
+            raise ValueError("means must be finite")
         self.weights = np.asarray(self.weights, dtype=float)
         if self.contamination not in CONTAMINATION_KINDS:
             raise ValueError(f"contamination must be one of {CONTAMINATION_KINDS}")
@@ -59,8 +65,8 @@ class ScenarioSpec:
         if self.weights.shape != (self.k,) or not abs(self.weights.sum() - expected) <= 1e-9:
             raise ValueError(f"weights must be {self.k} values summing to {expected} "
                              "(1 minus the contamination level)")
-        if self.cov_scale <= 0:
-            raise ValueError("cov_scale must be positive")
+        if not 0.0 < self.cov_scale < np.inf:  # NaN fails too
+            raise ValueError("cov_scale must be finite and positive")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
 

@@ -1,5 +1,6 @@
-"""Shared test plumbing: collects acceptance criterion lines for the summary
-and fails any test that leaves a worker process behind."""
+"""Shared test plumbing: collects acceptance criterion lines for the summary,
+sets the IRLS stopping rule for the tests that need a tighter one, and fails
+any test that leaves a worker process behind."""
 
 import multiprocessing
 
@@ -20,6 +21,20 @@ def criterion_report():
             pytest.fail(line)
 
     return _report
+
+
+@pytest.fixture
+def irls_stop(monkeypatch):
+    """Set the reweighted iteration's stopping rule for one test:
+    ``irls_stop(tol, max_iter)`` patches ``mdpde.IRLS_TOL`` and, when given,
+    ``mdpde.IRLS_MAX_ITER``. Forked pool workers inherit the patch."""
+
+    def _set(tol, max_iter=None):
+        monkeypatch.setattr("mixclust.mdpde.IRLS_TOL", tol)
+        if max_iter is not None:
+            monkeypatch.setattr("mixclust.mdpde.IRLS_MAX_ITER", max_iter)
+
+    return _set
 
 
 @pytest.fixture(autouse=True)

@@ -15,7 +15,6 @@ from mixclust import (
     AlgoConfig,
     ConstraintConfig,
     GaussianComponent,
-    IrlsConfig,
     TrueDistribution,
     check_constraints,
     enforce_constraints,
@@ -77,10 +76,10 @@ def test_criterion_2_outlying_cluster_robustness(criterion_report):
            f"beta=0: mis={plain['misclassification']:.4f}; {elapsed:.0f}s")
 
 
-def test_criterion_3_estimating_equation_fidelity(criterion_report):
+def test_criterion_3_estimating_equation_fidelity(criterion_report, irls_stop):
     """Residuals vanish at fixed points; grid oracle agrees in 1-D."""
     rng = np.random.default_rng(321)
-    cfg = IrlsConfig(epsilon=1e-11, max_iter=4000)
+    irls_stop(1e-11, 4000)
     worst = 0.0
     for trial in range(50):
         p = 1 if trial % 2 == 0 else 2
@@ -88,7 +87,7 @@ def test_criterion_3_estimating_equation_fidelity(criterion_report):
         scale = float(rng.uniform(0.5, 2.0))
         data = scale * rng.standard_normal((n, p)) + rng.uniform(-3, 3, size=p)
         for beta in (0.1, 0.3, 0.5):
-            out = fit_component(data, beta, cfg)
+            out = fit_component(data, beta)
             vec, mat = estimating_equation_residual(data, out.estimate, beta)
             norm = max(np.linalg.norm(vec), np.linalg.norm(mat))
             worst = max(worst, norm / (1e-6 * n))
@@ -100,7 +99,7 @@ def test_criterion_3_estimating_equation_fidelity(criterion_report):
         g = np.random.default_rng(seed)
         data = g.normal(g.uniform(-2, 2), g.uniform(0.8, 1.6), size=50)[:, None]
         beta = 0.3
-        est = fit_component(data, beta, cfg).estimate
+        est = fit_component(data, beta).estimate
         mus = np.linspace(data.mean() - 1.5, data.mean() + 1.5, 201)
         sig2s = np.exp(np.linspace(np.log(0.2), np.log(6.0), 201))
         logphi = (-0.5 * np.log(2 * np.pi * sig2s[None, None, :])
@@ -119,11 +118,12 @@ def test_criterion_3_estimating_equation_fidelity(criterion_report):
                        f"matched on 5 datasets")
 
 
-def test_criterion_4_beta_zero_reduction(criterion_report):
+def test_criterion_4_beta_zero_reduction(criterion_report, irls_stop):
     """beta=0 equals the plain mean/covariance and classification-EM path."""
     rng = np.random.default_rng(11)
     data = rng.standard_normal((80, 2)) @ np.array([[1.0, 0.3], [0.0, 0.8]]) + 1.5
-    out = fit_component(data, 0.0, IrlsConfig(epsilon=1e-10))
+    irls_stop(1e-10)
+    out = fit_component(data, 0.0)
     mean = data.mean(axis=0)
     centered = data - mean
     cov = centered.T @ centered / len(data)
@@ -139,8 +139,8 @@ def test_criterion_4_beta_zero_reduction(criterion_report):
     init_rng = np.random.default_rng([4, 0])
     params0, labels0 = initialize(blobs, k, init_rng)
     cfg = AlgoConfig(beta=0.0, n_restarts=1, seed=4,
-                     constraint=ConstraintConfig(c=1e9, c1=1e-12),
-                     irls=IrlsConfig(epsilon=1e-12, max_iter=2000))
+                     constraint=ConstraintConfig(c=1e9, c1=1e-12))
+    irls_stop(1e-12, 2000)
     result = fit(blobs, k, cfg)
 
     labels = labels0.copy()

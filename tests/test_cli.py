@@ -218,7 +218,7 @@ class TestSimulateCommand:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
         out = tmp_path / "sim"
-        code = main(["simulate", str(spec_path), "--out", str(out), "--workers", "1"])
+        code = main(["simulate", str(spec_path), "--out", str(out)])
         assert code == 0
         table = capsys.readouterr().out
         assert "misclassification" in table
@@ -257,7 +257,7 @@ class TestSimulateCommand:
         assert outputs[1].splitlines()[0] == header
         assert outputs[0] != outputs[1]
 
-    def test_worker_count_keeps_bytes(self, tmp_path):
+    def test_worker_count_keeps_bytes(self, tmp_path, monkeypatch):
         spec = {
             "n": 120, "p": 2, "k": 2, "means": [[0, 0], [7, 7]],
             "weights": [0.5, 0.5], "contamination": "none",
@@ -266,15 +266,14 @@ class TestSimulateCommand:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
         outputs = []
-        for workers in ("1", "3"):
+        # The pool is sized by CPU affinity alone, as for fit.
+        for workers in (1, 3):
+            monkeypatch.setattr("mixclust.workers.default_workers", lambda: workers)
             out = tmp_path / f"sim{workers}"
-            assert main(["simulate", str(spec_path), "--workers", workers,
-                         "--out", str(out)]) == 0
+            assert main(["simulate", str(spec_path), "--out", str(out)]) == 0
             outputs.append([(out / name).read_bytes()
                             for name in ("replications.csv", "report.json")])
         assert outputs[0] == outputs[1]
-        assert main(["simulate", str(spec_path), "--workers", "0",
-                     "--out", str(tmp_path / "sim0")]) == 2
 
     def test_invalid_spec_exit_2(self, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -289,6 +288,9 @@ class TestSimulateCommand:
         {"threshold": float("nan")}, {"threshold": float("inf")},
         {"threshold": float("-inf")}, {"c": float("inf")}, {"c": float("nan")},
         {"c1": float("inf")}, {"c1": float("nan")},
+        {"cov_scale": float("nan")}, {"cov_scale": float("inf")}, {"cov_scale": 0},
+        {"means": [[float("nan"), 0], [7, 7]]}, {"means": [[0, 0], [7, float("inf")]]},
+        {"p": 0}, {"k": 0}, {"n": 0}, {"n": 1},
     ])
     def test_malformed_setting_exit_2(self, tmp_path, capsys, field):
         spec = {
@@ -298,7 +300,7 @@ class TestSimulateCommand:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec | field))
         out = tmp_path / "o"
-        assert main(["simulate", str(spec_path), "--out", str(out), "--workers", "1"]) == 2
+        assert main(["simulate", str(spec_path), "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
@@ -310,15 +312,17 @@ class TestSimulateCommand:
         assert "error:" in capsys.readouterr().err
 
     def test_algorithm_flag_refused(self, tmp_path, capsys):
-        # The scenario file owns the algorithm settings; argparse stops the flag.
+        # The scenario file owns the algorithm settings and CPU affinity sizes
+        # the pool; argparse stops the flag.
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"p": 2, "betas": [0.3]}))
         out = tmp_path / "o"
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", str(spec_path), "--beta", "0.3", "--out", str(out)])
-        assert exc.value.code == 2
-        assert "--beta" in capsys.readouterr().err
-        assert not out.exists()
+        for flag in (["--beta", "0.3"], ["--workers", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["simulate", str(spec_path), *flag, "--out", str(out)])
+            assert exc.value.code == 2
+            assert flag[0] in capsys.readouterr().err
+            assert not out.exists()
 
     def test_bundled_scenario_ships(self):
         from importlib.resources import files
@@ -332,8 +336,7 @@ class TestSimulateCommand:
 
         out = tmp_path / "table1"
         with as_file(files("mixclust").joinpath("data/table1_p2_I.json")) as spec:
-            code = main(["simulate", str(spec), "--replications", "1",
-                         "--out", str(out), "--workers", "1"])
+            code = main(["simulate", str(spec), "--replications", "1", "--out", str(out)])
         assert code == 0
         table = capsys.readouterr().out
         assert "p=2" in table and "beta=0" in table and "beta=0.1" in table

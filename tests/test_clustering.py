@@ -11,7 +11,6 @@ from mixclust import (
     DegenerateClusteringError,
     DimensionMismatchError,
     GaussianComponent,
-    IrlsConfig,
     MixtureParams,
     NotPositiveDefiniteError,
     assign,
@@ -231,13 +230,13 @@ class TestObjective:
                 expected += log_density(members, params.components[j]).sum()
         assert got == pytest.approx(expected / 30, rel=1e-12)
 
-    def test_ascent_over_seeded_runs(self):
+    def test_ascent_over_seeded_runs(self, irls_stop):
+        irls_stop(1e-8)
         improved = 0
         for seed in range(50):
             rng = np.random.default_rng([100, seed])
             data = blob_data(rng, [np.zeros(2), np.full(2, 6.0)], 30)
-            cfg = AlgoConfig(beta=0.2, n_restarts=2, seed=seed,
-                             irls=IrlsConfig(epsilon=1e-8))
+            cfg = AlgoConfig(beta=0.2, n_restarts=2, seed=seed)
             init_params, init_labels = initialize(data, 2, np.random.default_rng([seed, 0]))
             before = pseudo_beta_likelihood(own_log_phi(data, init_params, init_labels),
                                             init_params, init_labels, cfg.beta)
@@ -279,13 +278,13 @@ class TestInitialize:
 
 
 class TestFit:
-    def test_k1_equals_component_fit(self):
+    def test_k1_equals_component_fit(self, irls_stop):
+        irls_stop(1e-10)
         rng = np.random.default_rng(9)
         data = rng.standard_normal((60, 2)) + [1.0, 2.0]
-        cfg = AlgoConfig(beta=0.3, n_restarts=1, seed=0,
-                         irls=IrlsConfig(epsilon=1e-10))
+        cfg = AlgoConfig(beta=0.3, n_restarts=1, seed=0)
         res = fit(data, 1, cfg)
-        ref = fit_component(data, 0.3, cfg.irls).estimate
+        ref = fit_component(data, 0.3).estimate
         assert res.params.weights[0] == 1.0
         assert np.allclose(res.params.components[0].mean, ref.mean, atol=1e-9)
         assert np.allclose(res.params.components[0].cov, ref.cov, atol=1e-9)
@@ -393,6 +392,10 @@ class TestFit:
     def test_rejects_3d_data(self):
         with pytest.raises(DimensionMismatchError):
             fit(np.zeros((4, 3, 2)), 2, AlgoConfig(n_restarts=1))
+
+    def test_rejects_zero_columns(self):
+        with pytest.raises(DimensionMismatchError, match="p >= 1"):
+            fit(np.zeros((10, 0)), 2, AlgoConfig(n_restarts=1))
 
     def test_data_checked_once(self, monkeypatch):
         calls = []

@@ -1,6 +1,8 @@
 """Image decode/encode, pixel segmentation and reconstruction."""
 
+import functools
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -71,23 +73,44 @@ def filtered_png(arr):
         lines.append(bytes([ftype]) + bytes(enc.astype(np.uint8)))
         prev = raw
 
+    color = {1: 0, 2: 4, 3: 2, 4: 6}[channels]
+    return png_blob(width, height, color, zlib.compress(b"".join(lines)))
+
+
+def png_blob(width, height, color, idat):
+    """An 8-bit PNG of one IHDR, one IDAT chunk holding ``idat`` as given,
+    and IEND."""
+
     def chunk(ctype, body):
         full = ctype + body
         return struct.pack(">I", len(body)) + full + struct.pack(
             ">I", zlib.crc32(full) & 0xFFFFFFFF)
 
-    color = {1: 0, 2: 4, 3: 2, 4: 6}[channels]
     return (b"\x89PNG\r\n\x1a\n"
             + chunk(b"IHDR", struct.pack(">IIBBBBB", width, height, 8, color, 0, 0, 0))
-            + chunk(b"IDAT", zlib.compress(b"".join(lines))) + chunk(b"IEND", b""))
+            + chunk(b"IDAT", idat) + chunk(b"IEND", b""))
+
+
+@functools.cache
+def png_bomb():
+    """A 4x4 RGB PNG whose IDAT stream inflates to 64 MiB of zeros, far
+    beyond the 52 bytes its header declares. Built in 1 MiB pieces, so
+    making it never holds the inflated bytes."""
+    packer = zlib.compressobj(9)
+    zeros = bytes(1 << 20)
+    return png_blob(4, 4, 2, b"".join(packer.compress(zeros) for _ in range(64))
+                    + packer.flush())
 
 
 def malformed_images():
-    """File name -> (bytes, message pattern) of headers the decoders must
+    """File name -> (bytes, message pattern) of images the decoders must
     refuse: a PNG whose IHDR chunk is 9 bytes instead of 13 (its CRC is not
-    checked), and 0x0 PNG and PPM images."""
+    checked), 0x0 PNG and PPM images, :func:`png_bomb`, and a 2x2 PNG with
+    every pixel byte but its stream cut short before the zlib checksum."""
     good = filtered_png(np.zeros((2, 2, 3), dtype=np.uint8))
     return {
+        "bomb.png": (png_bomb(), "wrong length"),
+        "cut_short.png": (png_blob(2, 2, 2, zlib.compress(bytes(14))[:-4]), "cut short"),
         "short_ihdr.png": (good[:8] + struct.pack(">I", 9) + good[12:25] + bytes(4)
                            + good[33:], "header chunk is 9 bytes"),
         "empty.png": (filtered_png(np.zeros((0, 0, 3), dtype=np.uint8)), r"no pixels \(0x0\)"),
@@ -288,6 +311,19 @@ class TestIo:
         path.write_bytes(blob)
         with pytest.raises(ImageFormatError, match=message):
             load_image(path)
+
+    def test_decompression_bomb_refused_in_bounded_memory(self, tmp_path):
+        path = tmp_path / "bomb.png"
+        path.write_bytes(png_bomb())
+        tracemalloc.start()
+        try:
+            with pytest.raises(ImageFormatError, match="wrong length"):
+                load_image(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 64 MiB stream is refused after inflating one byte past 4x4 RGB
+        assert peak < 8 << 20
 
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -5,7 +5,6 @@ import pytest
 
 from mixclust import (
     GaussianComponent,
-    IrlsConfig,
     NonPositiveDenominatorError,
     NotPositiveDefiniteError,
     fit_component,
@@ -14,31 +13,36 @@ from mixclust import (
     log_density,
     robust_init,
 )
+import mixclust.mdpde as mdpde
 from mixclust.mdpde import MIN_DENOMINATOR
 from oracles import component_beta_objective, estimating_equation_residual
 
-TIGHT = IrlsConfig(epsilon=1e-11, max_iter=3000)
+
+@pytest.fixture
+def tight(irls_stop):
+    """A stop tight enough for the fixed-point accuracy these tests assert."""
+    irls_stop(1e-11, 3000)
 
 
 class TestRobustInit:
     def test_three_point_line(self):
-        comp, floored = robust_init(np.array([[-1.0], [0.0], [1.0]]))
+        comp = robust_init(np.array([[-1.0], [0.0], [1.0]]))
         assert comp.mean[0] == pytest.approx(0.0)
-        # centered squares are {1, 0, 1}; their median is 1
+        # centered squares are {1, 0, 1}; their median is 1, far above the floor
         assert comp.cov[0, 0] == pytest.approx(1.4826**2)
-        assert not floored
 
     def test_constant_coordinate_floored(self):
         rng = np.random.default_rng(0)
         data = np.column_stack([rng.standard_normal(50), np.full(50, 3.0)])
-        comp, floored = robust_init(data)
-        assert floored
-        assert np.all(np.linalg.eigvalsh(comp.cov) > 0)
+        comp = robust_init(data)
+        # the constant coordinate's zero eigenvalue is raised to the floor
+        floor = max(MIN_DENOMINATOR * np.trace(comp.cov), 1e-12)
+        assert np.linalg.eigvalsh(comp.cov)[0] == pytest.approx(floor, rel=1e-6)
 
     def test_mad_consistency(self):
         rng = np.random.default_rng(42)
         data = rng.standard_normal((10000, 2))
-        comp, _ = robust_init(data)
+        comp = robust_init(data)
         assert np.all(np.abs(np.diag(comp.cov) - 1.0) < 0.1)
 
     def test_needs_two_points(self):
@@ -94,11 +98,12 @@ class TestIrlsStep:
         with pytest.raises(NonPositiveDenominatorError):
             irls_step(data, start, 1.0)
 
+    @pytest.mark.usefixtures("tight")
     def test_contaminated_location_contrast(self):
         rng = np.random.default_rng(7)
         data = np.concatenate([rng.standard_normal(95), np.full(5, 50.0)])[:, None]
-        robust = fit_component(data, 0.3, TIGHT).estimate
-        plain = fit_component(data, 0.0, TIGHT).estimate
+        robust = fit_component(data, 0.3).estimate
+        plain = fit_component(data, 0.0).estimate
         assert abs(robust.mean[0]) <= 0.15
         assert plain.mean[0] >= 2.0
 
@@ -108,29 +113,32 @@ class TestFitComponent:
         with pytest.raises(ValueError):
             fit_component(np.array([[1.0]]), 0.3)
 
-    def test_beta_zero_reduction_exact(self):
+    def test_beta_zero_reduction_exact(self, irls_stop):
+        irls_stop(1e-9)
         rng = np.random.default_rng(3)
         data = rng.standard_normal((40, 2)) @ np.array([[1.0, 0.2], [0.0, 0.7]]) + 3.0
-        out = fit_component(data, 0.0, IrlsConfig(epsilon=1e-9))
+        out = fit_component(data, 0.0)
         assert out.converged
         mean = data.mean(axis=0)
         centered = data - mean
         assert np.allclose(out.estimate.mean, mean, atol=1e-8)
         assert np.allclose(out.estimate.cov, centered.T @ centered / len(data), atol=1e-8)
 
+    @pytest.mark.usefixtures("tight")
     def test_pure_gaussian_estimates(self):
         rng = np.random.default_rng(12)
         data = rng.standard_normal((500, 2))
-        out = fit_component(data, 0.3, TIGHT)
+        out = fit_component(data, 0.3)
         assert out.converged
         assert np.linalg.norm(out.estimate.mean) <= 0.2
         assert np.linalg.norm(out.estimate.cov - np.eye(2)) <= 0.35
 
+    @pytest.mark.usefixtures("tight")
     def test_grid_oracle_1d(self):
         rng = np.random.default_rng(21)
         data = rng.normal(1.0, 1.5, size=50)[:, None]
         beta = 0.3
-        out = fit_component(data, beta, TIGHT)
+        out = fit_component(data, beta)
         mus = np.linspace(0.0, 2.0, 161)
         sig2s = np.exp(np.linspace(np.log(0.5), np.log(5.0), 161))
         best, arg = -np.inf, None
@@ -144,28 +152,31 @@ class TestFitComponent:
         ratio = sig2s[1] / sig2s[0]
         assert arg[1] / ratio <= out.estimate.cov[0, 0] <= arg[1] * ratio
 
-    def test_nonconvergence_reported(self):
+    def test_nonconvergence_reported(self, irls_stop):
+        irls_stop(1e-14, 1)
         rng = np.random.default_rng(5)
         data = rng.standard_normal((50, 2))
-        out = fit_component(data, 0.5, IrlsConfig(epsilon=1e-14, max_iter=1))
+        out = fit_component(data, 0.5)
         assert not out.converged
         assert out.iterations == 1
 
+    @pytest.mark.usefixtures("tight")
     def test_affine_equivariance(self):
         rng = np.random.default_rng(8)
         data = rng.standard_normal((200, 2))
         amat = np.array([[1.5, 0.4], [-0.3, 0.8]])
         shift = np.array([2.0, -1.0])
-        base = fit_component(data, 0.3, TIGHT).estimate
-        moved = fit_component(data @ amat.T + shift, 0.3, TIGHT).estimate
+        base = fit_component(data, 0.3).estimate
+        moved = fit_component(data @ amat.T + shift, 0.3).estimate
         assert np.allclose(moved.mean, amat @ base.mean + shift, atol=1e-8)
         assert np.allclose(moved.cov, amat @ base.cov @ amat.T, atol=1e-8)
 
+    @pytest.mark.usefixtures("tight")
     def test_warm_start_used(self):
         rng = np.random.default_rng(9)
         data = rng.standard_normal((80, 2))
-        warm = fit_component(data, 0.2, TIGHT).estimate
-        again = fit_component(data, 0.2, TIGHT, init=warm)
+        warm = fit_component(data, 0.2).estimate
+        again = fit_component(data, 0.2, init=warm)
         assert again.iterations <= 2
 
 
@@ -180,19 +191,21 @@ class TestEstimatingEquations:
         assert np.linalg.norm(vec) < 1e-10
         assert np.linalg.norm(mat) < 1e-10
 
+    @pytest.mark.usefixtures("tight")
     def test_perturbation_sign(self):
         rng = np.random.default_rng(6)
         data = rng.standard_normal(60)[:, None]
-        fitted = fit_component(data, 0.4, TIGHT).estimate
+        fitted = fit_component(data, 0.4).estimate
         shifted = GaussianComponent(fitted.mean + 0.5, fitted.cov)
         vec, _ = estimating_equation_residual(data, shifted, 0.4)
         assert vec[0] < 0  # pulls the shifted mean back down
 
+    @pytest.mark.usefixtures("tight")
     @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5])
     def test_zero_at_irls_fixed_point(self, beta):
         rng = np.random.default_rng(13)
         data = rng.standard_normal((120, 2)) * 1.4 + [1.0, 2.0]
-        out = fit_component(data, beta, TIGHT)
+        out = fit_component(data, beta)
         vec, mat = estimating_equation_residual(data, out.estimate, beta)
         n = len(data)
         assert np.linalg.norm(vec) <= 1e-6 * n
@@ -289,9 +302,9 @@ class AllocatingIrls:
             fixed = (vecs * np.maximum(vals, floor)) @ vecs.T
             return GaussianComponent(mean, 0.5 * (fixed + fixed.T))
 
-    def fit(self, data, beta, cfg, init):
+    def fit(self, data, beta, init):
         comp, converged, iterations = init, False, 0
-        for iterations in range(1, cfg.max_iter + 1):
+        for iterations in range(1, mdpde.IRLS_MAX_ITER + 1):
             try:
                 new = self.step(data, comp, beta)
             except NonPositiveDenominatorError:
@@ -307,7 +320,7 @@ class AllocatingIrls:
             delta_mean = float(np.linalg.norm(new.mean - comp.mean))
             delta_cov = float(np.linalg.norm(new.cov - comp.cov))
             comp = new
-            if delta_mean <= cfg.epsilon and delta_cov <= cfg.epsilon:
+            if delta_mean <= mdpde.IRLS_TOL and delta_cov <= mdpde.IRLS_TOL:
                 converged = True
                 break
         return comp, iterations, converged
@@ -326,7 +339,7 @@ def median_robust_init(data):
     floor = max(MIN_DENOMINATOR * max(np.trace(cov), 0.0), 1e-12)
     vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
     rebuilt = (vecs * np.maximum(vals, floor)) @ vecs.T
-    return center, 0.5 * (rebuilt + rebuilt.T), bool(vals.min() < floor)
+    return center, 0.5 * (rebuilt + rebuilt.T)
 
 
 def contaminated(seed, n, p):
@@ -338,13 +351,13 @@ def contaminated(seed, n, p):
 
 
 class TestBitIdentity:
-    def assert_matches_oracle(self, data, beta, init=None, cfg=IrlsConfig()):
+    def assert_matches_oracle(self, data, beta, init=None):
         # column-major, as clustering.fit passes its data
         data = np.asfortranarray(data)
         oracle = AllocatingIrls()
-        start = init if init is not None else robust_init(data)[0]
-        want, iterations, converged = oracle.fit(data, beta, cfg, start)
-        got = fit_component(data, beta, cfg, init=init)
+        start = init if init is not None else robust_init(data)
+        want, iterations, converged = oracle.fit(data, beta, start)
+        got = fit_component(data, beta, init=init)
         assert same_bits(got.estimate.mean, want.mean)
         assert same_bits(got.estimate.cov, want.cov)
         assert (got.iterations, got.converged) == (iterations, converged)
@@ -378,7 +391,7 @@ class TestBitIdentity:
         data = np.array([[0.0], [100.0], [200.0]])
         start = GaussianComponent([0.0], [[1e-4]])
         with pytest.raises(NonPositiveDenominatorError):
-            AllocatingIrls().fit(data, 1.0, IrlsConfig(), start)
+            AllocatingIrls().fit(data, 1.0, start)
         with pytest.raises(NonPositiveDenominatorError):
             fit_component(data, 1.0, init=start)
 
@@ -400,8 +413,7 @@ class TestBitIdentity:
         data = rng.integers(-2, 3, (n, 4)).astype(float)
         data[rng.random((n, 4)) < 0.25] = -0.0
         data[:, 3] = rng.standard_normal(n)
-        comp, floored = robust_init(data)
-        center, cov, want_floored = median_robust_init(data)
+        comp = robust_init(data)
+        center, cov = median_robust_init(data)
         assert same_bits(comp.mean, center)
         assert same_bits(comp.cov, cov)
-        assert floored == want_floored

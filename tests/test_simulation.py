@@ -64,6 +64,23 @@ class TestSpecs:
             ScenarioSpec(n=100, p=2, k=2, means=np.zeros((2, 2)), cov_scale=1.0,
                          weights=weights)
 
+    @pytest.mark.parametrize("field, message", [
+        ({"p": 0}, "p and k must be at least 1, got p=0"),
+        ({"k": 0}, "p and k must be at least 1, got p=2 and k=0"),
+        ({"n": 0}, "n must be at least k=2"), ({"n": 1}, "n must be at least k=2"),
+        ({"cov_scale": np.nan}, "cov_scale must be finite"),
+        ({"cov_scale": np.inf}, "cov_scale must be finite"),
+        ({"cov_scale": 0.0}, "cov_scale must be finite and positive"),
+        ({"means": [[np.nan, 0.0], [7.0, 7.0]]}, "means must be finite"),
+        ({"means": [[0.0, 0.0], [7.0, -np.inf]]}, "means must be finite"),
+    ])
+    def test_field_checked_before_sampling(self, field, message):
+        # each message names its field, and p = 0 never reaches the reshape
+        good = dict(n=100, p=2, k=2, means=np.zeros((2, 2)), cov_scale=1.0,
+                    weights=[0.5, 0.5])
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec(**(good | field))
+
     def test_default_thresholds(self):
         assert default_threshold(2) == 1e-3
         assert default_threshold(10) == 1e-24

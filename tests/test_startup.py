@@ -155,7 +155,7 @@ def test_influence_loads_no_scipy():
         "import mixclust.influence as inf\n"
         f"assert {SCIPY_LOADED} == []\n"
         "dist = inf.TrueDistribution(weights=(0.5, 0.5), means=(0.0, 5.0), variances=(1.0, 4.0))\n"
-        "sol = inf.solve_functional(dist, 0.1)\n"
+        "sol = inf.solve_functional(dist, 0.1, inf.ConstraintConfig(c=5.0, c1=0.1))\n"
         "curve = inf.if_curve(sol, dist, 0.1, np.linspace(-10.0, 10.0, 21))\n"
         "assert np.isfinite(curve).all()\n"
         f"print({SCIPY_LOADED})\n")
@@ -172,7 +172,7 @@ def test_uniform_chisq_simulate_without_scipy(tmp_path):
     runs = []
     for blocker in (BLOCK_SCIPY, ""):
         out = tmp_path / f"out{len(runs)}"
-        argv = ["simulate", str(spec), "--workers", "1", "--out", str(out)]
+        argv = ["simulate", str(spec), "--out", str(out)]
         proc = run_python("import sys\n" + blocker + "import mixclust.cli\n"
                           f"sys.exit(mixclust.cli.main({argv!r}))\n")
         assert proc.returncode == 0, proc.stderr
@@ -201,7 +201,7 @@ def test_subcommand_imports_only_what_it_runs(tmp_path, command):
     elif command == "simulate":
         (tmp_path / "in.json").write_text(json.dumps(
             {"p": 2, "n": 60, "replications": 1, "restarts": 1}), encoding="utf-8")
-        argv = ["simulate", "in.json", "--workers", "1"]
+        argv = ["simulate", "in.json"]
     elif command == "influence":
         argv = ["influence", "--beta", "0.5", "--grid-points", "3"]
     else:

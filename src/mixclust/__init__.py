@@ -31,7 +31,7 @@ _PUBLIC = {
     "mdpde": ("ComponentFit", "fit_component", "irls_step", "irls_weights", "robust_init"),
     "simulation": ("LabeledSample", "ScenarioSpec", "SimulationReport", "bias_mse",
                    "contaminate_annulus", "contaminate_outlying_cluster",
-                   "contaminate_uniform_chisq", "gen_pure", "generate", "paper_design",
+                   "contaminate_uniform_chisq", "gen_pure", "generate",
                    "regular_misclassification", "run_experiment",
                    "undetected_outlier_proportion"),
 }

@@ -50,10 +50,6 @@ EXIT_INPUT = 2
 EXIT_COMPUTE = 3
 
 
-class InputError(Exception):
-    """User-facing input problem (maps to exit code 2)."""
-
-
 def _write_json(path: Path, payload: dict, schema: str) -> None:
     from .schemas import validate
 
@@ -68,7 +64,7 @@ def _free_out_path(out: str | Path, force: bool) -> Path:
     Callers create it only once their inputs have passed every check."""
     path = Path(out)
     if path.exists() and not force:
-        raise InputError(f"output path {path} exists (use --force to overwrite)")
+        raise ValueError(f"output path {path} exists (use --force to overwrite)")
     return path
 
 
@@ -77,9 +73,6 @@ def read_csv_matrix(path) -> np.ndarray:
     header row detected by a non-numeric first line. A leading UTF-8
     byte-order mark is dropped, not read into the first cell. Errors carry
     the offending 1-based line number."""
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"input file not found: {path}")
     rows: list[list[float]] = []
     width = None
     with open(path, "r", encoding="utf-8-sig") as fh:
@@ -93,15 +86,15 @@ def read_csv_matrix(path) -> np.ndarray:
             except ValueError:
                 if lineno == 1 and not rows:
                     continue  # header row
-                raise InputError(f"{path}:{lineno}: non-numeric cell") from None
+                raise ValueError(f"{path}:{lineno}: non-numeric cell") from None
             if width is None:
                 width = len(values)
             elif len(values) != width:
-                raise InputError(
+                raise ValueError(
                     f"{path}:{lineno}: expected {width} columns, got {len(values)}")
             rows.append(values)
     if not rows:
-        raise InputError(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     return np.asarray(rows, dtype=float)
 
 
@@ -111,7 +104,7 @@ def _algo_config(args, threshold: float) -> AlgoConfig:
     return AlgoConfig(
         beta=args.beta,
         constraint=ConstraintConfig(c=args.c, c1=args.c1),
-        outlier_threshold=threshold if args.threshold is None else args.threshold,
+        outlier_threshold=threshold,
         max_outer_iter=args.max_iter,
         n_restarts=args.restarts,
         seed=args.seed,
@@ -129,7 +122,7 @@ def cmd_fit(args) -> int:
 
     data = read_csv_matrix(args.csv)
     n, p = data.shape
-    cfg = _algo_config(args, default_threshold(p))
+    cfg = _algo_config(args, default_threshold(p) if args.threshold is None else args.threshold)
     out = _free_out_path(args.out, args.force)
     result = fit(data, args.k, cfg, workers=default_workers())
     out.mkdir(parents=True, exist_ok=True)
@@ -166,22 +159,24 @@ def cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Every scenario field but the required "p", with the value a file that omits
-# it gets. None means the value comes from p: "means", "weights" and
-# "contamination_level" from paper_design, "threshold" from default_threshold.
-SCENARIO_DEFAULTS = {
-    "n": 1000, "k": 3, "means": None, "cov_scale": 1.0, "weights": None,
-    "contamination": "none", "contamination_level": None, "replications": 20,
-    "seed": 0, "betas": [0.1], "c": 20.0, "c1": 0.1, "threshold": None,
-    "restarts": 10, "max_outer_iter": 100,
-}
+# Scenario-file keys converted by _whole and by _number.
+_COUNTS = ("n", "p", "k", "replications", "seed", "restarts", "max_outer_iter")
+_NUMBERS = ("cov_scale", "contamination_level", "c", "c1", "threshold")
+# Scenario-file key -> AlgoConfig field, beside betas, c and c1.
+_ALGO_FIELDS = {"threshold": "outlier_threshold", "restarts": "n_restarts",
+                "max_outer_iter": "max_outer_iter"}
+
+
+def _number(value, name: str) -> float:
+    """A JSON number as a float; booleans, strings and null are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _whole(value, name: str) -> int:
-    """A JSON number with an integral value, as an int; booleans, strings
-    and fractions are refused rather than truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not float(value).is_integer():
+    """A JSON number with an integral value, as an int; fractions are refused."""
+    if not _number(value, name).is_integer():
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -189,51 +184,43 @@ def _whole(value, name: str) -> int:
 def _load_scenario(path, replications: int | None,
                    seed: int) -> tuple[ScenarioSpec, list[AlgoConfig]]:
     """The scenario and one algorithm configuration per beta, every setting
-    read from the file; ``replications``, when given, replaces the file's."""
+    read from the file; ``replications``, when given, replaces the file's.
+    A setting the file leaves out takes the default of ``ScenarioSpec`` or
+    ``AlgoConfig``, and the threshold that of ``default_threshold(p)``."""
     from .clustering import AlgoConfig, default_threshold
-    from .simulation import ScenarioSpec, paper_design
+    from .simulation import ScenarioSpec
 
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"scenario file not found: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON ({exc})") from None
+        raise ValueError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
-        raise InputError(f"{path}: a scenario must be a JSON object")
-    unknown = set(raw) - {"p", *SCENARIO_DEFAULTS}
+        raise ValueError(f"{path}: a scenario must be a JSON object")
+    spec_keys = {field.name for field in dataclasses.fields(ScenarioSpec)}
+    unknown = set(raw) - spec_keys - {"betas", "c", "c1", *_ALGO_FIELDS}
     if unknown:
-        raise InputError(f"{path}: unknown fields {sorted(unknown)}")
+        raise ValueError(f"{path}: unknown fields {sorted(unknown)}")
     try:
-        p = _whole(raw["p"], "p")
-        design = paper_design(p=p, contamination=raw.get("contamination", "none"))
-        f = SCENARIO_DEFAULTS | {
-            "means": design.means, "weights": design.weights,
-            "contamination_level": design.contamination_level,
-            "threshold": default_threshold(p)} | raw
+        given = {}
+        for key, value in raw.items():
+            if value is None:
+                raise ValueError(f"{key} must not be null")
+            given[key] = (_whole(value, key) if key in _COUNTS
+                          else _number(value, key) if key in _NUMBERS else value)
         if replications is not None:
-            f["replications"] = replications
-        if not isinstance(f["betas"], list) or not f["betas"]:
+            given["replications"] = replications
+        spec = ScenarioSpec(**{key: given[key] for key in spec_keys & given.keys()})
+        settings = {"outlier_threshold": default_threshold(spec.p)} | {
+            name: given[key] for key, name in _ALGO_FIELDS.items() if key in given}
+        base = AlgoConfig(**settings, seed=seed, constraint=ConstraintConfig(
+            **{key: given[key] for key in ("c", "c1") if key in given}))
+        betas = given.get("betas", [base.beta])
+        if not isinstance(betas, list) or not betas:
             raise ValueError("betas must be a non-empty list")
-        spec = ScenarioSpec(
-            n=_whole(f["n"], "n"), p=p, k=_whole(f["k"], "k"), means=f["means"],
-            cov_scale=float(f["cov_scale"]), weights=f["weights"],
-            contamination=f["contamination"],
-            contamination_level=float(f["contamination_level"]),
-            replications=_whole(f["replications"], "replications"),
-            seed=_whole(f["seed"], "seed"))
-        cfgs = [AlgoConfig(
-            beta=float(beta),
-            constraint=ConstraintConfig(c=float(f["c"]), c1=float(f["c1"])),
-            outlier_threshold=float(f["threshold"]),
-            max_outer_iter=_whole(f["max_outer_iter"], "max_outer_iter"),
-            n_restarts=_whole(f["restarts"], "restarts"),
-            seed=seed,
-        ) for beta in f["betas"]]
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"{path}: invalid scenario ({exc})") from None
+        cfgs = [dataclasses.replace(base, beta=_number(beta, "betas")) for beta in betas]
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: invalid scenario ({exc})") from None
     return spec, cfgs
 
 
@@ -292,10 +279,10 @@ def cmd_influence(args) -> int:
 
     betas = args.beta or [0.1, 0.2, 1.0]
     if not all(0.0 < beta < np.inf for beta in betas):
-        raise InputError("beta must be positive and finite; beta = 0 is refused because "
+        raise ValueError("beta must be positive and finite; beta = 0 is refused because "
                          "the corresponding influence functions are unbounded")
     if args.grid_points < 1 or not np.isfinite([args.grid_lo, args.grid_hi]).all():
-        raise InputError("--grid-points must be at least 1 and the grid bounds finite")
+        raise ValueError("--grid-points must be at least 1 and the grid bounds finite")
     dist = TrueDistribution(
         weights=(args.pi1, 1.0 - args.pi1),
         means=(args.mu1, args.mu2),
@@ -336,7 +323,7 @@ def cmd_image(args) -> int:
     out = _free_out_path(args.out, args.force)
     sidecar = _free_out_path(out.with_suffix(out.suffix + ".json"), args.force)
     grid = load_image(args.image)
-    cfg = _algo_config(args, 0.02)
+    cfg = _algo_config(args, args.threshold)
     result = segment(grid, args.k, cfg)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_ppm(reconstruct(grid, result), out)
@@ -350,13 +337,14 @@ def cmd_image(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_algo_flags(sub: argparse.ArgumentParser, c1: float = 0.1) -> None:
+def _add_algo_flags(sub: argparse.ArgumentParser, c1: float = 0.1,
+                    threshold: float | None = None) -> None:
     sub.add_argument("--beta", type=float, default=0.1,
                      help="downweighting exponent in [0, 1]")
     sub.add_argument("--c", type=float, default=20.0, help="eigenvalue ratio bound")
     sub.add_argument("--c1", type=float, default=c1, help="eigenvalue floor")
-    sub.add_argument("--threshold", type=float, default=None,
-                     help="outlier threshold (default depends on dimension)")
+    sub.add_argument("--threshold", type=float, default=threshold,
+                     help=f"outlier threshold (default {threshold or 'depends on dimension'})")
     sub.add_argument("--restarts", type=int, default=10)
     sub.add_argument("--max-iter", dest="max_iter", type=int, default=100)
     _add_common(sub)
@@ -410,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_img.add_argument("--k", type=int, default=2)
     # Pixels live on [0, 1] channels: the shared floor of 0.1 would hold every
     # covariance at a standard deviation of 0.32 and flag nothing.
-    _add_algo_flags(p_img, c1=1e-4)
+    _add_algo_flags(p_img, c1=1e-4, threshold=0.02)
     p_img.set_defaults(func=cmd_image)
     return parser
 
@@ -421,7 +409,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ImageFormatError, ValueError, OSError) as exc:
+    except (ImageFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MixclustError as exc:

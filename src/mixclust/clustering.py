@@ -117,6 +117,8 @@ class AlgoConfig:
             raise ValueError("need at least one outer iteration")
         if self.n_restarts < 1:
             raise ValueError("need at least one restart")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.assignment_rule not in ASSIGNMENT_RULES:
             raise ValueError(f"assignment_rule must be one of {ASSIGNMENT_RULES}")
 

@@ -30,18 +30,24 @@ ANNULUS_RADII = (15.0, 20.0)
 OUTLYING_CENTER_VALUE = 20.0
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ScenarioSpec:
-    """One experimental design: geometry, contamination and replication plan."""
+    """One experimental design: geometry, contamination and replication plan.
 
-    n: int
+    Only ``p`` is required. ``means``, ``weights`` and
+    ``contamination_level`` left out take the paper's three-cluster design:
+    means at 0, +5 and -5 on every axis, and weights 0.33, 0.33 and 0.34 at
+    level 0, or 0.3 each at level 0.1 under contamination.
+    """
+
+    n: int = 1000
     p: int
-    k: int
-    means: np.ndarray
-    cov_scale: float
-    weights: np.ndarray
+    k: int = 3
+    means: np.ndarray | None = None
+    cov_scale: float = 1.0
+    weights: np.ndarray | None = None
     contamination: str = "none"
-    contamination_level: float = 0.0
+    contamination_level: float | None = None
     replications: int = 20
     seed: int = 0
 
@@ -50,13 +56,27 @@ class ScenarioSpec:
             raise ValueError(f"p and k must be at least 1, got p={self.p} and k={self.k}")
         if self.n < self.k:
             raise ValueError(f"n must be at least k={self.k}")
-        self.means = np.asarray(self.means, dtype=float).reshape(self.k, self.p)
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.contamination not in CONTAMINATION_KINDS:
+            raise ValueError(f"contamination must be one of {CONTAMINATION_KINDS}")
+        contaminated = self.contamination != "none"
+        if (self.means is None or self.weights is None) and self.k != 3:
+            raise ValueError("means and weights must be given unless k = 3")
+        if self.means is None:
+            self.means = np.outer([0.0, 5.0, -5.0], np.ones(self.p))
+        if self.weights is None:
+            self.weights = [0.3, 0.3, 0.3] if contaminated else [0.33, 0.33, 0.34]
+        if self.contamination_level is None:
+            self.contamination_level = 0.1 if contaminated else 0.0
+        self.means = np.asarray(self.means, dtype=float)
+        if self.means.size != self.k * self.p:
+            raise ValueError(f"means must hold k * p = {self.k * self.p} values")
+        self.means = self.means.reshape(self.k, self.p)
         if not np.isfinite(self.means).all():
             raise ValueError("means must be finite")
         self.weights = np.asarray(self.weights, dtype=float)
-        if self.contamination not in CONTAMINATION_KINDS:
-            raise ValueError(f"contamination must be one of {CONTAMINATION_KINDS}")
-        if self.contamination == "none":
+        if not contaminated:
             if self.contamination_level != 0.0:
                 raise ValueError("pure scenarios must have zero contamination level")
         elif not 0.0 < self.contamination_level < 1.0:
@@ -73,22 +93,6 @@ class ScenarioSpec:
     @property
     def n_outliers(self) -> int:
         return int(round(self.contamination_level * self.n))
-
-
-def paper_design(p: int = 2, cov_scale: float = 1.0, contamination: str = "none",
-                 n: int = 1000, replications: int = 20, seed: int = 0) -> ScenarioSpec:
-    """The reference three-cluster design: means at 0, +5 and -5 on every axis."""
-    means = np.stack([np.zeros(p), np.full(p, 5.0), np.full(p, -5.0)])
-    if contamination == "none":
-        weights = np.array([0.33, 0.33, 0.34])
-        level = 0.0
-    else:
-        weights = np.array([0.3, 0.3, 0.3])
-        level = 0.1
-    return ScenarioSpec(n=n, p=p, k=3, means=means, cov_scale=cov_scale,
-                        weights=weights, contamination=contamination,
-                        contamination_level=level, replications=replications,
-                        seed=seed)
 
 
 @dataclass
@@ -192,10 +196,10 @@ def contaminate_uniform_chisq(sample: LabeledSample, spec: ScenarioSpec,
         keep = batch[d2.min(axis=1) / spec.cov_scale > cutoff]
         accepted.append(keep)
         total += len(keep)
-        if attempts > max_attempts and total == 0:
+        if attempts > max_attempts and total / attempts < 1e-4:
             raise SamplingError(
-                "uniform contamination acceptance rate below 1e-4 "
-                "(clusters cover the sampling box)")
+                f"uniform contamination acceptance rate {total / attempts:.2g} is "
+                "below 1e-4 (clusters cover the sampling box)")
     points = np.vstack(accepted)[:m]
     return _append_outliers(sample, points)
 

@@ -27,7 +27,7 @@ from mixclust import (
 from mixclust.clustering import initialize, update_weights
 from mixclust.imageseg import PixelGrid, segment
 from mixclust.influence import if_curve
-from mixclust.simulation import generate, paper_design, run_experiment
+from mixclust.simulation import ScenarioSpec, generate, run_experiment
 from oracles import estimating_equation_residual, numeric_if_oracle
 
 IF_MODEL = TrueDistribution(weights=(0.5, 0.5), means=(0.0, 5.0), variances=(1.0, 4.0))
@@ -37,7 +37,7 @@ IF_CFG = ConstraintConfig(c=5.0, c1=0.1)
 def test_criterion_1_pure_data_anchor(criterion_report):
     """Pure p=2 design: misclassification near 0.0003, almost no flags."""
     start = time.time()
-    spec = paper_design(p=2, contamination="none", replications=20, seed=20240601)
+    spec = ScenarioSpec(p=2, contamination="none", replications=20, seed=20240601)
     cfgs = [AlgoConfig(beta=beta, outlier_threshold=1e-3,
                        constraint=ConstraintConfig(c=20.0, c1=0.1),
                        n_restarts=10, seed=0)
@@ -57,7 +57,7 @@ def test_criterion_1_pure_data_anchor(criterion_report):
 def test_criterion_2_outlying_cluster_robustness(criterion_report):
     """p=6 outlying cluster: robust fit succeeds where beta=0 collapses."""
     start = time.time()
-    spec = paper_design(p=6, contamination="outlying_cluster",
+    spec = ScenarioSpec(p=6, contamination="outlying_cluster",
                         replications=20, seed=77)
     cfgs = [AlgoConfig(beta=beta, outlier_threshold=1e-8,
                        constraint=ConstraintConfig(c=20.0, c1=0.1),
@@ -351,14 +351,14 @@ def test_criterion_6_influence_oracle_and_boundedness(if_solutions, criterion_re
 def test_criterion_7_contamination_generators(criterion_report):
     """Defining properties of the three contamination mechanisms."""
     # chi-squared scheme: every accepted point is far from every center
-    spec = paper_design(p=2, contamination="uniform_chisq", n=2000, seed=13)
+    spec = ScenarioSpec(p=2, contamination="uniform_chisq", n=2000, seed=13)
     sample = generate(spec, np.random.default_rng(13))
     pts = sample.data[sample.true_outlier_flags]
     d2 = ((pts[:, None, :] - spec.means[None]) ** 2).sum(axis=2)
     chisq_ok = bool(np.all(d2.min(axis=1) / spec.cov_scale > chi2.ppf(0.975, 2)))
 
     # annulus: radii in range, radial law correct at the 1% level
-    spec = paper_design(p=3, contamination="annulus", n=4000, seed=14)
+    spec = ScenarioSpec(p=3, contamination="annulus", n=4000, seed=14)
     sample = generate(spec, np.random.default_rng(14))
     radii = np.linalg.norm(sample.data[sample.true_outlier_flags], axis=1)
     in_range = bool(np.all((radii >= 15.0) & (radii <= 20.0)))
@@ -366,7 +366,7 @@ def test_criterion_7_contamination_generators(criterion_report):
     annulus_ok = in_range and pval > 0.01
 
     # outlying cluster: CLT bound on the sample mean
-    spec = paper_design(p=4, contamination="outlying_cluster", n=2000, seed=15)
+    spec = ScenarioSpec(p=4, contamination="outlying_cluster", n=2000, seed=15)
     sample = generate(spec, np.random.default_rng(15))
     pts = sample.data[sample.true_outlier_flags]
     clt_ok = bool(np.all(np.abs(pts.mean(axis=0) - 20.0) <= 3.0 / np.sqrt(len(pts))))

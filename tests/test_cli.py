@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -291,8 +292,11 @@ class TestSimulateCommand:
         {"cov_scale": float("nan")}, {"cov_scale": float("inf")}, {"cov_scale": 0},
         {"means": [[float("nan"), 0], [7, 7]]}, {"means": [[0, 0], [7, float("inf")]]},
         {"p": 0}, {"k": 0}, {"n": 0}, {"n": 1},
+        {"p": -1}, {"threshold": None}, {"means": None}, {"contamination_level": None},
+        {"seed": -1}, {"means": [[0, 0], [7, 7], [1, 1]]},
     ])
     def test_malformed_setting_exit_2(self, tmp_path, capsys, field):
+        (name,) = field  # the one key set is the field the message must name
         spec = {
             "n": 60, "p": 2, "k": 2, "means": [[0, 0], [7, 7]],
             "weights": [0.5, 0.5], "replications": 1, "restarts": 1,
@@ -301,7 +305,45 @@ class TestSimulateCommand:
         spec_path.write_text(json.dumps(spec | field))
         out = tmp_path / "o"
         assert main(["simulate", str(spec_path), "--out", str(out)]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        # the field's name as a word of the message, not just its letters
+        assert re.search(rf"\b{name}\b", err.removeprefix(f"error: {spec_path}")), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", [
+        {"p": 2, "k": 2},
+        {"n": 60, "p": 2, "k": 2, "weights": [0.5, 0.5], "replications": 1},
+    ])
+    def test_design_needs_three_clusters_exit_2(self, tmp_path, capsys, spec):
+        # the paper's means and weights are for k = 3 alone
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "o"
+        assert main(["simulate", str(spec_path), "--out", str(out)]) == 2
+        assert "means and weights must be given unless k = 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"p": 2, "replications": 2, "restarts": 2}))
+        out = tmp_path / "o"
+        assert main(["simulate", str(spec_path), "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rare_uniform_acceptance_exit_3(self, tmp_path, capsys):
+        # about 4 draws in a million land beyond the cutoff: refused after the
+        # first million draws, not run for tens of seconds
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "p": 2, "cov_scale": 27.05, "contamination": "uniform_chisq",
+            "replications": 1, "restarts": 1}))
+        out = tmp_path / "o"
+        start = time.perf_counter()
+        assert main(["simulate", str(spec_path), "--out", str(out)]) == 3
+        assert time.perf_counter() - start < 10.0
+        assert "acceptance rate" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["5", "[1, 2]", '"p"'])
@@ -411,6 +453,12 @@ class TestImageCommand:
         validate(sidecar, "image_sidecar")
         assert sidecar["k"] == 2
         assert sidecar["config"]["beta"] == 0.2
+
+    def test_help_states_threshold(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["image", "--help"])
+        assert exc.value.code == 0
+        assert "outlier threshold (default 0.02)" in capsys.readouterr().out
 
     def test_collision_without_force(self, tmp_path):
         grid, _ = two_tone_grid(side=12, noise_fraction=0.0)

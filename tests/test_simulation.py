@@ -13,10 +13,10 @@ from mixclust import (
     DegenerateClusteringError,
     GaussianComponent,
     MixtureParams,
+    SamplingError,
     bias_mse,
     gen_pure,
     generate,
-    paper_design,
     regular_misclassification,
     run_experiment,
     undetected_outlier_proportion,
@@ -40,16 +40,31 @@ def make_result(assignments, flags, k=3, p=2):
 
 
 class TestSpecs:
-    def test_paper_design_pure(self):
-        spec = paper_design(p=4)
+    def test_default_design_pure(self):
+        spec = ScenarioSpec(p=4)
         assert spec.weights.sum() == pytest.approx(1.0)
         assert spec.means.shape == (3, 4)
         assert spec.n_outliers == 0
 
-    def test_paper_design_contaminated(self):
-        spec = paper_design(p=2, contamination="annulus")
+    def test_default_design_contaminated(self):
+        spec = ScenarioSpec(p=2, contamination="annulus")
         assert spec.weights.sum() == pytest.approx(0.9)
         assert spec.n_outliers == 100
+
+    def test_default_design_values(self):
+        spec = ScenarioSpec(p=2)
+        assert (spec.n, spec.k, spec.cov_scale, spec.replications, spec.seed) == \
+            (1000, 3, 1.0, 20, 0)
+        assert np.array_equal(spec.means, [[0.0, 0.0], [5.0, 5.0], [-5.0, -5.0]])
+        assert np.array_equal(spec.weights, [0.33, 0.33, 0.34])
+        assert spec.contamination_level == 0.0
+        contaminated = ScenarioSpec(p=2, contamination="outlying_cluster")
+        assert np.array_equal(contaminated.weights, [0.3, 0.3, 0.3])
+        assert contaminated.contamination_level == 0.1
+
+    def test_keyword_only(self):
+        with pytest.raises(TypeError):
+            ScenarioSpec(1000, 2)
 
     def test_weight_sum_enforced(self):
         with pytest.raises(ValueError):
@@ -73,6 +88,10 @@ class TestSpecs:
         ({"cov_scale": 0.0}, "cov_scale must be finite and positive"),
         ({"means": [[np.nan, 0.0], [7.0, 7.0]]}, "means must be finite"),
         ({"means": [[0.0, 0.0], [7.0, -np.inf]]}, "means must be finite"),
+        ({"means": [[0.0, 0.0]]}, r"means must hold k \* p = 4 values"),
+        ({"seed": -1}, "seed must be nonnegative, got -1"),
+        ({"means": None}, "means and weights must be given unless k = 3"),
+        ({"weights": None}, "means and weights must be given unless k = 3"),
     ])
     def test_field_checked_before_sampling(self, field, message):
         # each message names its field, and p = 0 never reaches the reshape
@@ -88,7 +107,7 @@ class TestSpecs:
 
 class TestGenerators:
     def test_label_frequencies(self):
-        spec = paper_design(p=2, n=5000, seed=1)
+        spec = ScenarioSpec(p=2, n=5000, seed=1)
         sample = gen_pure(spec, np.random.default_rng(1))
         for j, w in enumerate(spec.weights):
             freq = np.mean(sample.true_labels == j)
@@ -96,7 +115,7 @@ class TestGenerators:
             assert abs(freq - w) <= bound
 
     def test_cluster_means_clt(self):
-        spec = paper_design(p=3, n=3000, seed=2)
+        spec = ScenarioSpec(p=3, n=3000, seed=2)
         sample = gen_pure(spec, np.random.default_rng(2))
         for j in range(3):
             pts = sample.data[sample.true_labels == j]
@@ -104,19 +123,26 @@ class TestGenerators:
             assert np.all(np.abs(pts.mean(axis=0) - spec.means[j]) <= bound)
 
     def test_determinism(self):
-        spec = paper_design(p=2, seed=5)
+        spec = ScenarioSpec(p=2, seed=5)
         s1 = gen_pure(spec, np.random.default_rng([5, 0]))
         s2 = gen_pure(spec, np.random.default_rng([5, 0]))
         assert np.array_equal(s1.data, s2.data)
 
     def test_chisq_acceptance_property(self):
-        spec = paper_design(p=2, contamination="uniform_chisq", n=2000, seed=3)
+        spec = ScenarioSpec(p=2, contamination="uniform_chisq", n=2000, seed=3)
         sample = generate(spec, np.random.default_rng(3))
         outliers = sample.data[sample.true_outlier_flags]
         assert len(outliers) == spec.n_outliers
         cutoff = chi2.ppf(0.975, df=2)
         d2 = ((outliers[:, None, :] - spec.means[None]) ** 2).sum(axis=2)
         assert np.all(d2.min(axis=1) / spec.cov_scale > cutoff)
+
+    def test_chisq_rare_acceptance_refused(self):
+        # At cov_scale 27.05 the box keeps about 4 draws in a million: the
+        # sampler stops after its first million draws instead of running on.
+        spec = ScenarioSpec(p=2, contamination="uniform_chisq", cov_scale=27.05)
+        with pytest.raises(SamplingError, match="below 1e-4"):
+            generate(spec, np.random.default_rng(0))
 
     def test_chisq_cutoff_matches_scipy(self):
         # Newton on the closed-form tail, up to p = 2000, where e^(-x/2) alone
@@ -127,7 +153,7 @@ class TestGenerators:
 
     def test_chisq_acceptance_rate_matches_area(self):
         # Monte Carlo acceptance fraction vs a fine-grid area computation
-        spec = paper_design(p=2, contamination="uniform_chisq", seed=4)
+        spec = ScenarioSpec(p=2, contamination="uniform_chisq", seed=4)
         cutoff = chi2.ppf(0.975, df=2)
         rng = np.random.default_rng(4)
         draws = rng.uniform(-10, 10, size=(200_000, 2))
@@ -141,7 +167,7 @@ class TestGenerators:
         assert mc == pytest.approx(area, abs=0.02 * area)
 
     def test_annulus_radii_and_ks(self):
-        spec = paper_design(p=3, contamination="annulus", n=4000, seed=6)
+        spec = ScenarioSpec(p=3, contamination="annulus", n=4000, seed=6)
         sample = generate(spec, np.random.default_rng(6))
         pts = sample.data[sample.true_outlier_flags]
         radii = np.linalg.norm(pts, axis=1)
@@ -153,14 +179,14 @@ class TestGenerators:
         assert kstest(radii, radial_cdf).pvalue > 0.01
 
     def test_annulus_direction_uniform(self):
-        spec = paper_design(p=3, contamination="annulus", n=3000, seed=7)
+        spec = ScenarioSpec(p=3, contamination="annulus", n=3000, seed=7)
         sample = generate(spec, np.random.default_rng(7))
         pts = sample.data[sample.true_outlier_flags]
         dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         assert np.linalg.norm(dirs.mean(axis=0)) <= 3.0 / np.sqrt(len(pts))
 
     def test_outlying_cluster_properties(self):
-        spec = paper_design(p=4, contamination="outlying_cluster", n=2000, seed=8)
+        spec = ScenarioSpec(p=4, contamination="outlying_cluster", n=2000, seed=8)
         sample = generate(spec, np.random.default_rng(8))
         pts = sample.data[sample.true_outlier_flags]
         assert len(pts) == spec.n_outliers
@@ -296,7 +322,7 @@ class TestRunExperiment:
 
     def test_outlying_cluster_p4_fully_detected(self):
         # planted far cluster at (20,...,20): flagged completely at beta=0.3
-        spec = paper_design(p=4, contamination="outlying_cluster",
+        spec = ScenarioSpec(p=4, contamination="outlying_cluster",
                             replications=1, seed=31)
         sample = generate(spec, np.random.default_rng([31, 0]))
         from mixclust import fit
@@ -308,7 +334,7 @@ class TestRunExperiment:
 
     def test_outlying_cluster_p8_beta_contrast(self):
         # beta=0 merges/covers while beta=0.3 recovers the design exactly
-        spec = paper_design(p=8, contamination="outlying_cluster",
+        spec = ScenarioSpec(p=8, contamination="outlying_cluster",
                             replications=1, seed=41)
         sample = generate(spec, np.random.default_rng([41, 0]))
         from mixclust import fit
@@ -324,7 +350,7 @@ class TestRunExperiment:
 
     def test_pure_p10_tiny_threshold(self):
         # densities underflow to zero floats at this scale; flags must not
-        spec = paper_design(p=10, contamination="none", replications=1, seed=41)
+        spec = ScenarioSpec(p=10, contamination="none", replications=1, seed=41)
         sample = generate(spec, np.random.default_rng([41, 0]))
         from mixclust import fit
 

@@ -29,9 +29,8 @@ _PUBLIC = {
     "influence": ("FunctionalSolution", "TrueDistribution", "assemble_if_system", "if_curve",
                   "influence_at", "solve_functional"),
     "mdpde": ("ComponentFit", "fit_component", "irls_step", "irls_weights", "robust_init"),
-    "simulation": ("LabeledSample", "ScenarioSpec", "SimulationReport", "bias_mse",
-                   "contaminate_annulus", "contaminate_outlying_cluster",
-                   "contaminate_uniform_chisq", "gen_pure", "generate",
+    "simulation": ("ScenarioSpec", "SimulationReport", "bias_mse", "contaminate_annulus",
+                   "contaminate_outlying_cluster", "contaminate_uniform_chisq", "generate",
                    "regular_misclassification", "run_experiment",
                    "undetected_outlier_proportion"),
 }

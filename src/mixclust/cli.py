@@ -181,8 +181,7 @@ def _whole(value, name: str) -> int:
     return int(value)
 
 
-def _load_scenario(path, replications: int | None,
-                   seed: int) -> tuple[ScenarioSpec, list[AlgoConfig]]:
+def _load_scenario(path, replications: int | None) -> tuple[ScenarioSpec, list[AlgoConfig]]:
     """The scenario and one algorithm configuration per beta, every setting
     read from the file; ``replications``, when given, replaces the file's.
     A setting the file leaves out takes the default of ``ScenarioSpec`` or
@@ -213,7 +212,7 @@ def _load_scenario(path, replications: int | None,
         spec = ScenarioSpec(**{key: given[key] for key in spec_keys & given.keys()})
         settings = {"outlier_threshold": default_threshold(spec.p)} | {
             name: given[key] for key, name in _ALGO_FIELDS.items() if key in given}
-        base = AlgoConfig(**settings, seed=seed, constraint=ConstraintConfig(
+        base = AlgoConfig(**settings, constraint=ConstraintConfig(
             **{key: given[key] for key in ("c", "c1") if key in given}))
         betas = given.get("betas", [base.beta])
         if not isinstance(betas, list) or not betas:
@@ -247,7 +246,8 @@ def cmd_simulate(args) -> int:
     from .simulation import run_experiment
     from .workers import default_workers
 
-    spec, cfgs = _load_scenario(args.spec, args.replications, args.seed)
+    spec, cfgs = _load_scenario(args.spec, args.replications)
+    cfgs = [dataclasses.replace(cfg, seed=args.seed) for cfg in cfgs]  # refuses a bad --seed
     out = _free_out_path(args.out, args.force)
     report = run_experiment(spec, cfgs, workers=default_workers())
     out.mkdir(parents=True, exist_ok=True)

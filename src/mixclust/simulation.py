@@ -3,8 +3,10 @@
 Scenarios follow a common design: k spherical normal clusters with means on
 the diagonal, optionally contaminated by one of three mechanisms (uniform
 points kept only when far from every center in Mahalanobis terms, a uniform
-shell, or an extra outlying cluster). Metrics are computed over the true
-regular observations after the best label permutation.
+shell, or an extra outlying cluster). :func:`generate` draws one sample as
+``(data, labels)``: the regular rows first, labelled 0..k-1, then the
+outliers, labelled -1. Metrics take those labels and are computed over the
+true regular observations after the best label permutation.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 
 from .clustering import AlgoConfig, ClusteringResult, fit
 from .errors import MixclustError, SamplingError
-from .gaussian import as_data_matrix
 from .workers import fork_map
 
 CONTAMINATION_KINDS = ("none", "uniform_chisq", "annulus", "outlying_cluster")
@@ -28,6 +29,13 @@ UNIFORM_BOX_HALF_WIDTH = 10.0
 CHISQ_TAIL = 0.025
 ANNULUS_RADII = (15.0, 20.0)
 OUTLYING_CENTER_VALUE = 20.0
+
+
+def _numbers(value, name: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be numbers, got {value!r}") from None
 
 
 @dataclass(kw_only=True)
@@ -69,13 +77,13 @@ class ScenarioSpec:
             self.weights = [0.3, 0.3, 0.3] if contaminated else [0.33, 0.33, 0.34]
         if self.contamination_level is None:
             self.contamination_level = 0.1 if contaminated else 0.0
-        self.means = np.asarray(self.means, dtype=float)
+        self.means = _numbers(self.means, "means")
         if self.means.size != self.k * self.p:
             raise ValueError(f"means must hold k * p = {self.k * self.p} values")
         self.means = self.means.reshape(self.k, self.p)
         if not np.isfinite(self.means).all():
             raise ValueError("means must be finite")
-        self.weights = np.asarray(self.weights, dtype=float)
+        self.weights = _numbers(self.weights, "weights")
         if not contaminated:
             if self.contamination_level != 0.0:
                 raise ValueError("pure scenarios must have zero contamination level")
@@ -85,6 +93,8 @@ class ScenarioSpec:
         if self.weights.shape != (self.k,) or not abs(self.weights.sum() - expected) <= 1e-9:
             raise ValueError(f"weights must be {self.k} values summing to {expected} "
                              "(1 minus the contamination level)")
+        if (self.weights < 0).any():
+            raise ValueError("weights must be nonnegative")
         if not 0.0 < self.cov_scale < np.inf:  # NaN fails too
             raise ValueError("cov_scale must be finite and positive")
         if self.replications < 1:
@@ -93,54 +103,6 @@ class ScenarioSpec:
     @property
     def n_outliers(self) -> int:
         return int(round(self.contamination_level * self.n))
-
-
-@dataclass
-class LabeledSample:
-    """Data with generation labels; outliers carry label -1 and a flag."""
-
-    data: np.ndarray
-    true_labels: np.ndarray
-    true_outlier_flags: np.ndarray
-
-    def __post_init__(self):
-        self.data = as_data_matrix(self.data)
-        self.true_labels = np.asarray(self.true_labels, dtype=int)
-        self.true_outlier_flags = np.asarray(self.true_outlier_flags, dtype=bool)
-        n = len(self.data)
-        if len(self.true_labels) != n or len(self.true_outlier_flags) != n:
-            raise ValueError("labels and flags must match the data length")
-        if np.any(self.true_labels[self.true_outlier_flags] != -1):
-            raise ValueError("outliers must not carry a cluster label")
-
-
-def gen_pure(spec: ScenarioSpec, rng: np.random.Generator) -> LabeledSample:
-    """Draw the regular observations: a multinomial split across clusters.
-
-    Under contamination only ``n - round(level * n)`` regulars are drawn;
-    the matching contaminate_* call appends the rest.
-    """
-    n_regular = spec.n - spec.n_outliers
-    probs = spec.weights / spec.weights.sum()
-    counts = rng.multinomial(n_regular, probs)
-    sd = np.sqrt(spec.cov_scale)
-    blocks, labels = [], []
-    for j, cnt in enumerate(counts):
-        blocks.append(spec.means[j] + sd * rng.standard_normal((cnt, spec.p)))
-        labels.append(np.full(cnt, j))
-    data = np.vstack(blocks)
-    labels = np.concatenate(labels)
-    return LabeledSample(data, labels, np.zeros(len(data), dtype=bool))
-
-
-def _append_outliers(sample: LabeledSample, points: np.ndarray) -> LabeledSample:
-    m = len(points)
-    return LabeledSample(
-        data=np.vstack([sample.data, points]),
-        true_labels=np.concatenate([sample.true_labels, np.full(m, -1)]),
-        true_outlier_flags=np.concatenate(
-            [sample.true_outlier_flags, np.ones(m, dtype=bool)]),
-    )
 
 
 def chisq_cutoff(p: int) -> float:
@@ -173,8 +135,7 @@ def chisq_cutoff(p: int) -> float:
         x = new
 
 
-def contaminate_uniform_chisq(sample: LabeledSample, spec: ScenarioSpec,
-                              rng: np.random.Generator) -> LabeledSample:
+def contaminate_uniform_chisq(spec: ScenarioSpec, rng: np.random.Generator) -> np.ndarray:
     """Uniform box noise kept only far from every cluster center.
 
     Points are drawn uniformly on the box and accepted when the smallest
@@ -200,12 +161,10 @@ def contaminate_uniform_chisq(sample: LabeledSample, spec: ScenarioSpec,
             raise SamplingError(
                 f"uniform contamination acceptance rate {total / attempts:.2g} is "
                 "below 1e-4 (clusters cover the sampling box)")
-    points = np.vstack(accepted)[:m]
-    return _append_outliers(sample, points)
+    return np.vstack(accepted)[:m]
 
 
-def contaminate_annulus(sample: LabeledSample, spec: ScenarioSpec,
-                        rng: np.random.Generator) -> LabeledSample:
+def contaminate_annulus(spec: ScenarioSpec, rng: np.random.Generator) -> np.ndarray:
     """Uniform noise on the shell between the fixed inner and outer radii."""
     m = spec.n_outliers
     r_in, r_out = ANNULUS_RADII
@@ -213,15 +172,13 @@ def contaminate_annulus(sample: LabeledSample, spec: ScenarioSpec,
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     u = rng.uniform(size=m)
     radius = (r_in**spec.p + u * (r_out**spec.p - r_in**spec.p)) ** (1.0 / spec.p)
-    return _append_outliers(sample, direction * radius[:, None])
+    return direction * radius[:, None]
 
 
-def contaminate_outlying_cluster(sample: LabeledSample, spec: ScenarioSpec,
-                                 rng: np.random.Generator) -> LabeledSample:
+def contaminate_outlying_cluster(spec: ScenarioSpec, rng: np.random.Generator) -> np.ndarray:
     """A whole extra cluster at (20, ..., 20) with identity dispersion."""
-    m = spec.n_outliers
     center = np.full(spec.p, OUTLYING_CENTER_VALUE)
-    return _append_outliers(sample, center + rng.standard_normal((m, spec.p)))
+    return center + rng.standard_normal((spec.n_outliers, spec.p))
 
 
 _CONTAMINATORS = {
@@ -231,11 +188,20 @@ _CONTAMINATORS = {
 }
 
 
-def generate(spec: ScenarioSpec, rng: np.random.Generator) -> LabeledSample:
-    sample = gen_pure(spec, rng)
+def generate(spec: ScenarioSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One sample as ``(data, labels)``.
+
+    The regular rows come first, split across the clusters by one
+    multinomial draw and labelled 0..k-1; the contamination scheme's
+    ``spec.n_outliers`` points follow, each labelled -1.
+    """
+    counts = rng.multinomial(spec.n - spec.n_outliers, spec.weights / spec.weights.sum())
+    sd = np.sqrt(spec.cov_scale)
+    blocks = [spec.means[j] + sd * rng.standard_normal((cnt, spec.p))
+              for j, cnt in enumerate(counts)]
     if spec.contamination != "none":
-        sample = _CONTAMINATORS[spec.contamination](sample, spec, rng)
-    return sample
+        blocks.append(_CONTAMINATORS[spec.contamination](spec, rng))
+    return np.vstack(blocks), np.repeat([*range(spec.k), -1], [*counts, spec.n_outliers])
 
 
 # ---------------------------------------------------------------------------
@@ -243,67 +209,60 @@ def generate(spec: ScenarioSpec, rng: np.random.Generator) -> LabeledSample:
 # ---------------------------------------------------------------------------
 
 
-def _best_permutation_errors(pred: np.ndarray, true: np.ndarray, k: int) -> int:
+def _best_permutation(k: int, cost) -> tuple[int, ...]:
+    """The first permutation of ``range(k)`` with the least ``cost``
+    (exhaustive, k factorial)."""
     if k > 8:
         raise ValueError("exhaustive label matching is limited to k <= 8")
-    best = len(pred)
-    for perm in itertools.permutations(range(k)):
-        mapped = np.asarray(perm)[pred]
-        best = min(best, int(np.sum(mapped != true)))
-        if best == 0:
-            break
-    return best
+    return min(itertools.permutations(range(k)), key=cost)
 
 
-def regular_misclassification(result: ClusteringResult, truth: LabeledSample) -> float:
-    """Misclassification rate over the true regular observations.
+def regular_misclassification(result: ClusteringResult, labels: np.ndarray) -> float:
+    """Misclassification rate over the true regular observations (``labels >= 0``).
 
-    Labels are matched by the best permutation (exhaustive, k factorial).
-    A regular observation flagged as an outlier counts as an error.
+    Labels are matched by the best permutation (k <= 8). A regular
+    observation flagged as an outlier counts as an error.
     """
-    regular = ~truth.true_outlier_flags
+    regular = labels >= 0
     if not np.any(regular):
         raise ValueError("no regular observations")
-    pred = result.assignments[regular]
-    true = truth.true_labels[regular]
     flagged = result.outlier_flags[regular]
-    errors = int(flagged.sum()) + _best_permutation_errors(pred[~flagged], true[~flagged],
-                                                           result.params.k)
-    return errors / regular.sum()
+    pred = result.assignments[regular][~flagged]
+    true = labels[regular][~flagged]
+
+    def errors(perm) -> int:
+        return int(np.sum(np.asarray(perm)[pred] != true))
+
+    best = _best_permutation(result.params.k, errors)
+    return (int(flagged.sum()) + errors(best)) / regular.sum()
 
 
 def undetected_outlier_proportion(result: ClusteringResult,
-                                  truth: LabeledSample) -> float | None:
-    """Fraction of true outliers the method failed to flag; None when the
-    sample has no true outliers (pure data reports detected counts instead)."""
-    out = truth.true_outlier_flags
+                                  labels: np.ndarray) -> float | None:
+    """Fraction of true outliers (``labels == -1``) the method failed to flag;
+    None when the sample has none (pure data reports detected counts instead)."""
+    out = labels < 0
     if not np.any(out):
         return None
     return float(np.mean(~result.outlier_flags[out]))
 
 
-def match_means(estimated: np.ndarray, true_means: np.ndarray) -> np.ndarray:
-    """Reorder estimated cluster means to best match the true ones."""
-    k = len(true_means)
-    best_perm, best_cost = None, np.inf
-    for perm in itertools.permutations(range(k)):
-        cost = float(np.sum((estimated[list(perm)] - true_means) ** 2))
-        if cost < best_cost:
-            best_perm, best_cost = perm, cost
-    return estimated[list(best_perm)]
-
-
 def bias_mse(mean_estimates: list[np.ndarray], true_means) -> tuple[float, float]:
     """Aggregate bias and mean squared error of the cluster-mean estimates.
 
-    Each replication's means are permutation-matched to the truth first.
-    Bias is the Euclidean norm of the average error vector and MSE the
-    average squared Euclidean error, both averaged over clusters.
+    Each replication's means are first reordered by the permutation that
+    brings them closest to the truth (k <= 8). Bias is the Euclidean norm of
+    the average error vector and MSE the average squared Euclidean error,
+    both averaged over clusters.
     """
     true_means = np.asarray(true_means, dtype=float)
-    matched = np.stack([match_means(np.asarray(m, dtype=float), true_means)
-                        for m in mean_estimates])
-    err = matched - true_means[None, :, :]
+    matched = []
+    for estimated in mean_estimates:
+        estimated = np.asarray(estimated, dtype=float)
+        perm = _best_permutation(len(true_means), lambda perm: float(
+            np.sum((estimated[list(perm)] - true_means) ** 2)))
+        matched.append(estimated[list(perm)])
+    err = np.stack(matched) - true_means[None, :, :]
     bias_per_cluster = np.linalg.norm(err.mean(axis=0), axis=1)
     mse_per_cluster = (err**2).sum(axis=2).mean(axis=0)
     return float(bias_per_cluster.mean()), float(mse_per_cluster.mean())
@@ -362,14 +321,14 @@ def aggregate_rows(rows: list[dict], config_labels: list[str],
 def _run_replication(spec: ScenarioSpec, rep: int, algo_cfgs: list[AlgoConfig],
                      labels: list[str]) -> list[dict]:
     rng = np.random.default_rng([spec.seed, rep])
-    sample = generate(spec, rng)
+    data, truth = generate(spec, rng)
     rows = []
     for cfg, label in zip(algo_cfgs, labels):
         row: dict = {"replication": rep, "config": label, "error": None}
         try:
-            result = fit(sample.data, spec.k, replace(cfg, seed=cfg.seed + 1000 * rep))
-            row["misclassification"] = regular_misclassification(result, sample)
-            row["undetected"] = undetected_outlier_proportion(result, sample)
+            result = fit(data, spec.k, replace(cfg, seed=cfg.seed + 1000 * rep))
+            row["misclassification"] = regular_misclassification(result, truth)
+            row["undetected"] = undetected_outlier_proportion(result, truth)
             row["detected"] = int(result.outlier_flags.sum())
             row["objective"] = result.objective
             row["fitted_means"] = np.stack([c.mean for c in result.params.components])

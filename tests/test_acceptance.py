@@ -352,23 +352,23 @@ def test_criterion_7_contamination_generators(criterion_report):
     """Defining properties of the three contamination mechanisms."""
     # chi-squared scheme: every accepted point is far from every center
     spec = ScenarioSpec(p=2, contamination="uniform_chisq", n=2000, seed=13)
-    sample = generate(spec, np.random.default_rng(13))
-    pts = sample.data[sample.true_outlier_flags]
+    data, labels = generate(spec, np.random.default_rng(13))
+    pts = data[labels == -1]
     d2 = ((pts[:, None, :] - spec.means[None]) ** 2).sum(axis=2)
     chisq_ok = bool(np.all(d2.min(axis=1) / spec.cov_scale > chi2.ppf(0.975, 2)))
 
     # annulus: radii in range, radial law correct at the 1% level
     spec = ScenarioSpec(p=3, contamination="annulus", n=4000, seed=14)
-    sample = generate(spec, np.random.default_rng(14))
-    radii = np.linalg.norm(sample.data[sample.true_outlier_flags], axis=1)
+    data, labels = generate(spec, np.random.default_rng(14))
+    radii = np.linalg.norm(data[labels == -1], axis=1)
     in_range = bool(np.all((radii >= 15.0) & (radii <= 20.0)))
     pval = kstest(radii, lambda r: (r**3 - 15.0**3) / (20.0**3 - 15.0**3)).pvalue
     annulus_ok = in_range and pval > 0.01
 
     # outlying cluster: CLT bound on the sample mean
     spec = ScenarioSpec(p=4, contamination="outlying_cluster", n=2000, seed=15)
-    sample = generate(spec, np.random.default_rng(15))
-    pts = sample.data[sample.true_outlier_flags]
+    data, labels = generate(spec, np.random.default_rng(15))
+    pts = data[labels == -1]
     clt_ok = bool(np.all(np.abs(pts.mean(axis=0) - 20.0) <= 3.0 / np.sqrt(len(pts))))
 
     criterion_report(7, chisq_ok and annulus_ok and clt_ok,

@@ -294,6 +294,7 @@ class TestSimulateCommand:
         {"p": 0}, {"k": 0}, {"n": 0}, {"n": 1},
         {"p": -1}, {"threshold": None}, {"means": None}, {"contamination_level": None},
         {"seed": -1}, {"means": [[0, 0], [7, 7], [1, 1]]},
+        {"means": "abc"}, {"weights": {"a": 1}}, {"weights": [1.5, -0.5]},
     ])
     def test_malformed_setting_exit_2(self, tmp_path, capsys, field):
         (name,) = field  # the one key set is the field the message must name
@@ -329,7 +330,10 @@ class TestSimulateCommand:
         spec_path.write_text(json.dumps({"p": 2, "replications": 2, "restarts": 2}))
         out = tmp_path / "o"
         assert main(["simulate", str(spec_path), "--seed", "-1", "--out", str(out)]) == 2
-        assert "seed must be nonnegative" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "seed must be nonnegative" in err
+        # the flag is at fault, not the scenario file
+        assert str(spec_path) not in err and "invalid scenario" not in err
         assert not out.exists()
 
     def test_rare_uniform_acceptance_exit_3(self, tmp_path, capsys):

@@ -15,14 +15,13 @@ from mixclust import (
     MixtureParams,
     SamplingError,
     bias_mse,
-    gen_pure,
     generate,
     regular_misclassification,
     run_experiment,
     undetected_outlier_proportion,
 )
 from mixclust.clustering import ClusteringResult, default_threshold
-from mixclust.simulation import LabeledSample, ScenarioSpec, aggregate_rows, chisq_cutoff
+from mixclust.simulation import ScenarioSpec, aggregate_rows, chisq_cutoff
 
 
 def make_result(assignments, flags, k=3, p=2):
@@ -92,6 +91,9 @@ class TestSpecs:
         ({"seed": -1}, "seed must be nonnegative, got -1"),
         ({"means": None}, "means and weights must be given unless k = 3"),
         ({"weights": None}, "means and weights must be given unless k = 3"),
+        ({"means": "abc"}, "means must be numbers, got 'abc'"),
+        ({"weights": {"a": 1}}, "weights must be numbers"),
+        ({"weights": [1.3, -0.3]}, "weights must be nonnegative"),
     ])
     def test_field_checked_before_sampling(self, field, message):
         # each message names its field, and p = 0 never reaches the reshape
@@ -99,6 +101,11 @@ class TestSpecs:
                     weights=[0.5, 0.5])
         with pytest.raises(ValueError, match=message):
             ScenarioSpec(**(good | field))
+
+    def test_zero_weight_allowed(self):
+        spec = ScenarioSpec(p=2, n=200, weights=[0.5, 0.5, 0.0])
+        _, labels = generate(spec, np.random.default_rng(0))
+        assert not np.any(labels == 2)
 
     def test_default_thresholds(self):
         assert default_threshold(2) == 1e-3
@@ -108,30 +115,30 @@ class TestSpecs:
 class TestGenerators:
     def test_label_frequencies(self):
         spec = ScenarioSpec(p=2, n=5000, seed=1)
-        sample = gen_pure(spec, np.random.default_rng(1))
+        _, labels = generate(spec, np.random.default_rng(1))
         for j, w in enumerate(spec.weights):
-            freq = np.mean(sample.true_labels == j)
+            freq = np.mean(labels == j)
             bound = 3 * np.sqrt(w * (1 - w) / spec.n)
             assert abs(freq - w) <= bound
 
     def test_cluster_means_clt(self):
         spec = ScenarioSpec(p=3, n=3000, seed=2)
-        sample = gen_pure(spec, np.random.default_rng(2))
+        data, labels = generate(spec, np.random.default_rng(2))
         for j in range(3):
-            pts = sample.data[sample.true_labels == j]
+            pts = data[labels == j]
             bound = 3 * np.sqrt(spec.cov_scale / len(pts))
             assert np.all(np.abs(pts.mean(axis=0) - spec.means[j]) <= bound)
 
     def test_determinism(self):
         spec = ScenarioSpec(p=2, seed=5)
-        s1 = gen_pure(spec, np.random.default_rng([5, 0]))
-        s2 = gen_pure(spec, np.random.default_rng([5, 0]))
-        assert np.array_equal(s1.data, s2.data)
+        d1, _ = generate(spec, np.random.default_rng([5, 0]))
+        d2, _ = generate(spec, np.random.default_rng([5, 0]))
+        assert np.array_equal(d1, d2)
 
     def test_chisq_acceptance_property(self):
         spec = ScenarioSpec(p=2, contamination="uniform_chisq", n=2000, seed=3)
-        sample = generate(spec, np.random.default_rng(3))
-        outliers = sample.data[sample.true_outlier_flags]
+        data, labels = generate(spec, np.random.default_rng(3))
+        outliers = data[labels == -1]
         assert len(outliers) == spec.n_outliers
         cutoff = chi2.ppf(0.975, df=2)
         d2 = ((outliers[:, None, :] - spec.means[None]) ** 2).sum(axis=2)
@@ -168,8 +175,8 @@ class TestGenerators:
 
     def test_annulus_radii_and_ks(self):
         spec = ScenarioSpec(p=3, contamination="annulus", n=4000, seed=6)
-        sample = generate(spec, np.random.default_rng(6))
-        pts = sample.data[sample.true_outlier_flags]
+        data, labels = generate(spec, np.random.default_rng(6))
+        pts = data[labels == -1]
         radii = np.linalg.norm(pts, axis=1)
         assert np.all((radii >= 15.0) & (radii <= 20.0))
 
@@ -180,45 +187,51 @@ class TestGenerators:
 
     def test_annulus_direction_uniform(self):
         spec = ScenarioSpec(p=3, contamination="annulus", n=3000, seed=7)
-        sample = generate(spec, np.random.default_rng(7))
-        pts = sample.data[sample.true_outlier_flags]
+        data, labels = generate(spec, np.random.default_rng(7))
+        pts = data[labels == -1]
         dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         assert np.linalg.norm(dirs.mean(axis=0)) <= 3.0 / np.sqrt(len(pts))
 
     def test_outlying_cluster_properties(self):
         spec = ScenarioSpec(p=4, contamination="outlying_cluster", n=2000, seed=8)
-        sample = generate(spec, np.random.default_rng(8))
-        pts = sample.data[sample.true_outlier_flags]
-        assert len(pts) == spec.n_outliers
+        data, labels = generate(spec, np.random.default_rng(8))
+        pts = data[labels == -1]
         bound = 3.0 / np.sqrt(len(pts))
         assert np.all(np.abs(pts.mean(axis=0) - 20.0) <= bound)
-        assert np.all(sample.true_labels[sample.true_outlier_flags] == -1)
-        assert not np.any(sample.true_outlier_flags[:spec.n - spec.n_outliers])
+
+    @pytest.mark.parametrize("kind", ["uniform_chisq", "annulus", "outlying_cluster"])
+    def test_sample_layout(self, kind):
+        # the regular rows first, labelled by cluster, then exactly
+        # n_outliers rows labelled -1
+        spec = ScenarioSpec(p=4, contamination=kind, n=2000, seed=8)
+        data, labels = generate(spec, np.random.default_rng(8))
+        n_regular = spec.n - spec.n_outliers
+        assert data.shape == (spec.n, spec.p) and labels.shape == (spec.n,)
+        assert np.all((labels[:n_regular] >= 0) & (labels[:n_regular] < spec.k))
+        assert np.all(labels[n_regular:] == -1)
 
 
 class TestMetrics:
     def test_exact_predictions(self):
-        truth_labels = np.repeat([0, 1, 2], 10)
-        truth = LabeledSample(np.zeros((30, 2)), truth_labels, np.zeros(30, bool))
-        res = make_result(truth_labels, np.zeros(30, bool))
+        truth = np.repeat([0, 1, 2], 10)
+        res = make_result(truth, np.zeros(30, bool))
         assert regular_misclassification(res, truth) == 0.0
 
     def test_relabeled_predictions(self):
-        truth_labels = np.repeat([0, 1, 2], 10)
-        truth = LabeledSample(np.zeros((30, 2)), truth_labels, np.zeros(30, bool))
+        truth = np.repeat([0, 1, 2], 10)
         perm = np.array([2, 0, 1])
-        res = make_result(perm[truth_labels], np.zeros(30, bool))
+        res = make_result(perm[truth], np.zeros(30, bool))
         assert regular_misclassification(res, truth) == 0.0
 
     def test_one_in_ten_wrong(self):
-        truth = LabeledSample(np.zeros((10, 2)), np.repeat([0, 1], 5), np.zeros(10, bool))
+        truth = np.repeat([0, 1], 5)
         pred = np.repeat([0, 1], 5)
         pred[0] = 1
         res = make_result(pred, np.zeros(10, bool), k=2)
         assert regular_misclassification(res, truth) == pytest.approx(0.1)
 
     def test_flagged_regular_counts_by_convention(self):
-        truth = LabeledSample(np.zeros((10, 2)), np.repeat([0, 1], 5), np.zeros(10, bool))
+        truth = np.repeat([0, 1], 5)
         flags = np.zeros(10, bool)
         flags[3] = True
         res = make_result(np.repeat([0, 1], 5), flags, k=2)
@@ -226,13 +239,12 @@ class TestMetrics:
 
     def test_undetected_proportion(self):
         flags_true = np.array([False] * 6 + [True] * 4)
-        truth = LabeledSample(np.zeros((10, 2)),
-                              np.where(flags_true, -1, 0), flags_true)
+        truth = np.where(flags_true, -1, 0)
         all_found = make_result(np.zeros(10, int), flags_true)
         assert undetected_outlier_proportion(all_found, truth) == 0.0
         none_found = make_result(np.zeros(10, int), np.zeros(10, bool))
         assert undetected_outlier_proportion(none_found, truth) == 1.0
-        pure = LabeledSample(np.zeros((10, 2)), np.zeros(10, int), np.zeros(10, bool))
+        pure = np.zeros(10, int)
         assert undetected_outlier_proportion(none_found, pure) is None
 
     def test_bias_mse_exact(self):
@@ -261,6 +273,12 @@ class TestMetrics:
         true_means = np.array([[0.0, 0.0], [5.0, 5.0]])
         bias, mse = bias_mse([true_means[::-1].copy()], true_means)
         assert bias == 0.0 and mse == 0.0
+
+    def test_bias_mse_refuses_more_than_eight_clusters(self):
+        # the guard of the one label search: 9! = 362 880 orders otherwise
+        true_means = np.stack([8.0 * np.arange(9), np.zeros(9)], axis=1)
+        with pytest.raises(ValueError, match="limited to k <= 8"):
+            bias_mse([true_means.copy()], true_means)
 
 
 @pytest.fixture(scope="module")
@@ -324,39 +342,39 @@ class TestRunExperiment:
         # planted far cluster at (20,...,20): flagged completely at beta=0.3
         spec = ScenarioSpec(p=4, contamination="outlying_cluster",
                             replications=1, seed=31)
-        sample = generate(spec, np.random.default_rng([31, 0]))
+        data, labels = generate(spec, np.random.default_rng([31, 0]))
         from mixclust import fit
 
-        res = fit(sample.data, 3, AlgoConfig(beta=0.3, outlier_threshold=1e-5,
+        res = fit(data, 3, AlgoConfig(beta=0.3, outlier_threshold=1e-5,
                                              n_restarts=8, seed=2))
-        assert undetected_outlier_proportion(res, sample) == 0.0
-        assert regular_misclassification(res, sample) <= 0.01
+        assert undetected_outlier_proportion(res, labels) == 0.0
+        assert regular_misclassification(res, labels) <= 0.01
 
     def test_outlying_cluster_p8_beta_contrast(self):
         # beta=0 merges/covers while beta=0.3 recovers the design exactly
         spec = ScenarioSpec(p=8, contamination="outlying_cluster",
                             replications=1, seed=41)
-        sample = generate(spec, np.random.default_rng([41, 0]))
+        data, labels = generate(spec, np.random.default_rng([41, 0]))
         from mixclust import fit
 
-        robust = fit(sample.data, 3, AlgoConfig(beta=0.3, outlier_threshold=1e-18,
+        robust = fit(data, 3, AlgoConfig(beta=0.3, outlier_threshold=1e-18,
                                                 n_restarts=10, seed=1))
-        plain = fit(sample.data, 3, AlgoConfig(beta=0.0, outlier_threshold=1e-18,
+        plain = fit(data, 3, AlgoConfig(beta=0.0, outlier_threshold=1e-18,
                                                n_restarts=10, seed=1))
-        assert regular_misclassification(robust, sample) <= 0.01
-        assert undetected_outlier_proportion(robust, sample) == 0.0
-        assert regular_misclassification(plain, sample) >= 0.15
-        assert undetected_outlier_proportion(plain, sample) >= 0.9
+        assert regular_misclassification(robust, labels) <= 0.01
+        assert undetected_outlier_proportion(robust, labels) == 0.0
+        assert regular_misclassification(plain, labels) >= 0.15
+        assert undetected_outlier_proportion(plain, labels) >= 0.9
 
     def test_pure_p10_tiny_threshold(self):
         # densities underflow to zero floats at this scale; flags must not
         spec = ScenarioSpec(p=10, contamination="none", replications=1, seed=41)
-        sample = generate(spec, np.random.default_rng([41, 0]))
+        data, labels = generate(spec, np.random.default_rng([41, 0]))
         from mixclust import fit
 
-        res = fit(sample.data, 3, AlgoConfig(beta=0.3, outlier_threshold=1e-24,
+        res = fit(data, 3, AlgoConfig(beta=0.3, outlier_threshold=1e-24,
                                              n_restarts=8, seed=1))
-        assert regular_misclassification(res, sample) <= 0.005
+        assert regular_misclassification(res, labels) <= 0.005
         assert res.outlier_flags.sum() <= 2
 
     def test_failures_recorded_not_fatal(self):

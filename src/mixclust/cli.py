@@ -181,11 +181,11 @@ def _whole(value, name: str) -> int:
     return int(value)
 
 
-def _load_scenario(path, replications: int | None) -> tuple[ScenarioSpec, list[AlgoConfig]]:
+def _load_scenario(path) -> tuple[ScenarioSpec, list[AlgoConfig]]:
     """The scenario and one algorithm configuration per beta, every setting
-    read from the file; ``replications``, when given, replaces the file's.
-    A setting the file leaves out takes the default of ``ScenarioSpec`` or
-    ``AlgoConfig``, and the threshold that of ``default_threshold(p)``."""
+    read from the file. A setting the file leaves out takes the default of
+    ``ScenarioSpec`` or ``AlgoConfig``, and the threshold that of
+    ``default_threshold(p)``."""
     from .clustering import AlgoConfig, default_threshold
     from .simulation import ScenarioSpec
 
@@ -207,8 +207,6 @@ def _load_scenario(path, replications: int | None) -> tuple[ScenarioSpec, list[A
                 raise ValueError(f"{key} must not be null")
             given[key] = (_whole(value, key) if key in _COUNTS
                           else _number(value, key) if key in _NUMBERS else value)
-        if replications is not None:
-            given["replications"] = replications
         spec = ScenarioSpec(**{key: given[key] for key in spec_keys & given.keys()})
         settings = {"outlier_threshold": default_threshold(spec.p)} | {
             name: given[key] for key, name in _ALGO_FIELDS.items() if key in given}
@@ -246,8 +244,12 @@ def cmd_simulate(args) -> int:
     from .simulation import run_experiment
     from .workers import default_workers
 
-    spec, cfgs = _load_scenario(args.spec, args.replications)
-    cfgs = [dataclasses.replace(cfg, seed=args.seed) for cfg in cfgs]  # refuses a bad --seed
+    spec, cfgs = _load_scenario(args.spec)
+    # The flags replace the file's settings here, so a bad one is not
+    # blamed on the file.
+    if args.replications is not None:
+        spec = dataclasses.replace(spec, replications=args.replications)
+    cfgs = [dataclasses.replace(cfg, seed=args.seed) for cfg in cfgs]
     out = _free_out_path(args.out, args.force)
     report = run_experiment(spec, cfgs, workers=default_workers())
     out.mkdir(parents=True, exist_ok=True)

@@ -419,10 +419,11 @@ def fit(data, k: int, cfg: AlgoConfig | None = None, *, workers: int = 1) -> Clu
     rows are the coordinates.
 
     With ``workers > 1`` (Linux only) the restarts run in a pool of
-    ``min(workers, n_restarts)`` forked processes, each with one BLAS
-    thread (:func:`~mixclust.workers.fork_map`). ``mixclust fit`` passes one
-    per CPU the process may run on, so ``taskset`` limits them. Outcomes
-    are compared in restart order as they arrive, by the same rule, and only
+    ``min(workers, n_restarts)`` forked processes, each with this
+    process's BLAS settings (:func:`~mixclust.workers.fork_map`).
+    ``mixclust fit``, which runs one BLAS thread, passes one worker per
+    CPU the process may run on, so ``taskset`` limits them. Outcomes are
+    compared in restart order as they arrive, by the same rule, and only
     the best is kept, so the result is byte-identical for every worker
     count. Memory does not grow with the restart count: while a restart
     runs serially, this process holds the data, the best finished outcome

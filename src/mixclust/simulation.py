@@ -145,7 +145,7 @@ def contaminate_uniform_chisq(spec: ScenarioSpec, rng: np.random.Generator) -> n
     """
     m = spec.n_outliers
     cutoff = chisq_cutoff(spec.p)
-    accepted: list[np.ndarray] = []
+    accepted = [np.empty((0, spec.p))]
     total = 0
     attempts = 0
     max_attempts = max(int(m / 1e-4), 100_000)
@@ -165,13 +165,18 @@ def contaminate_uniform_chisq(spec: ScenarioSpec, rng: np.random.Generator) -> n
 
 
 def contaminate_annulus(spec: ScenarioSpec, rng: np.random.Generator) -> np.ndarray:
-    """Uniform noise on the shell between the fixed inner and outer radii."""
+    """Uniform noise on the shell between the fixed inner and outer radii.
+
+    The radius is drawn relative to ``r_out``, so ``(r_in / r_out) ** p``
+    underflows to 0 at large p where ``r_out ** p`` would overflow.
+    """
     m = spec.n_outliers
     r_in, r_out = ANNULUS_RADII
     direction = rng.standard_normal((m, spec.p))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     u = rng.uniform(size=m)
-    radius = (r_in**spec.p + u * (r_out**spec.p - r_in**spec.p)) ** (1.0 / spec.p)
+    rho = (r_in / r_out) ** spec.p
+    radius = r_out * (rho + u * (1 - rho)) ** (1.0 / spec.p)
     return direction * radius[:, None]
 
 
@@ -345,12 +350,12 @@ def run_experiment(spec: ScenarioSpec, algo_cfgs: list[AlgoConfig], *,
     Every replication derives its own generator from (seed, replication), so
     results do not depend on the execution order or the worker count. With
     ``workers > 1`` (Linux only) replications run in a pool of
-    ``min(workers, replications)`` forked processes, each with one BLAS
-    thread (:func:`~mixclust.workers.fork_map`); otherwise they run in this
-    process, whose BLAS settings are never changed. Each replication fits
-    its restarts serially: the pool is already one level up. Typed failures
-    become rows inside the worker; any other exception propagates to the
-    caller. Each configuration is labelled ``beta=<beta>``, so their betas
+    ``min(workers, replications)`` forked processes
+    (:func:`~mixclust.workers.fork_map`); otherwise they run in this
+    process. Either way they keep this process's BLAS settings. Each
+    replication fits its restarts serially: the pool is already one level
+    up. Typed failures become rows inside the worker; any other exception
+    propagates to the caller. Each configuration is labelled ``beta=<beta>``, so their betas
     must differ.
     """
     config_labels = [f"beta={cfg.beta:g}" for cfg in algo_cfgs]

@@ -2,60 +2,31 @@
 restarts) and :func:`~mixclust.simulation.run_experiment` (its
 replications).
 
-:func:`fork_map` runs one function over many items in forked processes,
-each pinned to one OpenBLAS thread, and yields the results in item order.
-The function reaches the workers through the fork itself, so large
-arguments bound into it (the (n, p) data) are never pickled; only the
-items and the results are.
+:func:`fork_map` runs one function over many items in forked processes
+and yields the results in item order. The function reaches the workers
+through the fork itself, so large arguments bound into it (the (n, p)
+data) are never pickled; only the items and the results are.
 
-This pool is mixclust's only parallelism. The ``mixclust`` program starts
-with one OpenBLAS thread (:mod:`mixclust.__main__`), but a library caller
-keeps whatever thread count it set, so each worker pins its own.
+This pool is mixclust's only parallelism. A worker runs with the BLAS
+setting of the process it forked from: the ``mixclust`` program runs one
+OpenBLAS thread (:mod:`mixclust.__main__`), and a library caller keeps
+whatever thread count it set.
 """
 
 from __future__ import annotations
 
-import ctypes
 import os
 from collections.abc import Callable, Iterable, Iterator
-
-# Thread-count setters exported by the OpenBLAS builds that numpy and scipy
-# bundle (64-bit and 32-bit integer ABIs) and by a plain OpenBLAS.
-_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads",
-                     "openblas_set_num_threads")
-_PROC_MAPS = "/proc/self/maps"
 
 # The function a worker applies to each item, set by the pool initializer in
 # the forked child. The parent never sets it.
 _task: Callable | None = None
 
 
-def _one_blas_thread() -> None:
-    """Pin every OpenBLAS mapped into this worker to one thread. Left
-    alone, each forked worker restarts OpenBLAS's own threads, which spin
-    through the small BLAS calls of an n~1000 fit and compete with the
-    other workers for the cores."""
-    with open(_PROC_MAPS, encoding="utf-8") as fh:
-        # address, perms, offset, device, inode, path (which may hold spaces)
-        paths = {line.split(None, 5)[-1].strip() for line in fh if "openblas" in line}
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for name in _OPENBLAS_SETTERS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(1)
-                break
-
-
 def _start_worker(fn: Callable) -> None:
-    """Pool initializer: keep ``fn``, inherited through the fork, and pin
-    this worker's BLAS to one thread."""
+    """Pool initializer: keep ``fn``, inherited through the fork."""
     global _task
     _task = fn
-    _one_blas_thread()
 
 
 def _run_task(item):
@@ -63,8 +34,9 @@ def _run_task(item):
 
 
 def _pool_available() -> bool:
-    """The worker pool needs ``fork`` and ``/proc/self/maps`` (Linux)."""
-    return hasattr(os, "fork") and os.path.exists(_PROC_MAPS)
+    """The pool is Linux-only: it forks, and :func:`default_workers` sizes it
+    by ``os.sched_getaffinity``, which Linux alone has."""
+    return hasattr(os, "sched_getaffinity")
 
 
 def default_workers() -> int:
@@ -79,11 +51,10 @@ def fork_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
     Results come back lazily and in item order, so a caller that reduces
     them keeps only what it needs. An exception raised by ``fn`` reaches
     the caller with its own type when its item's result is read; the items
-    not yet started are then cancelled. Each worker runs one BLAS thread;
-    the calling process's BLAS settings are never changed here, and without
-    a pool ``fn`` runs in it with them. ``fn`` must not rely on state it
-    changes in the calling process, because a worker changes only its own
-    copy.
+    not yet started are then cancelled. Each worker keeps the calling
+    process's BLAS settings, and without a pool ``fn`` runs in that process
+    with them. ``fn`` must not rely on state it changes in the calling
+    process, because a worker changes only its own copy.
     """
     items = list(items)
     n_workers = min(workers, len(items))

@@ -113,8 +113,8 @@ class TestFitCommand:
         for name in ("result.json", "assignments.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         # Same bytes whatever the worker count, in one process with the
-        # default BLAS threads: the serial fit's distance GEMM threads, while
-        # each forked worker runs one BLAS thread.
+        # default BLAS threads, which the serial fit's distance GEMM and each
+        # forked worker (inheriting them) both use.
         proc = subprocess.run(
             [sys.executable, "-c",
              "from mixclust import AlgoConfig, fit\n"
@@ -332,6 +332,18 @@ class TestSimulateCommand:
         assert main(["simulate", str(spec_path), "--seed", "-1", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "seed must be nonnegative" in err
+        # the flag is at fault, not the scenario file
+        assert str(spec_path) not in err and "invalid scenario" not in err
+        assert not out.exists()
+
+    def test_zero_replications_exit_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"p": 2, "replications": 2, "restarts": 2}))
+        out = tmp_path / "o"
+        assert main(["simulate", str(spec_path), "--replications", "0",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "replications must be at least 1" in err
         # the flag is at fault, not the scenario file
         assert str(spec_path) not in err and "invalid scenario" not in err
         assert not out.exists()

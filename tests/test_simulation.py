@@ -112,6 +112,9 @@ class TestSpecs:
         assert default_threshold(10) == 1e-24
 
 
+SCHEMES = ("uniform_chisq", "annulus", "outlying_cluster")
+
+
 class TestGenerators:
     def test_label_frequencies(self):
         spec = ScenarioSpec(p=2, n=5000, seed=1)
@@ -199,16 +202,25 @@ class TestGenerators:
         bound = 3.0 / np.sqrt(len(pts))
         assert np.all(np.abs(pts.mean(axis=0) - 20.0) <= bound)
 
-    @pytest.mark.parametrize("kind", ["uniform_chisq", "annulus", "outlying_cluster"])
-    def test_sample_layout(self, kind):
+    @pytest.mark.parametrize("kind, n, p", [
+        *[pytest.param(kind, 2000, 4, id=kind) for kind in SCHEMES],
+        # round(0.1 * 4) = 0 outliers
+        *[pytest.param(kind, 4, 2, id=f"{kind}-n4") for kind in SCHEMES],
+        # 20**300 overflows a float; the radii must not
+        pytest.param("annulus", 400, 300, id="annulus-p300"),
+    ])
+    def test_sample_layout(self, kind, n, p):
         # the regular rows first, labelled by cluster, then exactly
         # n_outliers rows labelled -1
-        spec = ScenarioSpec(p=4, contamination=kind, n=2000, seed=8)
+        spec = ScenarioSpec(p=p, contamination=kind, n=n, seed=8)
         data, labels = generate(spec, np.random.default_rng(8))
         n_regular = spec.n - spec.n_outliers
         assert data.shape == (spec.n, spec.p) and labels.shape == (spec.n,)
         assert np.all((labels[:n_regular] >= 0) & (labels[:n_regular] < spec.k))
         assert np.all(labels[n_regular:] == -1)
+        if kind == "annulus":
+            radii = np.linalg.norm(data[n_regular:], axis=1)
+            assert np.all((radii >= 15.0) & (radii <= 20.0))
 
 
 class TestMetrics:
@@ -447,7 +459,17 @@ def _openblas_thread_counts() -> list[int]:
     return counts
 
 
-def test_pool_workers_run_one_blas_thread(monkeypatch):
+def test_fork_map_runs_serially_without_a_pool(monkeypatch):
+    import mixclust.workers as workers
+
+    monkeypatch.setattr(workers, "_pool_available", lambda: False)
+    assert workers.default_workers() == 1
+    items = [3, 1, 2]
+    results = list(workers.fork_map(lambda item: (item, os.getpid()), items, 4))
+    assert results == [(item, os.getpid()) for item in items]
+
+
+def test_pool_workers_keep_callers_blas_threads(monkeypatch):
     import mixclust.simulation as simulation
 
     if not os.path.exists("/proc/self/maps"):
@@ -468,6 +490,6 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
         replications=2, seed=3)
     rows = run_experiment(spec, [AlgoConfig(beta=0.2, n_restarts=1, seed=0)],
                           workers=2).rows
-    pinned = f"DegenerateClusteringError: blas threads {[1] * len(before)}"
-    assert [row["error"] for row in rows] == [pinned, pinned]
+    inherited = f"DegenerateClusteringError: blas threads {before}"
+    assert [row["error"] for row in rows] == [inherited, inherited]
     assert _openblas_thread_counts() == before

@@ -144,12 +144,12 @@ def cmd_fit(args) -> int:
     }
     _write_json(out / "result.json", payload, schema="fit_result")
     rows = zip(result.assignments.tolist(), result.discriminants.tolist(),
-               result.outlier_flags.tolist(), result.outlier_types.tolist())
+               result.outlier_flags.tolist())
     with open(out / "assignments.csv", "w", encoding="utf-8") as fh:
         fh.write("row,cluster,discriminant,outlier,outlier_type\n")
         fh.writelines(
-            f"{i},{label + 1},{disc:.12g},{int(flag)},{otype + 1 if otype >= 0 else ''}\n"
-            for i, (label, disc, flag, otype) in enumerate(rows, 1))
+            f"{i},{label + 1},{disc:.12g},{int(flag)},{label + 1 if flag else ''}\n"
+            for i, (label, disc, flag) in enumerate(rows, 1))
     log.info("fit written to %s", out)
     return EXIT_OK
 
@@ -165,12 +165,13 @@ _NUMBERS = ("cov_scale", "contamination_level", "c", "c1", "threshold")
 # Scenario-file key -> AlgoConfig field, beside betas, c and c1.
 _ALGO_FIELDS = {"threshold": "outlier_threshold", "restarts": "n_restarts",
                 "max_outer_iter": "max_outer_iter"}
+_FLOAT_MAX = sys.float_info.max
 
 
 def _number(value, name: str) -> float:
-    """A JSON number as a float; booleans, strings and null are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+    """A JSON number in the float range as a float; booleans, strings and null are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or abs(value) > _FLOAT_MAX:
+        raise ValueError(f"{name} must be a number in the float range, got {value!r}")
     return float(value)
 
 
@@ -179,6 +180,14 @@ def _whole(value, name: str) -> int:
     if not _number(value, name).is_integer():
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _replace_naming(key: str, cfg, **changes):
+    """``dataclasses.replace``, with a refusal that names the file's ``key``."""
+    try:
+        return dataclasses.replace(cfg, **changes)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def _load_scenario(path) -> tuple[ScenarioSpec, list[AlgoConfig]]:
@@ -208,14 +217,15 @@ def _load_scenario(path) -> tuple[ScenarioSpec, list[AlgoConfig]]:
             given[key] = (_whole(value, key) if key in _COUNTS
                           else _number(value, key) if key in _NUMBERS else value)
         spec = ScenarioSpec(**{key: given[key] for key in spec_keys & given.keys()})
-        settings = {"outlier_threshold": default_threshold(spec.p)} | {
-            name: given[key] for key, name in _ALGO_FIELDS.items() if key in given}
-        base = AlgoConfig(**settings, constraint=ConstraintConfig(
+        base = AlgoConfig(outlier_threshold=default_threshold(spec.p), constraint=ConstraintConfig(
             **{key: given[key] for key in ("c", "c1") if key in given}))
+        for key, name in _ALGO_FIELDS.items():
+            if key in given:
+                base = _replace_naming(key, base, **{name: given[key]})
         betas = given.get("betas", [base.beta])
         if not isinstance(betas, list) or not betas:
             raise ValueError("betas must be a non-empty list")
-        cfgs = [dataclasses.replace(base, beta=_number(beta, "betas")) for beta in betas]
+        cfgs = [_replace_naming("betas", base, beta=_number(beta, "betas")) for beta in betas]
     except (ValueError, TypeError) as exc:
         raise ValueError(f"{path}: invalid scenario ({exc})") from None
     return spec, cfgs
@@ -224,20 +234,13 @@ def _load_scenario(path) -> tuple[ScenarioSpec, list[AlgoConfig]]:
 def _print_table(spec: ScenarioSpec, labels: list[str], aggregates: dict) -> None:
     print(f"p={spec.p}  cov={spec.cov_scale}*I  contamination={spec.contamination}  "
           f"n={spec.n}  replications={spec.replications}")
-    header = f"{'metric':28s}" + "".join(f"{lbl:>14s}" for lbl in labels)
-    print(header)
-    key, label = ("detected", "(detected outliers)") if spec.contamination == "none" \
+    print(f"{'metric':28s}" + "".join(f"{lbl:>14s}" for lbl in labels))
+    key, name = ("detected", "(detected outliers)") if spec.contamination == "none" \
         else ("undetected", "(undetected proportion)")
-    line = f"{'misclassification':28s}"
-    for lbl in labels:
-        val = aggregates[lbl]["misclassification"]
-        line += f"{val:>14.4f}" if val is not None else f"{'-':>14s}"
-    print(line)
-    line = f"{label:28s}"
-    for lbl in labels:
-        val = aggregates[lbl][key]
-        line += f"{('(' + format(val, '.4g') + ')'):>14s}" if val is not None else f"{'-':>14s}"
-    print(line)
+    for metric, title, fmt in (("misclassification", "misclassification", "{:.4f}"),
+                               (key, name, "({:.4g})")):
+        cells = [aggregates[lbl][metric] for lbl in labels]
+        print(f"{title:28s}" + "".join(f"{'-' if v is None else fmt.format(v):>14}" for v in cells))
 
 
 def cmd_simulate(args) -> int:

@@ -63,10 +63,6 @@ class MixtureParams:
     def k(self) -> int:
         return len(self.components)
 
-    @property
-    def dim(self) -> int:
-        return self.components[0].dim
-
 
 # Outlier thresholds used by the reference experiments, by dimension; the
 # default of ``AlgoConfig.outlier_threshold`` where a caller picks by p.
@@ -128,7 +124,6 @@ class ClusteringResult:
     params: MixtureParams
     assignments: np.ndarray
     outlier_flags: np.ndarray
-    outlier_types: np.ndarray
     objective: float
     iterations: int
     restart_index: int
@@ -256,16 +251,14 @@ def initialize(data, k: int, rng: np.random.Generator) -> tuple[MixtureParams, n
     return params, assign(data, params)[0]
 
 
-def detect_outliers(disc, assignments, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+def detect_outliers(disc, threshold: float) -> np.ndarray:
     """Flag observations whose sample-size-scaled assigned-cluster
     discriminant ``n * D`` (``disc`` from :func:`discriminants`) is at or
     below the threshold (inclusive), so the threshold reads as an
     expected-observation count at the point; a zero threshold never flags.
-    Flagged points keep their pre-flag cluster index as the outlier type;
-    unflagged entries carry -1.
+    A flagged point keeps its cluster, and that cluster is its outlier type.
     """
-    flags = disc * len(disc) <= threshold
-    return flags, np.where(flags, assignments, -1)
+    return disc * len(disc) <= threshold
 
 
 def _m_step(data, assignments, k: int, cfg: AlgoConfig,
@@ -410,8 +403,8 @@ def fit(data, k: int, cfg: AlgoConfig | None = None, *, workers: int = 1) -> Clu
     scores higher by more than ``RESTART_TIE_RTOL`` (1e-12) times
     ``max(1, |best score|)``, so of restarts that reach one fixed point the
     first is kept. The winner's discriminants, objective and outlier flags
-    and types all come from its last assignment's log-densities, so the
-    written discriminant is the one the flag used. ``data`` is checked
+    all come from its last assignment's log-densities, so the written
+    discriminant is the one the flag used. ``data`` is checked
     here, once, by :func:`~mixclust.gaussian.as_data_matrix`; every function
     it calls trusts the resulting finite float (n, p) array. That array is
     column-major (Fortran order; data already stored so is not copied),
@@ -460,12 +453,10 @@ def fit(data, k: int, cfg: AlgoConfig | None = None, *, workers: int = 1) -> Clu
     best_restart, best = best
     params, labels, log_phi = best["params"], best["assignments"], best["log_phi"]
     disc = discriminants(params, labels, log_phi)
-    flags, types = detect_outliers(disc, labels, cfg.outlier_threshold)
     return ClusteringResult(
         params=params,
         assignments=labels,
-        outlier_flags=flags,
-        outlier_types=types,
+        outlier_flags=detect_outliers(disc, cfg.outlier_threshold),
         objective=pseudo_beta_likelihood(log_phi, params, labels, cfg.beta),
         iterations=best["iterations"],
         restart_index=best_restart,

@@ -235,12 +235,11 @@ def _cluster_colors(result: ClusteringResult) -> np.ndarray:
 
 
 def reconstruct(grid: PixelGrid, result: ClusteringResult) -> PixelGrid:
-    """Repaint every pixel with its clipped cluster mean; outliers get
-    :func:`outlier_palette` colors by type."""
+    """Repaint every pixel with its clipped cluster mean; outliers get the
+    :func:`outlier_palette` color of their cluster."""
     out = _cluster_colors(result)[result.assignments]  # indexing makes a new array
     flagged = result.outlier_flags
-    if np.any(flagged):
-        out[flagged] = outlier_palette(result.params.k)[result.outlier_types[flagged]]
+    out[flagged] = outlier_palette(result.params.k)[result.assignments[flagged]]
     return PixelGrid(grid.width, grid.height, out)
 
 
@@ -266,6 +265,6 @@ def sidecar_payload(result: ClusteringResult, cfg: AlgoConfig) -> dict:
         "outlier_colors": outlier_palette(k).tolist(),
         "pixels_per_cluster": np.bincount(result.assignments, minlength=k).tolist(),
         "outliers_per_type": np.bincount(
-            result.outlier_types[result.outlier_flags], minlength=k).tolist(),
+            result.assignments[result.outlier_flags], minlength=k).tolist(),
         "total_outliers": int(result.outlier_flags.sum()),
     }

@@ -34,7 +34,7 @@ OUTLYING_CENTER_VALUE = 20.0
 def _numbers(value, name: str) -> np.ndarray:
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be numbers, got {value!r}") from None
 
 
@@ -86,13 +86,13 @@ class ScenarioSpec:
         self.weights = _numbers(self.weights, "weights")
         if not contaminated:
             if self.contamination_level != 0.0:
-                raise ValueError("pure scenarios must have zero contamination level")
+                raise ValueError("contamination_level must be 0 when contamination is 'none'")
         elif not 0.0 < self.contamination_level < 1.0:
-            raise ValueError("contamination level must lie in (0, 1)")
+            raise ValueError(f"contamination_level must lie in (0, 1) for {self.contamination}")
         expected = 1.0 - self.contamination_level
         if self.weights.shape != (self.k,) or not abs(self.weights.sum() - expected) <= 1e-9:
-            raise ValueError(f"weights must be {self.k} values summing to {expected} "
-                             "(1 minus the contamination level)")
+            raise ValueError(f"weights must be {self.k} values summing to 1 - contamination_level"
+                             f" = {expected} (contamination: {self.contamination})")
         if (self.weights < 0).any():
             raise ValueError("weights must be nonnegative")
         if not 0.0 < self.cov_scale < np.inf:  # NaN fails too
@@ -135,16 +135,21 @@ def chisq_cutoff(p: int) -> float:
         x = new
 
 
+@np.errstate(over="ignore")  # a distance past the float range is past the cutoff too
 def contaminate_uniform_chisq(spec: ScenarioSpec, rng: np.random.Generator) -> np.ndarray:
     """Uniform box noise kept only far from every cluster center.
 
     Points are drawn uniformly on the box and accepted when the smallest
     Mahalanobis distance (under the scenario's true spherical covariance) to
     any center exceeds the 97.5th chi-square percentile for dimension p
-    (:func:`chisq_cutoff`).
+    (:func:`chisq_cutoff`). When the cutoff ball of one center holds the
+    whole box, no draw can be kept, and the sampler says so before drawing.
     """
     m = spec.n_outliers
     cutoff = chisq_cutoff(spec.p)
+    farthest_corner = ((UNIFORM_BOX_HALF_WIDTH + np.abs(spec.means)) ** 2).sum(axis=1)
+    if m and farthest_corner.min() / spec.cov_scale <= cutoff:
+        raise SamplingError("uniform contamination acceptance rate 0 is below 1e-4 (box covered)")
     accepted = [np.empty((0, spec.p))]
     total = 0
     attempts = 0

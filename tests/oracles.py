@@ -1,5 +1,6 @@
 """In-test oracles: direct formulas that the library's kernels are checked
-against, kept here because no library code calls them."""
+against, kept here because no library code calls them, and a probe of the
+BLAS thread counts the library leaves in place."""
 
 from dataclasses import dataclass
 
@@ -114,3 +115,24 @@ def numeric_if_oracle(dist: TrueDistribution, beta: float,
         # One Richardson step per pair removes the first-order error term.
         est = (prev_eps * quot - eps * est) / (prev_eps - eps)
     return est
+
+
+def openblas_thread_counts() -> list[int]:
+    """``get_num_threads`` of every OpenBLAS mapped into this process, read
+    through ``/proc/self/maps``. Self-contained, so a fresh interpreter can
+    run its source (``inspect.getsource``) without importing this module."""
+    import ctypes
+
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = sorted({line.split(None, 5)[-1].strip() for line in fh if "openblas" in line})
+    counts = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads"):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                counts.append(getter())
+                break
+    return counts

@@ -25,7 +25,7 @@ from mixclust import (
     solve_functional,
 )
 from mixclust.clustering import initialize, update_weights
-from mixclust.imageseg import PixelGrid, segment
+from mixclust.imageseg import PixelGrid, outlier_palette, reconstruct, segment, sidecar_payload
 from mixclust.influence import if_curve
 from mixclust.simulation import ScenarioSpec, generate, run_experiment
 from oracles import estimating_equation_residual, numeric_if_oracle
@@ -401,13 +401,19 @@ def test_criterion_8_image_pipeline(criterion_report):
     direct = np.mean((labels == 0) != blue)
     accuracy = 1.0 - min(direct, 1.0 - direct)
     flagged_noise = seg.outlier_flags[noise_mask].mean()
+    # what `mixclust image` writes: the sidecar counts each flagged pixel
+    # under its cluster, and the picture paints it that cluster's outlier colour
     flagged = seg.outlier_flags
-    partition_exact = (np.all(seg.outlier_types[flagged] >= 0)
-                       and np.all(seg.outlier_types[~flagged] == -1)
-                       and np.bincount(seg.outlier_types[flagged],
-                                       minlength=2).sum() == flagged.sum())
+    types = seg.assignments[flagged]
+    sidecar = sidecar_payload(seg, cfg)
+    counts_match = (sidecar["outliers_per_type"] == np.bincount(types, minlength=2).tolist()
+                    and sum(sidecar["outliers_per_type"]) == sidecar["total_outliers"])
+    painted = bool(np.array_equal(reconstruct(grid, seg).pixels[flagged],
+                                  outlier_palette(2)[types]))
     elapsed = time.time() - start
-    ok = (accuracy >= 0.95 and flagged_noise >= 0.90 and partition_exact
+    ok = (accuracy >= 0.95 and flagged_noise >= 0.90 and counts_match and painted
           and elapsed < 60.0)
     criterion_report(8, ok, f"regular accuracy {accuracy:.4f}; noise flagged "
-                  f"{flagged_noise:.4f}; typed partition exact; {elapsed:.0f}s")
+                  f"{flagged_noise:.4f}; outliers_per_type {sidecar['outliers_per_type']} "
+                  f"counts the flagged labels: {counts_match}; painted by label: "
+                  f"{painted}; {elapsed:.0f}s")

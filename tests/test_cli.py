@@ -1,5 +1,7 @@
 """CLI contract: subcommands, exit codes, deterministic outputs, schemas."""
 
+import csv
+import dataclasses
 import json
 import os
 import re
@@ -10,11 +12,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mixclust.cli import main, read_csv_matrix
+from mixclust.cli import _ALGO_FIELDS, _load_scenario, main, read_csv_matrix
+from mixclust.errors import SamplingError
 from mixclust.schemas import SchemaError, validate
 from tests.test_imageseg import malformed_images, two_tone_grid
 from mixclust.imageseg import PixelGrid, load_image, save_ppm
+from mixclust.simulation import CONTAMINATION_KINDS, ScenarioSpec, generate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -124,7 +130,7 @@ class TestFitCommand:
              "    params = res.params\n"
              "    arrays = [params.weights, *[c.mean for c in params.components],\n"
              "              *[c.cov for c in params.components], res.assignments,\n"
-             "              res.outlier_flags, res.outlier_types, res.discriminants]\n"
+             "              res.outlier_flags, res.discriminants]\n"
              "    return ([a.tobytes() for a in arrays], res.objective, res.iterations,\n"
              "            res.restart_index, res.stable, res.selection_score)\n"
              "cfg = AlgoConfig(n_restarts=2, seed=0)\n"
@@ -180,6 +186,28 @@ class TestFitCommand:
             logd = np.column_stack(logd)
             own = logd[np.arange(len(data)), labels]
             assert np.all(own >= logd.max(axis=1) - 1e-9)
+
+    def test_assignments_type_only_flagged_rows(self, tmp_path):
+        # two blobs and four far points, which the default threshold flags
+        rng = np.random.default_rng(5)
+        data = np.vstack([rng.normal(0.0, 1.0, (60, 2)), rng.normal(6.0, 1.0, (60, 2)),
+                          [[40.0, 40.0], [-40.0, 30.0], [35.0, -45.0], [-30.0, -30.0]]])
+        path = tmp_path / "far.csv"
+        np.savetxt(path, data, delimiter=",", fmt="%.6f")
+        out = tmp_path / "run"
+        assert main(["fit", str(path), "--k", "2", "--restarts", "3", "--out", str(out)]) == 0
+        result = json.loads((out / "result.json").read_text())
+        with open(out / "assignments.csv", encoding="utf-8", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["row", "cluster", "discriminant", "outlier", "outlier_type"]
+        n, thr = len(data), result["threshold"]
+        flag = np.array([r[3] == "1" for r in rows])
+        score = n * np.array([float(r[2]) for r in rows])
+        assert flag[-4:].all() and not flag.all()
+        assert np.all(np.abs(score - thr) > 1e-6 * thr)  # no row sits on the threshold
+        assert np.array_equal(flag, score <= thr)
+        assert [r[4] for r in rows] == [r[1] if f else "" for r, f in zip(rows, flag)]
+        assert result["outlier_count"] == int(flag.sum())
 
     def test_output_collision_exit_2(self, toy_csv, tmp_path):
         out = tmp_path / "run"
@@ -295,6 +323,9 @@ class TestSimulateCommand:
         {"p": -1}, {"threshold": None}, {"means": None}, {"contamination_level": None},
         {"seed": -1}, {"means": [[0, 0], [7, 7], [1, 1]]},
         {"means": "abc"}, {"weights": {"a": 1}}, {"weights": [1.5, -0.5]},
+        # keys whose AlgoConfig field has another name, and integers no float holds
+        {"restarts": 0}, {"max_outer_iter": 0}, {"betas": [1.5]},
+        {"contamination_level": 0.5}, {"c": 10**400}, {"means": [[10**400, 0], [7, 7]]},
     ])
     def test_malformed_setting_exit_2(self, tmp_path, capsys, field):
         (name,) = field  # the one key set is the field the message must name
@@ -399,6 +430,103 @@ class TestSimulateCommand:
         table = capsys.readouterr().out
         assert "p=2" in table and "beta=0" in table and "beta=0.1" in table
         assert "misclassification" in table and "(detected outliers)" in table
+
+
+# Every key a scenario file may set.
+SCENARIO_KEYS = ("n", "p", "k", "means", "cov_scale", "weights", "contamination",
+                 "contamination_level", "replications", "seed", "betas", "c", "c1",
+                 "threshold", "restarts", "max_outer_iter")
+# n and p stay within these, so no draw allocates more than a few MiB.
+MAX_N, MAX_P = 1500, 300
+
+
+@st.composite
+def valid_scenarios(draw) -> dict:
+    """A scenario that loads: the paper's design or one of its own."""
+    p = draw(st.integers(1, MAX_P))
+    kind = draw(st.sampled_from(CONTAMINATION_KINDS))
+    scenario = {"p": p, "contamination": kind}
+    k = 3
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 4))
+        level = 0.0 if kind == "none" else draw(st.floats(0.01, 0.5))
+        shares = draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        scenario |= {"k": k, "contamination_level": level,
+                     "means": rng.uniform(-10.0, 10.0, (k, p)).tolist(),
+                     "weights": [(1.0 - level) * w / sum(shares) for w in shares]}
+    optional = {
+        "n": st.integers(k, MAX_N), "cov_scale": st.floats(0.1, 10.0),
+        "replications": st.integers(1, 50), "seed": st.integers(0, 2**32 - 1),
+        "betas": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3, unique=True),
+        "c": st.floats(1.0, 100.0), "c1": st.floats(1e-3, 1.0),
+        "threshold": st.floats(0.0, 1.0), "restarts": st.integers(1, 20),
+        "max_outer_iter": st.integers(1, 200),
+    }
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            scenario[key] = draw(values)
+    return scenario
+
+
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+HUGE = st.sampled_from([1e300, -1e300, 10**30, -(10**30), 10**400])
+WRONG_TYPES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-3, 3), st.floats(allow_nan=True), st.text(max_size=2),
+                       st.none()), max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+PLAUSIBLE = st.one_of(st.integers(-5, 400), st.floats(-2.0, 2.0), st.floats(0.0, 1.0))
+
+
+def wild_values(key: str):
+    """Any value for ``key``: wrong types, non-finite, huge or plausible
+    numbers, and number lists of any length. n and p get no huge value."""
+    if key in ("n", "p"):
+        top = MAX_N if key == "n" else MAX_P
+        numbers = st.one_of(st.integers(-5, top), st.floats(-2.0, 2.0), NON_FINITE,
+                            st.just(-1e300))
+    else:
+        numbers = st.one_of(PLAUSIBLE, NON_FINITE, HUGE)
+    return st.one_of(WRONG_TYPES, numbers, st.lists(numbers, max_size=5),
+                     st.lists(st.lists(numbers, min_size=1, max_size=3), max_size=3))
+
+
+@st.composite
+def scenarios(draw) -> tuple[dict, str | None]:
+    """A valid scenario, with one key (or none) set to any value; returns
+    the scenario and that key."""
+    scenario = draw(valid_scenarios())
+    if draw(st.integers(0, 3)) == 0:
+        return scenario, None
+    key = draw(st.sampled_from(SCENARIO_KEYS))
+    return scenario | {key: draw(wild_values(key))}, key
+
+
+def test_scenario_keys_cover_the_loader():
+    accepted = {field.name for field in dataclasses.fields(ScenarioSpec)}
+    assert set(SCENARIO_KEYS) == accepted | {"betas", "c", "c1", *_ALGO_FIELDS}
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=scenarios())
+def test_scenario_generates_or_names_the_bad_key(tmp_path_factory, drawn):
+    # a scenario either draws a sample or is refused with a message that
+    # names the key that was set to a bad value
+    scenario, key = drawn
+    path = tmp_path_factory.getbasetemp() / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    try:
+        spec, _ = _load_scenario(path)
+        data, labels = generate(spec, np.random.default_rng(spec.seed))
+    except SamplingError:
+        assert scenario["contamination"] == "uniform_chisq"
+    except ValueError as exc:
+        assert key is not None, exc
+        message = str(exc).removeprefix(f"{path}: ")
+        assert re.search(rf"\b{key}\b", message), message
+    else:
+        assert data.shape == (spec.n, spec.p) and labels.shape == (spec.n,)
 
 
 class TestInfluenceCommand:

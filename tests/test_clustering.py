@@ -312,7 +312,7 @@ class TestFit:
             params = res.params
             return [params.weights, *[c.mean for c in params.components],
                     *[c.cov for c in params.components], res.assignments,
-                    res.outlier_flags, res.outlier_types, res.discriminants,
+                    res.outlier_flags, res.discriminants,
                     np.array([res.objective, res.selection_score])]
 
         # and so does the worker count: restarts in 2 and in 3 forked workers
@@ -564,30 +564,25 @@ class TestDetectOutliers:
     def test_boundary_inclusive(self):
         params = two_comp_params()
         data = np.array([[0.0], [5.0]])
-        labels, disc = assigned_discriminants(data, params)
+        _, disc = assigned_discriminants(data, params)
         threshold = float(disc[0]) * len(data)
-        flags, types = detect_outliers(disc, labels, threshold)
-        assert flags[0]
-        assert types[0] == labels[0]
+        assert detect_outliers(disc, threshold)[0]
 
     def test_zero_threshold_flags_nothing(self):
         rng = np.random.default_rng(15)
         params = two_comp_params()
         data = rng.normal(0, 5, size=(50, 1))
-        labels, disc = assigned_discriminants(data, params)
-        flags, types = detect_outliers(disc, labels, 0.0)
-        assert not flags.any()
-        assert np.all(types == -1)
+        _, disc = assigned_discriminants(data, params)
+        assert not detect_outliers(disc, 0.0).any()
 
     def test_scaled_vs_raw_rule(self):
         params = two_comp_params()
         data = np.vstack([np.zeros((99, 1)), [[30.0]]])
-        labels, disc = assigned_discriminants(data, params)
+        _, disc = assigned_discriminants(data, params)
         raw_threshold = float(disc[-1]) * 2.0
-        flags_scaled, _ = detect_outliers(disc, labels, raw_threshold)
-        assert not flags_scaled[-1]  # scaling by n=100 lifts the score above T
-        flags_at_n, _ = detect_outliers(disc, labels, float(disc[-1]) * len(data))
-        assert flags_at_n[-1]
+        # scaling by n=100 lifts the score above T
+        assert not detect_outliers(disc, raw_threshold)[-1]
+        assert detect_outliers(disc, float(disc[-1]) * len(data))[-1]
 
     def test_far_blob_flagged_and_typed(self):
         rng = np.random.default_rng(16)
@@ -599,6 +594,8 @@ class TestDetectOutliers:
                                       n_restarts=5, seed=1))
         assert res.outlier_flags[-8:].all()
         assert not res.outlier_flags[:160].any()
-        flagged_types = res.outlier_types[res.outlier_flags]
-        assert np.all(flagged_types >= 0)
-        assert np.all(res.outlier_types[~res.outlier_flags] == -1)
+        # a flagged row keeps its cluster: the far blob types as the nearer
+        # blob's cluster, not the other one
+        near, other = res.assignments[80], res.assignments[0]
+        assert near != other
+        assert np.all(res.assignments[res.outlier_flags] == near)

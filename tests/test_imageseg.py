@@ -179,16 +179,15 @@ IMAGE_CFG = AlgoConfig(beta=0.2, outlier_threshold=0.02,
                        n_restarts=5, seed=3)
 
 
-def hand_result(means, assignments, flags, types) -> ClusteringResult:
+def hand_result(means, assignments, flags) -> ClusteringResult:
     """A segmentation result built by hand: equal weights, identity
-    covariances, and the given labels and outlier flags and types."""
+    covariances, and the given labels and outlier flags."""
     k = len(means)
     n = len(assignments)
     params = MixtureParams(np.full(k, 1.0 / k), [GaussianComponent(m, np.eye(3)) for m in means])
     return ClusteringResult(
         params=params, assignments=np.asarray(assignments), outlier_flags=np.asarray(flags),
-        outlier_types=np.asarray(types), objective=0.0, iterations=1, restart_index=0,
-        discriminants=np.ones(n), stable=True)
+        objective=0.0, iterations=1, restart_index=0, discriminants=np.ones(n), stable=True)
 
 
 class TestIo:
@@ -343,10 +342,9 @@ class TestSegment:
         err = min(direct, 1.0 - direct)
         assert err <= 0.01
         assert seg.outlier_flags[noise_mask].mean() >= 0.9
-        flagged = seg.outlier_flags
-        types = seg.outlier_types[flagged]
-        assert np.all(types >= 0)
-        assert np.all(seg.outlier_types[~flagged] == -1)
+        # every noise pixel is the same white, so all flagged pixels share
+        # one cluster, which is their type
+        assert len(np.unique(seg.assignments[seg.outlier_flags])) == 1
 
     def test_flat_image_exact_palette(self):
         grid, _ = two_tone_grid(side=20, noise_fraction=0.0)
@@ -390,7 +388,7 @@ class TestReconstruct:
         grid, _ = two_tone_grid(side=6, noise_fraction=0.0)
         n = grid.width * grid.height
         result = hand_result([[0.2, 0.2, 0.2], [0.8, 0.8, 0.8]], np.zeros(n, dtype=int),
-                             np.ones(n, dtype=bool), np.zeros(n, dtype=int))
+                             np.ones(n, dtype=bool))
         recon = reconstruct(grid, result)
         assert len(np.unique(recon.pixels, axis=0)) == 1
         assert np.allclose(recon.pixels[0], [1.0, 1.0, 1.0])
@@ -414,7 +412,7 @@ class TestReconstruct:
 class TestSidecar:
     def test_no_outliers_gives_integer_zeros(self):
         result = hand_result([[0.1, 0.2, 0.3], [0.5, 0.5, 0.5], [0.9, 0.8, 0.7]],
-                             [0, 1, 2, 2], np.zeros(4, dtype=bool), np.full(4, -1))
+                             [0, 1, 2, 2], np.zeros(4, dtype=bool))
         payload = sidecar_payload(result, IMAGE_CFG)
         validate(payload, "image_sidecar")
         assert payload["outliers_per_type"] == [0, 0, 0]
@@ -424,7 +422,7 @@ class TestSidecar:
 
     def test_colors_are_clipped_means_and_palette(self):
         result = hand_result([[-0.5, 0.2, 1.5], [0.5, 0.5, 0.5]], [0, 1, 1],
-                             [True, False, False], [1, -1, -1])
+                             [False, True, False])
         payload = sidecar_payload(result, IMAGE_CFG)
         assert payload["cluster_colors"] == [[0.0, 0.2, 1.0], [0.5, 0.5, 0.5]]
         assert payload["outlier_colors"] == outlier_palette(2).tolist()

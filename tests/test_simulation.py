@@ -1,6 +1,5 @@
 """Generators, contamination schemes, metrics and the experiment driver."""
 
-import ctypes
 import os
 
 import numpy as np
@@ -21,7 +20,13 @@ from mixclust import (
     undetected_outlier_proportion,
 )
 from mixclust.clustering import ClusteringResult, default_threshold
-from mixclust.simulation import ScenarioSpec, aggregate_rows, chisq_cutoff
+from mixclust.simulation import (
+    ScenarioSpec,
+    aggregate_rows,
+    chisq_cutoff,
+    contaminate_uniform_chisq,
+)
+from oracles import openblas_thread_counts
 
 
 def make_result(assignments, flags, k=3, p=2):
@@ -33,8 +38,7 @@ def make_result(assignments, flags, k=3, p=2):
     assignments = np.asarray(assignments, dtype=int)
     flags = np.asarray(flags, dtype=bool)
     return ClusteringResult(
-        params=params, assignments=assignments, outlier_flags=flags,
-        outlier_types=np.where(flags, assignments, -1), objective=0.0,
+        params=params, assignments=assignments, outlier_flags=flags, objective=0.0,
         iterations=1, restart_index=0, discriminants=np.ones(n), stable=True)
 
 
@@ -153,6 +157,19 @@ class TestGenerators:
         spec = ScenarioSpec(p=2, contamination="uniform_chisq", cov_scale=27.05)
         with pytest.raises(SamplingError, match="below 1e-4"):
             generate(spec, np.random.default_rng(0))
+
+    def test_chisq_covered_box_refused_before_drawing(self):
+        # At cov_scale 40 the cutoff ball of the center at 0 holds the whole
+        # box: (10 + 0)^2 * 2 = 200 <= 40 * 7.38. Refused with no draw taken.
+        spec = ScenarioSpec(p=2, contamination="uniform_chisq", cov_scale=40.0)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(SamplingError, match="rate 0 is below 1e-4"):
+            contaminate_uniform_chisq(spec, rng)
+        assert rng.bit_generator.state == before
+        # with no outlier to draw there is nothing to refuse
+        spec = ScenarioSpec(p=2, n=4, contamination="uniform_chisq", cov_scale=40.0)
+        assert contaminate_uniform_chisq(spec, rng).shape == (0, 2)
 
     def test_chisq_cutoff_matches_scipy(self):
         # Newton on the closed-form tail, up to p = 2000, where e^(-x/2) alone
@@ -439,26 +456,6 @@ class TestRunExperiment:
                     run_experiment(spec, cfgs, workers=workers)
 
 
-def _openblas_thread_counts() -> list[int]:
-    """get_num_threads of every OpenBLAS mapped into this process."""
-    getters = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-               "openblas_get_num_threads")
-    with open("/proc/self/maps", encoding="utf-8") as fh:
-        paths = sorted({line.split(None, 5)[-1].strip() for line in fh
-                        if "openblas" in line})
-    counts = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for name in getters:
-            getter = getattr(lib, name, None)
-            if getter is not None:
-                getter.argtypes = []
-                getter.restype = ctypes.c_int
-                counts.append(getter())
-                break
-    return counts
-
-
 def test_fork_map_runs_serially_without_a_pool(monkeypatch):
     import mixclust.workers as workers
 
@@ -474,13 +471,13 @@ def test_pool_workers_keep_callers_blas_threads(monkeypatch):
 
     if not os.path.exists("/proc/self/maps"):
         pytest.skip("needs /proc/self/maps")
-    before = _openblas_thread_counts()
+    before = openblas_thread_counts()
     if not before:
         pytest.skip("no OpenBLAS is mapped")
 
     def reporting_fit(*args, **kwargs):
         # runs in the worker; the typed error carries its counts back as a row
-        raise DegenerateClusteringError(f"blas threads {_openblas_thread_counts()}")
+        raise DegenerateClusteringError(f"blas threads {openblas_thread_counts()}")
 
     monkeypatch.setattr(simulation, "fit", reporting_fit)
     spec = ScenarioSpec(
@@ -492,4 +489,4 @@ def test_pool_workers_keep_callers_blas_threads(monkeypatch):
                           workers=2).rows
     inherited = f"DegenerateClusteringError: blas threads {before}"
     assert [row["error"] for row in rows] == [inherited, inherited]
-    assert _openblas_thread_counts() == before
+    assert openblas_thread_counts() == before

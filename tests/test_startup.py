@@ -7,6 +7,7 @@ contamination its chi-square cutoff. Each check runs in a fresh
 interpreter, because this test process has long since imported numpy and
 scipy itself."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 import mixclust
+from oracles import openblas_thread_counts
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,21 +57,8 @@ BLOCK_SCIPY = (
     "    raise SystemExit('the blocker let scipy load')\n")
 
 # Prints the thread count of every OpenBLAS mapped into the process.
-PRINT_BLAS_THREADS = (
-    "import ctypes\n"
-    "with open('/proc/self/maps', encoding='utf-8') as fh:\n"
-    "    paths = {line.split(None, 5)[-1].strip() for line in fh if 'openblas' in line}\n"
-    "counts = []\n"
-    "for path in sorted(paths):\n"
-    "    lib = ctypes.CDLL(path)\n"
-    "    for name in ('scipy_openblas_get_num_threads64_', 'scipy_openblas_get_num_threads',\n"
-    "                 'openblas_get_num_threads'):\n"
-    "        getter = getattr(lib, name, None)\n"
-    "        if getter is not None:\n"
-    "            getter.argtypes, getter.restype = [], ctypes.c_int\n"
-    "            counts.append(getter())\n"
-    "            break\n"
-    "print(counts)\n")
+PRINT_BLAS_THREADS = (inspect.getsource(openblas_thread_counts)
+                      + "print(openblas_thread_counts())\n")
 
 
 def blas_threads(proc: subprocess.CompletedProcess) -> list[int]:

@@ -262,22 +262,31 @@ def detect_outliers(disc, threshold: float) -> np.ndarray:
 
 
 def _m_step(data, assignments, k: int, cfg: AlgoConfig,
-            prev: list[GaussianComponent] | None) -> MixtureParams:
+            prev: list[GaussianComponent] | None, cold_fits: dict) -> MixtureParams:
     n, p = data.shape
     weights = update_weights(assignments, n, k)
     comps: list[GaussianComponent] = []
     for j in range(k):
+        in_j = assignments == j
+        # a cold fit reads the member rows alone: one per membership mask
+        key = np.packbits(in_j).tobytes() if prev is None else None
+        if key in cold_fits:
+            comps.append(cold_fits[key])
+            continue
         # the same rows in the same order, still column-major
-        members = np.compress(assignments == j, data.T, axis=1).T
-        warm = prev[j] if prev is not None else None
+        members = np.compress(in_j, data.T, axis=1).T
+        comp = prev[j] if prev is not None else None
         if len(members) >= p + 1:
             try:
-                comps.append(fit_component(members, cfg.beta, init=warm).estimate)
-                continue
+                comp = fit_component(members, cfg.beta, init=comp).estimate
             except NonPositiveDenominatorError:
                 pass
-        comps.append(warm if warm is not None else GaussianComponent.trusted(
-            members.mean(axis=0) if len(members) else np.zeros(p), np.eye(p)))
+        if comp is None:
+            comp = GaussianComponent.trusted(
+                members.mean(axis=0) if len(members) else np.zeros(p), np.eye(p))
+        if key is not None:
+            cold_fits[key] = comp
+        comps.append(comp)
     # The projected covariances are the package's own: finite and exactly
     # symmetric, so only their Cholesky factor is computed.
     covs = enforce_constraints([c.cov for c in comps], cfg.constraint)
@@ -325,7 +334,8 @@ def _reseed_empty(labels: np.ndarray, params: MixtureParams, log_phi: np.ndarray
     return False
 
 
-def fit_single(data, k: int, cfg: AlgoConfig, init_assignments: np.ndarray) -> dict:
+def fit_single(data, k: int, cfg: AlgoConfig, init_assignments: np.ndarray, *,
+               cold_fits: dict | None = None) -> dict:
     """Run one restart of the outer loop from an initial assignment.
 
     Returns a dict with the degenerate flag and iterations and, unless the
@@ -339,7 +349,10 @@ def fit_single(data, k: int, cfg: AlgoConfig, init_assignments: np.ndarray) -> d
     params come from the M-step before that last reassignment, so the
     weights need not equal the final cluster shares. ``data`` is a finite
     float (n, p) array, as :func:`fit` passes it. ``init_assignments`` is
-    only read, and the returned assignments are a new array.
+    only read, and the returned assignments are a new array. ``cold_fits``
+    maps a packed membership mask to the component the first M-step fitted
+    (or fell back to) for those rows, exact for any restart on the same
+    ``data`` and ``cfg``; it is read and filled, and is empty when omitted.
     """
     assignments = np.asarray(init_assignments, dtype=int)
     # Only ``assignments`` may hold the initial labels: it drops them at the
@@ -347,8 +360,9 @@ def fit_single(data, k: int, cfg: AlgoConfig, init_assignments: np.ndarray) -> d
     del init_assignments
     reseeds = np.zeros(k, dtype=int)
     prev_comps: list[GaussianComponent] | None = None
+    cold_fits = {} if cold_fits is None else cold_fits
     for iterations in range(1, cfg.max_outer_iter + 1):
-        params = _m_step(data, assignments, k, cfg, prev_comps)
+        params = _m_step(data, assignments, k, cfg, prev_comps, cold_fits)
         prev_comps = params.components
         labels, log_phi = assign(data, params, cfg.assignment_rule)
         if _reseed_empty(labels, params, log_phi, reseeds):
@@ -371,11 +385,12 @@ def fit_single(data, k: int, cfg: AlgoConfig, init_assignments: np.ndarray) -> d
     }
 
 
-def _run_restart(data, k: int, cfg: AlgoConfig, r: int) -> dict:
+def _run_restart(data, k: int, cfg: AlgoConfig, cold_fits: dict, r: int) -> dict:
     """Restart r: its initial assignment, drawn from a generator seeded by
     ``(cfg.seed, r)``, then :func:`fit_single` from there. The labels go
     straight into the call, so this frame does not keep them alive."""
-    return fit_single(data, k, cfg, initialize(data, k, np.random.default_rng([cfg.seed, r]))[1])
+    return fit_single(data, k, cfg, initialize(data, k, np.random.default_rng([cfg.seed, r]))[1],
+                      cold_fits=cold_fits)
 
 
 def _keep_better(best: tuple[int, dict] | None, r: int, outcome: dict) -> tuple[int, dict] | None:
@@ -418,12 +433,15 @@ def fit(data, k: int, cfg: AlgoConfig | None = None, *, workers: int = 1) -> Clu
     CPU the process may run on, so ``taskset`` limits them. Outcomes are
     compared in restart order as they arrive, by the same rule, and only
     the best is kept, so the result is byte-identical for every worker
-    count. Memory does not grow with the restart count: while a restart
-    runs serially, this process holds the data, the best finished outcome
-    and that restart's working set. (In the pool, an outcome that arrives
-    ahead of its turn waits there until it is compared.) A restart's
-    exception reaches the caller with its own type. The replications of
-    :func:`~mixclust.simulation.run_experiment` call this serially,
+    count. The restarts share this call's ``cold_fits`` (:func:`fit_single`),
+    one copy per forked worker, which changes what is reused, never the
+    result. Beyond that cache (an n/8-byte key and a component per
+    distinct initial cluster) memory does not grow with the restart count:
+    while a restart runs serially, this process holds the data, the best
+    finished outcome and that restart's working set. (In the pool, an
+    outcome that arrives ahead of its turn waits there until it is
+    compared.) A restart's exception reaches the caller with its own type.
+    The replications of :func:`~mixclust.simulation.run_experiment` call this serially,
     because their pool is one level up, and so does
     :func:`~mixclust.imageseg.segment`: its few restarts are each about one
     outer iteration over every pixel, where forking and sending back the
@@ -444,7 +462,7 @@ def fit(data, k: int, cfg: AlgoConfig | None = None, *, workers: int = 1) -> Clu
     # bound only inside ``_keep_better``, so while restart r runs the one
     # finished outcome alive is the best, not restart r - 1's as well.
     best = None
-    with closing(fork_map(partial(_run_restart, data, k, cfg), range(cfg.n_restarts),
+    with closing(fork_map(partial(_run_restart, data, k, cfg, {}), range(cfg.n_restarts),
                           workers)) as outcomes:
         for r in range(cfg.n_restarts):
             best = _keep_better(best, r, next(outcomes))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import colorsys
 import struct
+import sys
 import zlib
 from dataclasses import dataclass, replace
 
@@ -126,13 +127,6 @@ def save_ppm(grid: PixelGrid, path) -> None:
         fh.write(encode_ppm(grid))
 
 
-def _paeth(a: int, b: int, c: int) -> int:
-    pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - 2 * c)
-    if pa <= pb and pa <= pc:
-        return a
-    return b if pb <= pc else c
-
-
 def _decode_png(blob: bytes) -> PixelGrid:
     pos = 8
     idat = bytearray()
@@ -163,6 +157,8 @@ def _decode_png(blob: bytes) -> PixelGrid:
         raise ImageFormatError(f"unsupported PNG color type {color}")
     stride = width * channels
     size = height * (stride + 1)
+    if size >= sys.maxsize:  # past what zlib can be asked to inflate, or memory hold
+        raise ImageFormatError(f"PNG image of {width}x{height} is too large")
     inflater = zlib.decompressobj()
     try:  # at most one byte past the declared size: a longer stream is never inflated whole
         raw = inflater.decompress(idat, size + 1)
@@ -183,18 +179,21 @@ def _decode_png(blob: bytes) -> PixelGrid:
         elif ftype == 2:  # Up
             np.add(line, out[row - 1], out=out[row])
         elif ftype in (3, 4):  # each byte needs its decoded left neighbour
-            cur = bytearray(line)
-            up = out[row - 1].tobytes()
+            cur, up = line.tolist(), out[row - 1].tolist()
+            # The first pixel's left and upper-left are 0: Average adds half
+            # the byte above, Paeth the byte above.
+            for i in range(channels):
+                cur[i] = (cur[i] + (up[i] >> 1 if ftype == 3 else up[i])) & 0xFF
             if ftype == 3:  # Average
-                for i in range(stride):
-                    left = cur[i - channels] if i >= channels else 0
-                    cur[i] = (cur[i] + ((left + up[i]) >> 1)) & 0xFF
-            else:  # Paeth
-                for i in range(stride):
-                    left = cur[i - channels] if i >= channels else 0
-                    up_left = up[i - channels] if i >= channels else 0
-                    cur[i] = (cur[i] + _paeth(left, up[i], up_left)) & 0xFF
-            out[row] = np.frombuffer(cur, dtype=np.uint8)
+                for i in range(channels, stride):
+                    cur[i] = (cur[i] + ((cur[i - channels] + up[i]) >> 1)) & 0xFF
+            else:  # Paeth, inlined
+                for i in range(channels, stride):
+                    a, b, c = cur[i - channels], up[i], up[i - channels]
+                    pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - 2 * c)
+                    pred = a if pa <= pb and pa <= pc else b if pb <= pc else c
+                    cur[i] = (cur[i] + pred) & 0xFF
+            out[row] = cur
         else:
             raise ImageFormatError(f"unknown PNG filter {ftype}")
     # One contiguous row per RGB channel (gray repeated, alpha dropped); the

@@ -54,17 +54,18 @@ def _floored_component(mean: np.ndarray, cov: np.ndarray) -> GaussianComponent:
 def _median(a: np.ndarray):
     """``np.median(a, axis=-1)`` with the same bits, partitioning ``a`` in place.
 
-    The middle values are summed from 0.0, as np.median's ``mean`` sums
+    One partition, at ``n // 2``: for an even n the lower middle value is
+    the largest of the values before it, the same order statistic. The
+    middle values are summed from 0.0, as np.median's ``mean`` sums
     them. That also turns a zero median into +0.0 whichever of 0.0 and
     -0.0 the partition put in the middle.
     """
     n = a.shape[-1]
     h = n // 2
+    a.partition(h)
     if n % 2:
-        a.partition(h)
         return 0.0 + a[..., h]
-    a.partition([h - 1, h])
-    return (0.0 + a[..., h - 1] + a[..., h]) / 2
+    return (0.0 + a[..., :h].max(axis=-1) + a[..., h]) / 2
 
 
 def robust_init(data) -> GaussianComponent:

@@ -154,19 +154,26 @@ def contaminate_uniform_chisq(spec: ScenarioSpec, rng: np.random.Generator) -> n
     total = 0
     attempts = 0
     max_attempts = max(int(m / 1e-4), 100_000)
+    # Distances to one centre at a time in blocks of about 2**16 values; each
+    # row still sums its p contiguous values, so no bit moves.
+    step = max(1, 2**16 // spec.p)
     while total < m:
         batch = rng.uniform(-UNIFORM_BOX_HALF_WIDTH, UNIFORM_BOX_HALF_WIDTH,
                             size=(4096, spec.p))
         attempts += len(batch)
-        d2 = ((batch[:, None, :] - spec.means[None, :, :]) ** 2).sum(axis=2)
-        keep = batch[d2.min(axis=1) / spec.cov_scale > cutoff]
-        accepted.append(keep)
-        total += len(keep)
+        d2 = np.empty(len(batch))
+        for rows in range(0, len(batch), step):
+            block = batch[rows:rows + step]
+            d2[rows:rows + step] = np.min([((block - mean) ** 2).sum(axis=1)
+                                           for mean in spec.means], axis=0)
+        kept = np.flatnonzero(d2 / spec.cov_scale > cutoff)
+        accepted.append(batch[kept[:m - total]])  # copy only the rows still needed
+        total += len(kept)
         if attempts > max_attempts and total / attempts < 1e-4:
             raise SamplingError(
                 f"uniform contamination acceptance rate {total / attempts:.2g} is "
                 "below 1e-4 (clusters cover the sampling box)")
-    return np.vstack(accepted)[:m]
+    return np.vstack(accepted)
 
 
 def contaminate_annulus(spec: ScenarioSpec, rng: np.random.Generator) -> np.ndarray:

@@ -1,13 +1,17 @@
 """CLI contract: subcommands, exit codes, deterministic outputs, schemas."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import time
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixclust.cli import _ALGO_FIELDS, _load_scenario, main, read_csv_matrix
-from mixclust.errors import SamplingError
+from mixclust.errors import ImageFormatError, SamplingError
 from mixclust.schemas import SchemaError, validate
-from tests.test_imageseg import malformed_images, two_tone_grid
+from tests.test_imageseg import filtered_png, malformed_images, png_blob, two_tone_grid
 from mixclust.imageseg import PixelGrid, load_image, save_ppm
 from mixclust.simulation import CONTAMINATION_KINDS, ScenarioSpec, generate
 
@@ -527,6 +531,84 @@ def test_scenario_generates_or_names_the_bad_key(tmp_path_factory, drawn):
         assert re.search(rf"\b{key}\b", message), message
     else:
         assert data.shape == (spec.n, spec.p) and labels.shape == (spec.n,)
+
+
+# Decoder inputs to mutate: a 6x5 RGB image as a PNG whose rows cycle
+# through the five filters and as a PPM, and a CSV of two 15-row blobs.
+DECODED_PIXELS = np.random.default_rng(5).integers(0, 256, (5, 6, 3), dtype=np.uint8)
+DECODED_CSV = "x,y\n" + "".join(f"{i % 3 * 0.25:g},{i // 15 * 6.0 + i % 5 * 0.1:g}\n"
+                                 for i in range(30))
+
+
+# A PNG side from 0 up, or near the format's 2**31 - 1 limit and past it
+# (the header field holds up to 2**32 - 1).
+PNG_SIDES = st.one_of(st.integers(0, 8), st.integers(2**31 - 2, 2**32 - 1))
+
+
+@st.composite
+def mutated(draw, blob: bytes) -> bytes:
+    """``blob`` after one to six edits, each a byte set, inserted or deleted
+    at a drawn position, or the tail cut off there."""
+    data = bytearray(blob)
+    for _ in range(draw(st.integers(1, 6))):
+        pos = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(("set", "insert", "delete", "cut")))
+        byte = draw(st.integers(0, 255))
+        if edit == "insert":
+            data.insert(pos, byte)
+        elif edit == "cut":
+            del data[pos:]
+        elif pos < len(data):
+            if edit == "set":
+                data[pos] = byte
+            else:
+                del data[pos]
+    return bytes(data)
+
+
+def decoder_inputs():
+    """(kind, bytes): a mutated PNG file, a PNG whose inflated scanlines were
+    mutated (re-compressed, so the filters see them), a PNG whose header
+    declares any size and colour type, a mutated PPM or CSV."""
+    png = filtered_png(DECODED_PIXELS)
+    (length,) = struct.unpack(">I", png[33:37])
+    scanlines = zlib.decompress(png[41 : 41 + length])
+    height, width, _ = DECODED_PIXELS.shape
+    ppm = f"P6\n{width} {height}\n255\n".encode() + DECODED_PIXELS.tobytes()
+    return st.one_of(
+        st.tuples(st.just("png"), mutated(png)),
+        st.tuples(st.just("png"), mutated(scanlines).map(
+            lambda raw: png_blob(width, height, 2, zlib.compress(raw)))),
+        st.tuples(st.just("png"), st.builds(
+            png_blob, PNG_SIDES, PNG_SIDES, st.sampled_from((0, 2, 3, 4, 6)),
+            st.just(zlib.compress(scanlines)))),
+        st.tuples(st.just("ppm"), mutated(ppm)),
+        st.tuples(st.just("csv"), mutated(DECODED_CSV.encode())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=decoder_inputs())
+def test_mutated_input_decodes_or_is_refused(tmp_path_factory, drawn):
+    # A decoder returns a value or refuses with ImageFormatError or
+    # ValueError, and the program exits 0, 2 (refused input) or 3 (a fit
+    # that failed on what was decoded, such as an image of one colour).
+    kind, blob = drawn
+    base = tmp_path_factory.getbasetemp()
+    path = base / f"mutated.{kind}"
+    path.write_bytes(blob)
+    try:
+        (read_csv_matrix if kind == "csv" else load_image)(path)
+        decoded = True
+    except (ImageFormatError, ValueError):
+        decoded = False
+    command = (["fit", str(path), "--out", str(base / "mutated-fit")] if kind == "csv"
+               else ["image", str(path), "--out", str(base / "mutated-seg.ppm")])
+    with contextlib.redirect_stderr(io.StringIO()) as stderr:
+        code = main([*command, "--k", "2", "--restarts", "1", "--force"])
+    err = stderr.getvalue()
+    assert code in (0, 2, 3), err
+    assert code == 0 or err.startswith("error: " if code == 2 else "computation failed: ")
+    assert decoded or code == 2
 
 
 class TestInfluenceCommand:

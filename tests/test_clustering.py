@@ -62,6 +62,21 @@ def assigned_discriminants(data, params):
     return labels, discriminants(params, labels, log_phi[np.arange(len(data)), labels])
 
 
+def same_result_bits(a, b) -> bool:
+    """Two fit results with the same bytes in every array and the same
+    winner, iterations and stability."""
+    def arrays(res):
+        params = res.params
+        return [params.weights, *[c.mean for c in params.components],
+                *[c.cov for c in params.components], res.assignments,
+                res.outlier_flags, res.discriminants,
+                np.array([res.objective, res.selection_score])]
+
+    return (all(x.tobytes() == y.tobytes() for x, y in zip(arrays(a), arrays(b), strict=True))
+            and (a.iterations, a.restart_index, a.stable)
+            == (b.iterations, b.restart_index, b.stable))
+
+
 class TestAssign:
     def test_nearer_mean_wins(self):
         labels, _ = assign(np.array([[1.0]]), two_comp_params())
@@ -307,22 +322,45 @@ class TestFit:
                           rng.uniform(-20.0, 20.0, (6, 3))])
         cfg = AlgoConfig(beta=0.2, n_restarts=3, seed=2, assignment_rule=rule)
         by_rows = fit(np.ascontiguousarray(data), 2, cfg)
-
-        def arrays(res):
-            params = res.params
-            return [params.weights, *[c.mean for c in params.components],
-                    *[c.cov for c in params.components], res.assignments,
-                    res.outlier_flags, res.discriminants,
-                    np.array([res.objective, res.selection_score])]
-
         # and so does the worker count: restarts in 2 and in 3 forked workers
         others = [fit(np.asfortranarray(data), 2, cfg),
                   *(fit(data, 2, cfg, workers=workers) for workers in (2, 4))]
         for other in others:
-            assert all(a.tobytes() == b.tobytes()
-                       for a, b in zip(arrays(by_rows), arrays(other), strict=True))
-            assert (by_rows.iterations, by_rows.restart_index, by_rows.stable) == \
-                (other.iterations, other.restart_index, other.stable)
+            assert same_result_bits(by_rows, other)
+
+    def test_restarts_reuse_cold_fits(self, monkeypatch):
+        # A restart's first M-step fits each cluster from its members alone,
+        # so restarts that start from one cluster share its fit: one cold
+        # fit_component call per distinct initial cluster. Every restart's
+        # initial clusters here have at least p + 1 members.
+        rng = np.random.default_rng(31)
+        data = np.asfortranarray(blob_data(rng, [np.zeros(2), np.full(2, 9.0)], 60))
+        k, cfg = 2, AlgoConfig(beta=0.2, n_restarts=8, seed=4)
+        initial = set()
+        for r in range(cfg.n_restarts):
+            labels = initialize(data, k, np.random.default_rng([cfg.seed, r]))[1]
+            assert np.bincount(labels, minlength=k).min() >= 3
+            initial.update(np.packbits(labels == j).tobytes() for j in range(k))
+        cold = 0
+
+        def counting(members, beta, init=None):
+            nonlocal cold
+            cold += init is None
+            return fit_component(members, beta, init=init)
+
+        with monkeypatch.context() as patch:
+            patch.setattr("mixclust.clustering.fit_component", counting)
+            shared = fit(data, k, cfg)
+        assert cold == len(initial) < k * cfg.n_restarts
+        # Reuse is exact: the same bits as restarts that each fit afresh,
+        # in one process or in forked workers with a cache apiece.
+        results = [fit(data, k, cfg, workers=2)]
+        monkeypatch.setattr("mixclust.clustering._run_restart",
+                            lambda data, k, cfg, cold_fits, r:
+                            _run_restart(data, k, cfg, {}, r))
+        results += [fit(data, k, cfg, workers=workers) for workers in (1, 2)]
+        for other in results:
+            assert same_result_bits(shared, other)
 
     def test_fits_column_major_data_without_copying(self, monkeypatch):
         seen = []
@@ -478,7 +516,8 @@ class TestFit:
         apart: two restarts may start from one partition.)"""
         real = _run_restart
         monkeypatch.setattr("mixclust.clustering._run_restart",
-                            lambda data, k, cfg, r: change(r, real(data, k, cfg, r)))
+                            lambda data, k, cfg, cold_fits, r:
+                            change(r, real(data, k, cfg, cold_fits, r)))
 
     @classmethod
     def _nudged_restarts(cls, monkeypatch, nudge):

@@ -417,3 +417,17 @@ class TestBitIdentity:
         center, cov = median_robust_init(data)
         assert same_bits(comp.mean, center)
         assert same_bits(comp.cov, cov)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 51, 1000, 1001])
+    @pytest.mark.parametrize("shape", [(), (4,)], ids=["1-D", "(p, n)"])
+    def test_median_matches_np_median(self, n, shape):
+        # Even n takes the lower middle value as the largest of the first
+        # half after one partition: tie-heavy integers, signed zeros alone
+        # and continuous values must all keep np.median's bits.
+        rng = np.random.default_rng(n)
+        size = (*shape, n)
+        ties = rng.integers(-2, 3, size).astype(float)
+        ties[rng.random(size) < 0.25] = -0.0
+        for a in (ties, rng.choice([0.0, -0.0], size), rng.standard_normal(size)):
+            want = np.median(a, axis=-1)
+            assert same_bits(mdpde._median(a.copy()), want)

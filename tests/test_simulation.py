@@ -1,6 +1,7 @@
 """Generators, contamination schemes, metrics and the experiment driver."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mixclust import (
     run_experiment,
     undetected_outlier_proportion,
 )
+from mixclust import simulation
 from mixclust.clustering import ClusteringResult, default_threshold
 from mixclust.simulation import (
     ScenarioSpec,
@@ -170,6 +172,48 @@ class TestGenerators:
         # with no outlier to draw there is nothing to refuse
         spec = ScenarioSpec(p=2, n=4, contamination="uniform_chisq", cov_scale=40.0)
         assert contaminate_uniform_chisq(spec, rng).shape == (0, 2)
+
+    @staticmethod
+    def whole_batch_uniform_chisq(spec, rng):
+        """The uniform_chisq sampler written with one (4096, k, p) block of
+        differences per batch, keeping every accepted row of it."""
+        m, cutoff = spec.n_outliers, chisq_cutoff(spec.p)
+        accepted, total = [np.empty((0, spec.p))], 0
+        while total < m:
+            batch = rng.uniform(-10.0, 10.0, size=(4096, spec.p))
+            d2 = ((batch[:, None, :] - spec.means[None, :, :]) ** 2).sum(axis=2)
+            keep = batch[d2.min(axis=1) / spec.cov_scale > cutoff]
+            accepted.append(keep)
+            total += len(keep)
+        return np.vstack(accepted)[:m]
+
+    @pytest.mark.parametrize("p, n", [(2, 50_000), (6, 1000), (9, 1000), (300, 400)])
+    def test_chisq_sample_keeps_whole_batch_bits(self, monkeypatch, p, n):
+        # Distances per centre and per block of rows sum each row as the
+        # whole-batch block did, so the samples keep their bytes (n = 50 000
+        # at p = 2 needs two batches).
+        spec = ScenarioSpec(p=p, n=n, contamination="uniform_chisq")
+        for seed in range(3):
+            got = generate(spec, np.random.default_rng(seed))
+            with monkeypatch.context() as patch:
+                patch.setitem(simulation._CONTAMINATORS, "uniform_chisq",
+                              self.whole_batch_uniform_chisq)
+                want = generate(spec, np.random.default_rng(seed))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
+
+    def test_chisq_memory_is_one_batch(self):
+        # 4 outliers at p = 300, k = 3: one (4096, p) batch is 9.4 MiB, and a
+        # (4096, k, p) block of differences, or a copy of every accepted
+        # row, would add another 9.4 MiB or more.
+        spec = ScenarioSpec(p=300, n=40, contamination="uniform_chisq")
+        tracemalloc.start()
+        try:
+            out = contaminate_uniform_chisq(spec, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (4, 300)
+        assert peak < 12 * 2**20
 
     def test_chisq_cutoff_matches_scipy(self):
         # Newton on the closed-form tail, up to p = 2000, where e^(-x/2) alone

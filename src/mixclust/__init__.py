@@ -19,7 +19,7 @@ _PUBLIC = {
     "clustering": ("AlgoConfig", "ClusteringResult", "MixtureParams", "assign",
                    "detect_outliers", "discriminants", "fit", "fit_single", "initialize",
                    "pseudo_beta_likelihood", "update_weights"),
-    "constraints": ("ConstraintConfig", "check_constraints", "enforce_constraints"),
+    "constraints": ("ConstraintConfig", "enforce_constraints"),
     "errors": ("ConstraintBoundaryError", "DegenerateClusteringError",
                "DimensionMismatchError", "GeometryError", "ImageFormatError",
                "MixclustError", "NonPositiveDenominatorError", "NotPositiveDefiniteError",
@@ -27,7 +27,7 @@ _PUBLIC = {
     "gaussian": ("GaussianComponent", "dpd_integral", "log_density", "mahalanobis_sq"),
     "imageseg": ("PixelGrid", "load_image", "reconstruct", "segment"),
     "influence": ("FunctionalSolution", "TrueDistribution", "assemble_if_system", "if_curve",
-                  "influence_at", "solve_functional"),
+                  "solve_functional"),
     "mdpde": ("ComponentFit", "fit_component", "irls_step", "irls_weights", "robust_init"),
     "simulation": ("ScenarioSpec", "SimulationReport", "bias_mse", "contaminate_annulus",
                    "contaminate_outlying_cluster", "contaminate_uniform_chisq", "generate",

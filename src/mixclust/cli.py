@@ -2,8 +2,9 @@
 influence curves, segment images.
 
 Exit codes are a stable contract: 0 success, 2 input error, 3 computation
-failure. Every subcommand is deterministic given its inputs, flags and
-seed. The MIXCLUST_LOG environment variable sets the log level.
+failure (running out of memory included). Every subcommand is
+deterministic given its inputs, flags and seed. The MIXCLUST_LOG
+environment variable sets the log level.
 
 Cluster labels in emitted files are 1-based; arrays inside the library are
 0-based.
@@ -417,6 +418,6 @@ def main(argv=None) -> int:
     except (ImageFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except MixclustError as exc:
+    except (MixclustError, MemoryError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

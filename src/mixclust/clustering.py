@@ -287,10 +287,12 @@ def _m_step(data, assignments, k: int, cfg: AlgoConfig,
         if key is not None:
             cold_fits[key] = comp
         comps.append(comp)
-    # The projected covariances are the package's own: finite and exactly
-    # symmetric, so only their Cholesky factor is computed.
+    # A covariance the projection left alone comes back as the same object,
+    # and its component is kept. A projected one is the package's own: finite
+    # and exactly symmetric, so only its Cholesky factor is computed.
     covs = enforce_constraints([c.cov for c in comps], cfg.constraint)
-    comps = [GaussianComponent.trusted(c.mean, cov) for c, cov in zip(comps, covs)]
+    comps = [c if cov is c.cov else GaussianComponent.trusted(c.mean, cov)
+             for c, cov in zip(comps, covs)]
     return MixtureParams(weights=weights, components=comps)
 
 

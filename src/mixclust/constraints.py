@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import validate_cov
+from .gaussian import from_spectrum
 
 
 @dataclass
@@ -30,54 +30,30 @@ class ConstraintConfig:
             raise ValueError("eigenvalue floor c1 must be finite and positive")
 
 
-_REL_TOL = 1e-9  # eigensolver noise allowance, matters only at c = 1
-
-
-def check_constraints(covs, cfg: ConstraintConfig) -> tuple[bool, float, float]:
-    """Return (feasible, M, m): global max/min eigenvalues over all components.
-
-    This is the API edge: each covariance is checked by
-    :func:`~mixclust.gaussian.validate_cov` before its spectrum is read, and
-    all must share one dimension. :func:`enforce_constraints` checks nothing.
-    """
-    covs = [validate_cov(cov) for cov in covs]
-    if not covs or len({cov.shape for cov in covs}) > 1:
-        raise ValueError("need at least one covariance, all of one dimension")
-    pooled = np.concatenate([np.linalg.eigh(cov)[0] for cov in covs])
-    big, small = float(pooled.max()), float(pooled.min())
-    feasible = (small >= cfg.c1 * (1.0 - _REL_TOL)
-                and big <= cfg.c * small * (1.0 + _REL_TOL))
-    return feasible, big, small
-
-
 def enforce_constraints(covs, cfg: ConstraintConfig) -> list[np.ndarray]:
     """Project the covariances onto the feasible set by eigenvalue clipping.
 
-    Already-feasible input is returned unchanged. Otherwise each matrix is
-    rebuilt from its own eigenvectors with eigenvalues clipped into
-    ``[t, c*t]``. The threshold ``t >= c1`` is scanned over the candidates
+    All k spectra come from one stacked ``eigh``. Already-feasible input is
+    returned as the given matrices themselves, not copies. Otherwise each
+    matrix is rebuilt from its own eigenvectors with eigenvalues clipped
+    into ``[t, c*t]`` (:func:`~mixclust.gaussian.from_spectrum`). The
+    threshold ``t >= c1`` is scanned over the candidates
     ``{c1} | {lambda} | {lambda / c}`` and the one minimizing the sum of
     squared log-deviations between original and clipped eigenvalues wins.
-    The output always satisfies :func:`check_constraints`. The inputs are
-    trusted to be finite, exactly symmetric matrices of one dimension, as
-    ``_m_step`` passes them; the output is finite and exactly symmetric too.
+    The inputs are trusted to be finite, exactly symmetric matrices of one
+    dimension, as ``_m_step`` passes them; the output is finite and exactly
+    symmetric too.
     """
-    spectra = [np.linalg.eigh(cov) for cov in covs]
-    pooled = np.concatenate([vals for vals, _ in spectra])
-    small, big = float(pooled.min()), float(pooled.max())
+    vals, vecs = np.linalg.eigh(np.stack(covs))
+    small, big = float(vals.min()), float(vals.max())
     if small >= cfg.c1 and big <= cfg.c * small:
-        return [np.array(cov, dtype=float) for cov in covs]
+        return list(covs)
 
+    pooled = vals.ravel()
     cands = np.concatenate(([cfg.c1], pooled, pooled / cfg.c))
     cands = np.unique(cands[cands >= cfg.c1])
     safe = np.log(np.maximum(pooled, 1e-300))
     clipped = np.clip(pooled[None, :], cands[:, None], cfg.c * cands[:, None])
     loss = np.sum((np.log(clipped) - safe[None, :]) ** 2, axis=1)
     t = float(cands[np.argmin(loss)])
-
-    out = []
-    for vals, vecs in spectra:
-        new_vals = np.clip(vals, t, cfg.c * t)
-        rebuilt = (vecs * new_vals) @ vecs.T
-        out.append(0.5 * (rebuilt + rebuilt.T))
-    return out
+    return list(from_spectrum(np.clip(vals, t, cfg.c * t), vecs))

@@ -52,6 +52,15 @@ def validate_cov(cov) -> np.ndarray:
     return cov
 
 
+def from_spectrum(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The exactly symmetric matrix ``vecs @ diag(vals) @ vecs.T``, or a stack of
+    them from stacked ``(..., p)`` eigenvalues and ``(..., p, p)`` eigenvectors
+    as ``np.linalg.eigh`` returns them; each matrix of a stack has the bits it
+    has on its own."""
+    rebuilt = (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    return 0.5 * (rebuilt + np.swapaxes(rebuilt, -1, -2))
+
+
 def cholesky_spd(cov: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of ``cov``; typed error when not SPD.
 

@@ -16,7 +16,7 @@ f_j^beta against the law: no quadrature, and numpy and ``math`` only.
 Differentiating the system under point-mass contamination at ``y`` yields
 an 8x8 linear system ``A @ IF = B(y)`` with the same matrix ``A``, taken at
 the solution; :func:`if_curve` solves it for a whole grid of ``y`` at once
-(:func:`influence_at` is its one-point case). :func:`assemble_if_system`
+(a one-point grid gives one point's vector). :func:`assemble_if_system`
 builds ``A`` afresh on every call, from one Jacobian and one set of
 integrals, which is cheap next to the solve. Influence vectors are
 ordered ``(pi1, pi2, a, b, mu1, mu2, var1, var2)``.
@@ -384,12 +384,6 @@ def assemble_if_system(sol: FunctionalSolution, dist: TrueDistribution,
     B[4], B[6] = loc1 - own1[0], spr1 - own1[1]
     B[5], B[7] = loc2 - own2[0], spr2 - own2[1]
     return A, B
-
-
-def influence_at(sol: FunctionalSolution, dist: TrueDistribution,
-                 beta: float, y: float) -> np.ndarray:
-    """Influence vector at contamination point ``y``: the one-point curve."""
-    return if_curve(sol, dist, beta, [float(y)])[0, 1:]
 
 
 def if_curve(sol: FunctionalSolution, dist: TrueDistribution, beta: float,

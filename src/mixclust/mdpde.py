@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveDenominatorError, NotPositiveDefiniteError
-from .gaussian import GaussianComponent, mahalanobis_sq
+from .gaussian import GaussianComponent, from_spectrum, mahalanobis_sq
 
 # Unitless guard: the covariance denominator must exceed MIN_DENOMINATOR * n,
 # and it also scales the eigenvalue floor of the robust starting point.
@@ -46,9 +46,8 @@ def _floored_component(mean: np.ndarray, cov: np.ndarray) -> GaussianComponent:
         return GaussianComponent.trusted(mean, cov)
     except NotPositiveDefiniteError:
         vals, vecs = np.linalg.eigh(cov)
-        vals = np.maximum(vals, max(1e-12 * max(np.trace(cov), 0.0), 1e-12))
-        fixed = (vecs * vals) @ vecs.T
-        return GaussianComponent.trusted(mean, 0.5 * (fixed + fixed.T))
+        floor = max(1e-12 * max(np.trace(cov), 0.0), 1e-12)
+        return GaussianComponent.trusted(mean, from_spectrum(np.maximum(vals, floor), vecs))
 
 
 def _median(a: np.ndarray):
@@ -94,8 +93,7 @@ def robust_init(data) -> GaussianComponent:
     cov *= 1.4826**2
     floor = max(MIN_DENOMINATOR * max(np.trace(cov), 0.0), 1e-12)
     vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
-    rebuilt = (vecs * np.maximum(vals, floor)) @ vecs.T
-    return GaussianComponent.trusted(center, 0.5 * (rebuilt + rebuilt.T))
+    return GaussianComponent.trusted(center, from_spectrum(np.maximum(vals, floor), vecs))
 
 
 def _work_buffers(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

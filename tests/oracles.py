@@ -1,13 +1,15 @@
 """In-test oracles: direct formulas that the library's kernels are checked
-against, kept here because no library code calls them, and a probe of the
-BLAS thread counts the library leaves in place."""
+against and the feasibility check of the eigenvalue constraints, kept here
+because no library code calls them, and a probe of the BLAS thread counts
+the library leaves in place."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from mixclust.constraints import ConstraintConfig
-from mixclust.gaussian import LOG_2PI, GaussianComponent, as_data_matrix, dpd_integral, log_density
+from mixclust.gaussian import (LOG_2PI, GaussianComponent, as_data_matrix, dpd_integral,
+                               log_density, validate_cov)
 from mixclust.influence import (
     FunctionalSolution,
     TrueDistribution,
@@ -60,6 +62,27 @@ def estimating_equation_residual(data, comp: GaussianComponent,
                        - 0.5 * (p + 2) * np.log1p(beta))
     mat = phi_beta.mean() * comp.cov - scatter - c0 * comp.cov
     return vec, mat
+
+
+_REL_TOL = 1e-9  # eigensolver noise allowance, matters only at c = 1
+
+
+def check_constraints(covs, cfg: ConstraintConfig) -> tuple[bool, float, float]:
+    """Return (feasible, M, m): global max/min eigenvalues over all components.
+
+    The feasibility oracle for :func:`~mixclust.constraints.enforce_constraints`,
+    which checks nothing: each covariance is checked by
+    :func:`~mixclust.gaussian.validate_cov` before its spectrum is read, and
+    all must share one dimension.
+    """
+    covs = [validate_cov(cov) for cov in covs]
+    if not covs or len({cov.shape for cov in covs}) > 1:
+        raise ValueError("need at least one covariance, all of one dimension")
+    pooled = np.concatenate([np.linalg.eigh(cov)[0] for cov in covs])
+    big, small = float(pooled.max()), float(pooled.min())
+    feasible = (small >= cfg.c1 * (1.0 - _REL_TOL)
+                and big <= cfg.c * small * (1.0 + _REL_TOL))
+    return feasible, big, small
 
 
 @dataclass(frozen=True)

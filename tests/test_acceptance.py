@@ -16,11 +16,9 @@ from mixclust import (
     ConstraintConfig,
     GaussianComponent,
     TrueDistribution,
-    check_constraints,
     enforce_constraints,
     fit,
     fit_component,
-    influence_at,
     log_density,
     solve_functional,
 )
@@ -28,7 +26,7 @@ from mixclust.clustering import initialize, update_weights
 from mixclust.imageseg import PixelGrid, outlier_palette, reconstruct, segment, sidecar_payload
 from mixclust.influence import if_curve
 from mixclust.simulation import ScenarioSpec, generate, run_experiment
-from oracles import estimating_equation_residual, numeric_if_oracle
+from oracles import check_constraints, estimating_equation_residual, numeric_if_oracle
 
 IF_MODEL = TrueDistribution(weights=(0.5, 0.5), means=(0.0, 5.0), variances=(1.0, 4.0))
 IF_CFG = ConstraintConfig(c=5.0, c1=0.1)
@@ -326,7 +324,7 @@ def test_criterion_6_influence_oracle_and_boundedness(if_solutions, criterion_re
     worst = 0.0
     for beta, sol in if_solutions.items():
         for y in (-10.0, 0.0, 3.0, 10.0):
-            lin = influence_at(sol, IF_MODEL, beta, y)
+            lin = if_curve(sol, IF_MODEL, beta, [y])[0, 1:]
             num = numeric_if_oracle(IF_MODEL, beta, IF_CFG, y, base=sol)
             rel = np.abs(lin - num) / np.maximum(np.abs(num), 1e-12)
             absd = np.abs(lin - num)

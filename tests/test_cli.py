@@ -397,6 +397,17 @@ class TestSimulateCommand:
         assert "acceptance rate" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_of_memory_exit_3(self, tmp_path, capsys):
+        # 10^15 rows of 2 floats: 4.69 PiB, past the 2^47-byte user address
+        # space, so the allocation fails at once whatever the overcommit setting.
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"p": 2, "n": 10**15, "replications": 1, "restarts": 1}))
+        out = tmp_path / "o"
+        assert main(["simulate", str(spec_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("computation failed: ") and "Unable to allocate" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["5", "[1, 2]", '"p"'])
     def test_non_object_scenario_exit_2(self, tmp_path, capsys, text):
         spec_path = tmp_path / "spec.json"

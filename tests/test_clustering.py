@@ -8,13 +8,13 @@ from scipy.optimize import minimize
 
 from mixclust import (
     AlgoConfig,
+    ConstraintConfig,
     DegenerateClusteringError,
     DimensionMismatchError,
     GaussianComponent,
     MixtureParams,
     NotPositiveDefiniteError,
     assign,
-    check_constraints,
     detect_outliers,
     fit,
     fit_component,
@@ -24,10 +24,10 @@ from mixclust import (
     pseudo_beta_likelihood,
     update_weights,
 )
-from mixclust.clustering import (ASSIGNMENT_RULES, _run_restart, component_fit_score,
+from mixclust.clustering import (ASSIGNMENT_RULES, _m_step, _run_restart, component_fit_score,
                                  discriminants)
-from mixclust.gaussian import BLOCK, LOG_2PI, as_data_matrix
-from oracles import component_beta_objective
+from mixclust.gaussian import BLOCK, LOG_2PI, as_data_matrix, cholesky_spd
+from oracles import check_constraints, component_beta_objective
 
 
 def two_comp_params(mu1=0.0, mu2=5.0, v1=1.0, v2=1.0, w1=0.5):
@@ -290,6 +290,56 @@ class TestInitialize:
     def test_requires_enough_points(self):
         with pytest.raises(ValueError):
             initialize(np.zeros((2, 1)), 3, np.random.default_rng(0))
+
+
+class TestMStep:
+    @staticmethod
+    def two_blobs():
+        rng = np.random.default_rng(41)
+        data = np.asfortranarray(blob_data(rng, [np.zeros(2), np.full(2, 8.0)], 40))
+        return data, np.repeat([0, 1], 40)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_inactive_projection_keeps_fitted_components(self, monkeypatch, warm):
+        # Unit-scale blobs sit well inside c = 20, c1 = 0.1, so the projection
+        # leaves every covariance alone: _m_step returns the fitted components
+        # themselves and factors none of their covariances a second time.
+        data, labels = self.two_blobs()
+        cfg = AlgoConfig(beta=0.2)
+        prev = _m_step(data, labels, 2, cfg, None, {}).components if warm else None
+        fitted, outside = [], []
+        fitting = False
+
+        def counting_fit(members, beta, init=None):
+            nonlocal fitting
+            fitting = True
+            try:
+                result = fit_component(members, beta, init=init)
+            finally:
+                fitting = False
+            fitted.append(result.estimate)
+            return result
+
+        def counting_cholesky(cov):
+            if not fitting:
+                outside.append(cov)
+            return cholesky_spd(cov)
+
+        monkeypatch.setattr("mixclust.clustering.fit_component", counting_fit)
+        monkeypatch.setattr("mixclust.gaussian.cholesky_spd", counting_cholesky)
+        params = _m_step(data, labels, 2, cfg, prev, {})
+        assert len(fitted) == 2
+        assert all(got is want for got, want in zip(params.components, fitted))
+        assert outside == []
+
+    def test_active_projection_rebuilds_components(self):
+        data, labels = self.two_blobs()
+        cfg = AlgoConfig(beta=0.2, constraint=ConstraintConfig(c=20.0, c1=4.0))
+        fitted = _m_step(data, labels, 2, AlgoConfig(beta=0.2), None, {}).components
+        params = _m_step(data, labels, 2, cfg, None, {})
+        for got, want in zip(params.components, fitted):
+            assert np.array_equal(got.mean, want.mean)
+            assert np.linalg.eigvalsh(got.cov).min() >= 4.0 * (1 - 1e-9)
 
 
 class TestFit:

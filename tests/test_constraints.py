@@ -5,12 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixclust import (
-    ConstraintConfig,
-    NotPositiveDefiniteError,
-    check_constraints,
-    enforce_constraints,
-)
+from mixclust import ConstraintConfig, NotPositiveDefiniteError, enforce_constraints
+from oracles import check_constraints
 
 
 def random_cov_set(seed, k=None, p=None, spread=4.0):
@@ -51,7 +47,7 @@ class TestCheck:
         np.array([[np.inf, 0.0], [0.0, 1.0]]),
     ])
     def test_invalid_covariance_rejected(self, bad):
-        # check_constraints is the API edge; enforce_constraints trusts its input.
+        # The oracle checks what it is given; enforce_constraints trusts its input.
         with pytest.raises(NotPositiveDefiniteError):
             check_constraints([np.eye(2), bad], ConstraintConfig(c=20, c1=0.1))
 
@@ -66,8 +62,24 @@ class TestEnforce:
     def test_feasible_unchanged(self):
         covs = [np.diag([2.0, 1.0]), np.diag([3.0, 1.5])]
         out = enforce_constraints(covs, ConstraintConfig(c=5, c1=0.1))
-        for before, after in zip(covs, out):
-            assert np.array_equal(before, after)
+        # the given matrices themselves, not copies
+        assert all(after is before for before, after in zip(covs, out))
+
+    @pytest.mark.parametrize("c", [5.0, 2.0])
+    def test_one_eigh_per_call(self, monkeypatch, c):
+        # c = 5 leaves the set alone; c = 2 clips it.
+        shapes = []
+        real = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        covs = [np.diag([2.0, 1.0]), np.diag([3.0, 1.5]), np.diag([4.0, 1.0])]
+        out = enforce_constraints(covs, ConstraintConfig(c=c, c1=0.1))
+        assert shapes == [(3, 2, 2)]
+        assert all((after is before) == (c == 5.0) for before, after in zip(covs, out))
 
     def test_scalar_floor(self):
         out = enforce_constraints([np.array([[0.01]])], ConstraintConfig(c=20, c1=0.1))

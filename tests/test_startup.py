@@ -23,7 +23,7 @@ from oracles import openblas_thread_counts
 ROOT = Path(__file__).resolve().parents[1]
 
 INFLUENCE_NAMES = ("FunctionalSolution", "TrueDistribution", "assemble_if_system",
-                   "if_curve", "influence_at", "solve_functional")
+                   "if_curve", "solve_functional")
 
 
 def run_python(code: str, **env_changes) -> subprocess.CompletedProcess:

@@ -287,8 +287,8 @@ def cmd_influence(args) -> int:
     if not all(0.0 < beta < np.inf for beta in betas):
         raise ValueError("beta must be positive and finite; beta = 0 is refused because "
                          "the corresponding influence functions are unbounded")
-    if args.grid_points < 1 or not np.isfinite([args.grid_lo, args.grid_hi]).all():
-        raise ValueError("--grid-points must be at least 1 and the grid bounds finite")
+    if args.grid_points < 1 or not np.isfinite([args.grid_lo, args.grid_hi - args.grid_lo]).all():
+        raise ValueError("--grid-points must be at least 1 and the grid bounds and span finite")
     dist = TrueDistribution(
         weights=(args.pi1, 1.0 - args.pi1),
         means=(args.mu1, args.mu2),
@@ -301,7 +301,7 @@ def cmd_influence(args) -> int:
     for beta in betas:
         sol = solve_functional(dist, beta, cfg)
         solutions.append(dataclasses.asdict(sol))
-        curves[f"if_curve_beta{beta:g}.csv"] = if_curve(sol, dist, beta, grid)
+        curves[f"if_curve_beta{beta:g}.csv"] = if_curve(sol, dist, grid)
     out.mkdir(parents=True, exist_ok=True)
     for name, table in curves.items():
         write_if_curve(out / name, table)

@@ -44,20 +44,13 @@ RESTART_TIE_RTOL = 1e-12
 
 @dataclass
 class MixtureParams:
-    """Mixture weights plus the per-cluster normal components."""
+    """Mixture weights plus the per-cluster normal components, unchecked:
+    :func:`_m_step` (cluster counts over n) and :func:`initialize` (equal
+    weights) build them, and a caller passes a float (k,) weight array
+    summing to 1 and k components of one dimension."""
 
     weights: np.ndarray
     components: list[GaussianComponent]
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.ndim != 1 or len(self.weights) != len(self.components):
-            raise ValueError("one weight per component required")
-        if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1")
-        dims = {comp.dim for comp in self.components}
-        if len(dims) > 1:
-            raise ValueError("components must share one dimension")
 
     @property
     def k(self) -> int:
@@ -187,12 +180,10 @@ def discriminants(params: MixtureParams, labels, log_phi) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def update_weights(assignments, n: int, k: int) -> np.ndarray:
-    """Optimal mixture weights given a hard assignment: cluster counts over n."""
-    counts = np.bincount(np.asarray(assignments, dtype=int), minlength=k)
-    if counts.sum() != n:
-        raise ValueError("assignments length does not match n")
-    return counts / n
+def update_weights(assignments, k: int) -> np.ndarray:
+    """Optimal mixture weights given a hard assignment: cluster counts over
+    the number of assigned points."""
+    return np.bincount(np.asarray(assignments, dtype=int), minlength=k) / len(assignments)
 
 
 def pseudo_beta_likelihood(log_phi, params: MixtureParams, assignments, beta: float) -> float:
@@ -263,8 +254,8 @@ def detect_outliers(disc, threshold: float) -> np.ndarray:
 
 def _m_step(data, assignments, k: int, cfg: AlgoConfig,
             prev: list[GaussianComponent] | None, cold_fits: dict) -> MixtureParams:
-    n, p = data.shape
-    weights = update_weights(assignments, n, k)
+    p = data.shape[1]
+    weights = update_weights(assignments, k)
     comps: list[GaussianComponent] = []
     for j in range(k):
         in_j = assignments == j

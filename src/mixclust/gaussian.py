@@ -90,7 +90,7 @@ class GaussianComponent:
 
     mean: np.ndarray
     cov: np.ndarray
-    _chol: np.ndarray = field(init=False, repr=False)
+    chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -102,7 +102,7 @@ class GaussianComponent:
                 f"mean has dimension {self.mean.shape[0]} but covariance is "
                 f"{self.cov.shape[0]}x{self.cov.shape[1]}"
             )
-        self._chol = cholesky_spd(self.cov)
+        self.chol = cholesky_spd(self.cov)
 
     @classmethod
     def trusted(cls, mean: np.ndarray, cov: np.ndarray) -> GaussianComponent:
@@ -117,20 +117,16 @@ class GaussianComponent:
         comp = cls.__new__(cls)
         comp.mean = mean
         comp.cov = cov
-        comp._chol = cholesky_spd(cov)
+        comp.chol = cholesky_spd(cov)
         return comp
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    @property
-    def chol(self) -> np.ndarray:
-        return self._chol
-
     @cached_property
     def log_det(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self._chol))))
+        return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
 
 def column_blocks(n: int, diff: np.ndarray, z: np.ndarray):
@@ -184,6 +180,8 @@ def mahalanobis_sq(x, comp: GaussianComponent, work=None):
     # One GEMM with the inverse Cholesky factor: faster than a triangular
     # solve at every (n, p) this package meets, and numpy-only.
     inv_chol = np.linalg.inv(comp.chol)
+    # One column_blocks block gives the same bits, but 2-3 us more a call at
+    # n = 330, p = 6, where the paper's simulate cell makes 26 400 calls.
     if len(out) <= BLOCK:
         np.subtract(x.T, comp.mean[:, None], out=diff)
         np.matmul(inv_chol, diff, out=z)

@@ -166,9 +166,12 @@ def _poly_rows(v: float, beta: float) -> tuple:
 
 
 def _weighted(rows, mu: float, var: float, beta: float, x):
-    """f^beta(x) * P(x - mu) for a row, or stacked rows (one per leading index)."""
+    """f^beta(x) * P(x - mu) for a row, or stacked rows (one per leading index);
+    0, its limit, wherever f^beta underflows to 0, even if P(x - mu) overflowed."""
     x = np.asarray(x, dtype=float)
-    return _f_pow_beta(x, mu, var, beta) * polyval(x - mu, np.asarray(rows).T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = _f_pow_beta(x, mu, var, beta)
+        return np.where(f == 0.0, 0.0, f * polyval(x - mu, np.asarray(rows).T))
 
 
 def _kappa(var: float, beta: float) -> float:
@@ -275,17 +278,17 @@ def _reduced_jacobian(u: np.ndarray, measure: _Measure, beta: float) -> np.ndarr
 
     The crossing rows are halved (the full system holds twice the gap), the
     variance columns scale by v = exp(log v), and a and b also move
-    pi1 = mass(a, b) and pi2 = 1 - pi1.
+    pi1 = mass(a, b), by minus the interval-mass row, and pi2 = 1 - pi1.
     """
     mu1, mu2, lv1, lv2, a, b = u
     v1, v2 = np.exp(lv1), np.exp(lv2)
     pi1 = measure.mass_between(a, b)
-    rows = _stationarity_jacobian(np.array([pi1, 1.0 - pi1, a, b, mu1, mu2, v1, v2]),
-                                  measure, beta)[2:]
+    full = _stationarity_jacobian(np.array([pi1, 1.0 - pi1, a, b, mu1, mu2, v1, v2]),
+                                  measure, beta)
+    rows = full[2:]
     rows[:2] *= 0.5
-    dpi1 = np.array([-measure.density(a), measure.density(b)])
     return np.hstack([rows[:, 4:6], rows[:, 6:8] * [v1, v2],
-                      rows[:, 2:4] + np.outer(rows[:, 0] - rows[:, 1], dpi1)])
+                      rows[:, 2:4] + np.outer(rows[:, 0] - rows[:, 1], -full[0, 2:4])])
 
 
 def _solve_system(measure: _Measure, beta: float, u0: np.ndarray) -> tuple[np.ndarray, float]:
@@ -326,14 +329,19 @@ def solve_functional(dist: TrueDistribution, beta: float,
     endpoints taken from the exact discriminant crossings. The solution is
     validated for interval geometry, residuals at or below ``SOLVE_TOL``,
     and strict interiority of the eigenvalue constraints (ratio strictly
-    below ``cfg.c`` and smallest variance strictly above ``cfg.c1``).
+    below ``cfg.c`` and smallest variance strictly above ``cfg.c1``). A law
+    so far out of scale that a float overflows raises :class:`SolveError`.
     """
     if beta <= 0:
         raise ValueError("beta must be positive (the beta = 0 influence is unbounded)")
     measure = _Measure(dist)
     (m1, m2), (v1, v2) = dist.means, dist.variances
-    a0, b0 = _crossing_points(*dist.weights, m1, m2, v1, v2)
-    u, res_norm = _solve_system(measure, beta, np.array([m1, m2, np.log(v1), np.log(v2), a0, b0]))
+    try:
+        a0, b0 = _crossing_points(*dist.weights, m1, m2, v1, v2)
+        u, res_norm = _solve_system(measure, beta,
+                                    np.array([m1, m2, np.log(v1), np.log(v2), a0, b0]))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise SolveError(f"functional solve failed in floating point: {exc}") from exc
     mu1, mu2, lv1, lv2, a, b = u
     v1, v2 = float(np.exp(lv1)), float(np.exp(lv2))
     pi1 = measure.mass_between(a, b)
@@ -360,8 +368,9 @@ def solve_functional(dist: TrueDistribution, beta: float,
 
 
 def assemble_if_system(sol: FunctionalSolution, dist: TrueDistribution,
-                       beta: float, y) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix and right-hand side of the influence linear system at ``y``.
+                       y) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix and right-hand side of the influence linear system at ``y``, for
+    the exponent the solution was solved at (``sol.beta``).
 
     The matrix is :func:`_stationarity_jacobian` at the solution under the
     uncontaminated law, the same derivative Newton uses in the solve, and
@@ -371,7 +380,7 @@ def assemble_if_system(sol: FunctionalSolution, dist: TrueDistribution,
     for beta > 0. For an array of m points the right-hand sides are the
     columns of B.
     """
-    measure = _Measure(dist)
+    measure, beta = _Measure(dist), sol.beta
     A = _stationarity_jacobian(sol.as_vector(), measure, beta)
     (loc1, spr1), (loc2, spr2) = measure.integrals(beta, sol.a, sol.b, sol.mu1, sol.mu2,
                                                    sol.var1, sol.var2)
@@ -386,14 +395,14 @@ def assemble_if_system(sol: FunctionalSolution, dist: TrueDistribution,
     return A, B
 
 
-def if_curve(sol: FunctionalSolution, dist: TrueDistribution, beta: float,
-             y_grid) -> np.ndarray:
-    """Influence vectors over a grid: rows ``(y, pi1, pi2, a, b, mu1, mu2, s1, s2)``.
+def if_curve(sol: FunctionalSolution, dist: TrueDistribution, y_grid) -> np.ndarray:
+    """Influence vectors over a grid: rows ``(y, pi1, pi2, a, b, mu1, mu2, s1, s2)``,
+    at the solution's own ``sol.beta``.
 
     The matrix does not depend on y, so the whole grid is one linear solve.
     """
     y_grid = np.asarray(y_grid, dtype=float)
-    A, B = assemble_if_system(sol, dist, beta, y_grid)
+    A, B = assemble_if_system(sol, dist, y_grid)
     cond = float(np.linalg.cond(A))
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise SolveError(f"influence matrix ill-conditioned (estimate {cond:.3e})")

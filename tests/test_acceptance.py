@@ -143,7 +143,7 @@ def test_criterion_4_beta_zero_reduction(criterion_report, irls_stop):
 
     labels = labels0.copy()
     for _ in range(100):
-        weights = update_weights(labels, len(blobs), k)
+        weights = update_weights(labels, k)
         comps = []
         for j in range(k):
             members = blobs[labels == j]
@@ -324,14 +324,14 @@ def test_criterion_6_influence_oracle_and_boundedness(if_solutions, criterion_re
     worst = 0.0
     for beta, sol in if_solutions.items():
         for y in (-10.0, 0.0, 3.0, 10.0):
-            lin = if_curve(sol, IF_MODEL, beta, [y])[0, 1:]
+            lin = if_curve(sol, IF_MODEL, [y])[0, 1:]
             num = numeric_if_oracle(IF_MODEL, beta, IF_CFG, y, base=sol)
             rel = np.abs(lin - num) / np.maximum(np.abs(num), 1e-12)
             absd = np.abs(lin - num)
             agree &= bool(np.all((rel <= 0.02) | (absd <= 1e-3)))
             worst = max(worst, float(np.minimum(rel, absd / 1e-3).max()))
     grid = np.linspace(-30.0, 30.0, 241)
-    curves = {beta: if_curve(sol, IF_MODEL, beta, grid)
+    curves = {beta: if_curve(sol, IF_MODEL, grid)
               for beta, sol in if_solutions.items()}
     bounded = all(np.all(np.isfinite(c)) for c in curves.values())
     shrink = True

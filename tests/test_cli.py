@@ -634,6 +634,7 @@ class TestInfluenceCommand:
         ["--grid-points", "0"], ["--grid-points", "-3"], ["--grid-lo", "nan"],
         ["--beta", "-0.5"], ["--beta", "nan"], ["--beta", "inf"], ["--c", "0.5"],
         ["--c", "inf"], ["--c", "nan"], ["--c1", "inf"], ["--c1", "nan"],
+        ["--grid-lo=-1e308", "--grid-hi", "1e308"],
     ])
     def test_invalid_model_refused_before_output(self, tmp_path, capsys, flags):
         # Refused at the boundary: nothing is solved and no --out is made.
@@ -650,6 +651,29 @@ class TestInfluenceCommand:
         assert main(["influence", "--c", "3.0", "--out", str(out)]) == 3
         assert "constraint set" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--mu2", "1e200"], ["--var2", "1e300"],
+                                       ["--var1", "1e-200"]])
+    def test_float_failure_exits_3(self, tmp_path, flags):
+        # A law that overflows or divides by zero in the solve is a failed
+        # computation, reported on one line, never a traceback.
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixclust.cli", "influence", *flags,
+             "--out", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("computation failed:")
+        assert "Traceback" not in proc.stderr
+
+    def test_far_grid_writes_no_nan(self, tmp_path):
+        out = tmp_path / "inf"
+        assert main(["influence", "--grid-lo=-1e200", "--grid-hi", "1e200",
+                     "--grid-points", "3", "--out", str(out)]) == 0
+        for beta in ("0.1", "0.2", "1"):
+            table = np.loadtxt(out / f"if_curve_beta{beta}.csv", delimiter=",", skiprows=1)
+            assert np.isfinite(table).all()
 
     def test_default_model_outputs(self, tmp_path):
         out = tmp_path / "inf"

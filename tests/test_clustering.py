@@ -24,8 +24,8 @@ from mixclust import (
     pseudo_beta_likelihood,
     update_weights,
 )
-from mixclust.clustering import (ASSIGNMENT_RULES, _m_step, _run_restart, component_fit_score,
-                                 discriminants)
+from mixclust.clustering import (ASSIGNMENT_RULES, _m_step, _reseed_empty, _run_restart,
+                                 component_fit_score, discriminants)
 from mixclust.gaussian import BLOCK, LOG_2PI, as_data_matrix, cholesky_spd
 from oracles import check_constraints, component_beta_objective
 
@@ -184,17 +184,17 @@ class TestAssignBlocked:
 class TestWeightsUpdate:
     def test_counts(self):
         a = np.concatenate([np.zeros(30, dtype=int), np.ones(70, dtype=int)])
-        assert np.allclose(update_weights(a, 100, 2), [0.3, 0.7])
+        assert np.allclose(update_weights(a, 2), [0.3, 0.7])
 
     def test_single_cluster(self):
-        assert np.allclose(update_weights(np.zeros(10, dtype=int), 10, 3), [1, 0, 0])
+        assert np.allclose(update_weights(np.zeros(10, dtype=int), 3), [1, 0, 0])
 
     def test_sums_to_one_random(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
             k = int(rng.integers(1, 6))
             a = rng.integers(0, k, size=int(rng.integers(1, 50)))
-            w = update_weights(a, len(a), k)
+            w = update_weights(a, k)
             assert w.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_maximizes_weighted_log_simplex(self):
@@ -639,6 +639,32 @@ class TestFit:
     def test_needs_k_points(self):
         with pytest.raises(ValueError):
             fit(np.zeros((2, 1)), 3, AlgoConfig())
+
+    def test_every_m_step_builds_valid_params(self, monkeypatch):
+        # MixtureParams checks nothing, so every one _m_step builds in a
+        # serial fit is checked here, those from reseeded labels included.
+        built, emptied = [], []
+
+        def recording_m_step(*args):
+            params = _m_step(*args)
+            built.append((params, bool(emptied) and emptied[-1]))
+            return params
+
+        def recording_reseed(labels, params, log_phi, reseeds):
+            emptied.append(np.bincount(labels, minlength=params.k).min() == 0)
+            return _reseed_empty(labels, params, log_phi, reseeds)
+
+        monkeypatch.setattr("mixclust.clustering._m_step", recording_m_step)
+        monkeypatch.setattr("mixclust.clustering._reseed_empty", recording_reseed)
+        rng = np.random.default_rng(140)
+        data = np.vstack([rng.normal(0, 1, (25, 2)), rng.normal(4, 1, (25, 2))])
+        fit(data, 4, AlgoConfig(n_restarts=4, seed=140), workers=1)
+        assert any(after_reseed for _, after_reseed in built)
+        for params, _ in built:
+            assert params.weights.shape == (len(params.components),) == (4,)
+            assert np.all(params.weights >= 0.0)
+            assert abs(params.weights.sum() - 1.0) <= 1e-12
+            assert {comp.dim for comp in params.components} == {2}
 
     def test_empty_cluster_reseeded_keeps_k(self):
         # two tight blobs, k=3: one cluster must be reseeded or carved out

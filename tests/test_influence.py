@@ -120,6 +120,15 @@ class TestMoments:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("means, variances", [
+        ((0.0, 1e200), (1.0, 4.0)), ((0.0, 5.0), (1.0, 1e300)), ((0.0, 5.0), (1e-200, 4.0))],
+        ids=["mu2-1e200", "var2-1e300", "var1-1e-200"])
+    def test_float_failure_is_solve_error(self, means, variances):
+        # A law this far out of scale overflows or divides by zero in floats.
+        dist = TrueDistribution(weights=(0.5, 0.5), means=means, variances=variances)
+        with pytest.raises(SolveError, match="floating point"):
+            solve_functional(dist, 0.1, CFG)
+
     def test_residuals_small(self, sol_01):
         u = np.array([sol_01.mu1, sol_01.mu2, np.log(sol_01.var1),
                       np.log(sol_01.var2), sol_01.a, sol_01.b])
@@ -235,23 +244,23 @@ class TestSharedDerivative:
 
 class TestLinearSystem:
     def test_row_two_is_weight_identity(self, sol_01):
-        A, _ = assemble_if_system(sol_01, MODEL, 0.1, y=1.0)
+        A, _ = assemble_if_system(sol_01, MODEL, y=1.0)
         assert np.allclose(A[1], [1, 1, 0, 0, 0, 0, 0, 0])
 
     def test_matrix_independent_of_y(self, sol_01):
-        A1, _ = assemble_if_system(sol_01, MODEL, 0.1, y=-3.0)
-        A2, _ = assemble_if_system(sol_01, MODEL, 0.1, y=7.0)
+        A1, _ = assemble_if_system(sol_01, MODEL, y=-3.0)
+        A2, _ = assemble_if_system(sol_01, MODEL, y=7.0)
         assert np.array_equal(A1, A2)
 
     def test_rhs_depends_on_interval_indicator(self, sol_01):
-        _, b_in = assemble_if_system(sol_01, MODEL, 0.1, y=0.0)
-        _, b_out = assemble_if_system(sol_01, MODEL, 0.1, y=sol_01.b + 1.0)
+        _, b_in = assemble_if_system(sol_01, MODEL, y=0.0)
+        _, b_out = assemble_if_system(sol_01, MODEL, y=sol_01.b + 1.0)
         assert b_in[0] != b_out[0]
 
     def test_weight_influences_cancel(self, sol_01):
         rng = np.random.default_rng(3)
         for y in rng.uniform(-20, 20, size=100):
-            vec = if_curve(sol_01, MODEL, 0.1, [y])[0, 1:]
+            vec = if_curve(sol_01, MODEL, [y])[0, 1:]
             assert vec[0] + vec[1] == pytest.approx(0.0, abs=1e-9)
 
     def test_constants_match_second_quadrature(self, sol_01):
@@ -285,7 +294,7 @@ class TestLinearSystem:
 
     @pytest.mark.parametrize("y", [-10.0, 0.0, 3.0, 10.0])
     def test_against_numeric_oracle(self, sol_01, y):
-        lin = if_curve(sol_01, MODEL, 0.1, [y])[0, 1:]
+        lin = if_curve(sol_01, MODEL, [y])[0, 1:]
         num = numeric_if_oracle(MODEL, 0.1, CFG, y, base=sol_01)
         rel = np.abs(lin - num) / np.maximum(np.abs(num), 1e-12)
         assert np.all((rel <= 0.02) | (np.abs(lin - num) <= 1e-3))
@@ -300,16 +309,16 @@ class TestLinearSystem:
 
     def test_influence_small_at_own_center(self, sol_01):
         grid = np.linspace(-30, 30, 121)
-        curve = if_curve(sol_01, MODEL, 0.1, grid)
+        curve = if_curve(sol_01, MODEL, grid)
         mu1_col = curve[:, 5]
-        at_center = if_curve(sol_01, MODEL, 0.1, [sol_01.mu1])[0, 5]
+        at_center = if_curve(sol_01, MODEL, [sol_01.mu1])[0, 5]
         assert abs(at_center) <= 0.05 * np.abs(mu1_col).max()
 
     def test_curve_matches_per_point_solves(self, sol_01):
         grid = np.linspace(-30, 30, 121)
-        curve = if_curve(sol_01, MODEL, 0.1, grid)
+        curve = if_curve(sol_01, MODEL, grid)
         for i, y in enumerate(grid):
-            A, B = assemble_if_system(sol_01, MODEL, 0.1, float(y))
+            A, B = assemble_if_system(sol_01, MODEL, float(y))
             want = np.linalg.solve(A, B)
             assert curve[i, 0] == y
             np.testing.assert_allclose(curve[i, 1:], want, rtol=1e-12, atol=1e-12)
@@ -318,22 +327,31 @@ class TestLinearSystem:
         # Any 8x8 matrix other than a scaled orthogonal one has cond > 1.
         monkeypatch.setattr(influence, "MAX_CONDITION", 1.0)
         with pytest.raises(SolveError, match="ill-conditioned"):
-            if_curve(sol_01, MODEL, 0.1, np.linspace(-5, 5, 11))
+            if_curve(sol_01, MODEL, np.linspace(-5, 5, 11))
         with pytest.raises(SolveError, match="ill-conditioned"):
-            if_curve(sol_01, MODEL, 0.1, [2.0])
+            if_curve(sol_01, MODEL, [2.0])
 
 
 class TestCurves:
+    @pytest.mark.parametrize("beta", [0.1, 0.2, 1.0])
+    def test_far_points_take_the_limit(self, beta):
+        # f^beta is exactly 0 at |y| = 1e3 already; at 1e300 the spread
+        # polynomial overflows too, and the term must still be 0, not NaN.
+        sol = solve_functional(MODEL, beta, CFG)
+        far = if_curve(sol, MODEL, [1e300, -1e300])[:, 1:]
+        near = if_curve(sol, MODEL, [1e3, -1e3])[:, 1:]
+        assert far.tobytes() == near.tobytes()
+
     def test_bounded_on_grid(self, sol_01, sol_02):
         grid = np.linspace(-30, 30, 201)
         for beta, sol in ((0.1, sol_01), (0.2, sol_02)):
-            curve = if_curve(sol, MODEL, beta, grid)
+            curve = if_curve(sol, MODEL, grid)
             assert np.all(np.isfinite(curve))
 
     def test_range_shrinks_with_beta(self, sol_01, sol_02):
         grid = np.linspace(-30, 30, 201)
-        c1 = if_curve(sol_01, MODEL, 0.1, grid)
-        c2 = if_curve(sol_02, MODEL, 0.2, grid)
+        c1 = if_curve(sol_01, MODEL, grid)
+        c2 = if_curve(sol_02, MODEL, grid)
         for col in range(1, 9):
             r1 = c1[:, col].max() - c1[:, col].min()
             r2 = c2[:, col].max() - c2[:, col].min()
@@ -342,9 +360,9 @@ class TestCurves:
     def test_beta_one_closer_to_beta_02_than_01(self, sol_01, sol_02):
         sol_1 = solve_functional(MODEL, 1.0, CFG)
         grid = np.linspace(-30, 30, 121)
-        c01 = if_curve(sol_01, MODEL, 0.1, grid)
-        c02 = if_curve(sol_02, MODEL, 0.2, grid)
-        c10 = if_curve(sol_1, MODEL, 1.0, grid)
+        c01 = if_curve(sol_01, MODEL, grid)
+        c02 = if_curve(sol_02, MODEL, grid)
+        c10 = if_curve(sol_1, MODEL, grid)
         for col in range(1, 9):
             d21 = np.abs(c10[:, col] - c02[:, col]).max()
             d11 = np.abs(c10[:, col] - c01[:, col]).max()
@@ -355,14 +373,14 @@ class TestCurves:
                                     variances=(1.0, 4.0))
         other = solve_functional(mirrored, 0.2, CFG)
         for y in (-4.0, 1.0, 6.0):
-            direct = if_curve(sol_02, MODEL, 0.2, [y])[0, 1:]
-            flipped = if_curve(other, mirrored, 0.2, [-y])[0, 1:]
+            direct = if_curve(sol_02, MODEL, [y])[0, 1:]
+            flipped = if_curve(other, mirrored, [-y])[0, 1:]
             assert flipped[4] == pytest.approx(-direct[4], rel=1e-6, abs=1e-9)
 
     def test_csv_columns(self, tmp_path, sol_01):
         from mixclust.influence import write_if_curve
 
-        table = if_curve(sol_01, MODEL, 0.1, np.linspace(-2, 2, 5))
+        table = if_curve(sol_01, MODEL, np.linspace(-2, 2, 5))
         path = tmp_path / "curve.csv"
         write_if_curve(path, table)
         header = path.read_text().splitlines()[0]
@@ -419,7 +437,7 @@ def test_fit_converges_to_functional_with_if_sensitivity(irls_stop):
         # At beta 0.1, y = 50 reads 5.8%: there eps = 0.002 is not yet in the
         # linear range, so the far-out point is checked at beta 0.2 alone.
         ys = [-3.0, 1.0, 3.5, 12.0, 25.0] + [50.0] * (beta == 0.2)
-        for y, inf in zip(ys, if_curve(sol, MODEL, beta, ys)[:, 1:][:, FITTED]):
+        for y, inf in zip(ys, if_curve(sol, MODEL, ys)[:, 1:][:, FITTED]):
             sens = sensitivity(beta, at_base, y)
             # measured: at most 4.0% of the largest |IF| entry, at beta 0.2 and y = 25
             assert np.abs(sens - inf).max() <= 0.05 * np.abs(inf).max(), (beta, y)

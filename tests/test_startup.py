@@ -145,7 +145,7 @@ def test_influence_loads_no_scipy():
         f"assert {SCIPY_LOADED} == []\n"
         "dist = inf.TrueDistribution(weights=(0.5, 0.5), means=(0.0, 5.0), variances=(1.0, 4.0))\n"
         "sol = inf.solve_functional(dist, 0.1, inf.ConstraintConfig(c=5.0, c1=0.1))\n"
-        "curve = inf.if_curve(sol, dist, 0.1, np.linspace(-10.0, 10.0, 21))\n"
+        "curve = inf.if_curve(sol, dist, np.linspace(-10.0, 10.0, 21))\n"
         "assert np.isfinite(curve).all()\n"
         f"print({SCIPY_LOADED})\n")
     assert proc.returncode == 0, proc.stderr

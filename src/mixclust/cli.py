@@ -287,6 +287,11 @@ def cmd_influence(args) -> int:
     if not all(0.0 < beta < np.inf for beta in betas):
         raise ValueError("beta must be positive and finite; beta = 0 is refused because "
                          "the corresponding influence functions are unbounded")
+    # One curve file per beta, named by its {beta:g} label.
+    labels = [f"{beta:g}" for beta in betas]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"betas need distinct curve files (if_curve_beta<beta:g>.csv), "
+                         f"got {labels}")
     if args.grid_points < 1 or not np.isfinite([args.grid_lo, args.grid_hi - args.grid_lo]).all():
         raise ValueError("--grid-points must be at least 1 and the grid bounds and span finite")
     dist = TrueDistribution(
@@ -298,10 +303,10 @@ def cmd_influence(args) -> int:
     out = _free_out_path(args.out, args.force)
     grid = np.linspace(args.grid_lo, args.grid_hi, args.grid_points)
     solutions, curves = [], {}
-    for beta in betas:
+    for beta, label in zip(betas, labels):
         sol = solve_functional(dist, beta, cfg)
         solutions.append(dataclasses.asdict(sol))
-        curves[f"if_curve_beta{beta:g}.csv"] = if_curve(sol, dist, grid)
+        curves[f"if_curve_beta{label}.csv"] = if_curve(sol, dist, grid)
     out.mkdir(parents=True, exist_ok=True)
     for name, table in curves.items():
         write_if_curve(out / name, table)
@@ -410,10 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("MIXCLUST_LOG", "WARNING").upper())
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        logging.basicConfig(level=os.environ.get("MIXCLUST_LOG", "WARNING").upper())
         return args.func(args)
     except (ImageFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -56,6 +56,12 @@ class MixtureParams:
     def k(self) -> int:
         return len(self.components)
 
+    @property
+    def log_weights(self) -> np.ndarray:
+        """``log(weights)``, with -inf for a zero weight."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.weights)
+
 
 # Outlier thresholds used by the reference experiments, by dimension; the
 # default of ``AlgoConfig.outlier_threshold`` where a caller picks by p.
@@ -148,8 +154,7 @@ def assign(data, params: MixtureParams, rule: str = "likelihood") -> tuple[np.nd
         log_density(data, comp, (diff, z, log_phi[:, j]))
     likelihood = rule == "likelihood"
     if likelihood:
-        with np.errstate(divide="ignore"):
-            logw = np.log(params.weights)
+        logw = params.log_weights
     better = np.greater if likelihood else np.less
     labels = np.zeros(n, dtype=np.intp)
     top, other = np.empty(m), np.empty(m)
@@ -173,9 +178,7 @@ def assign(data, params: MixtureParams, rule: str = "likelihood") -> tuple[np.nd
 def discriminants(params: MixtureParams, labels, log_phi) -> np.ndarray:
     """Weighted density ``weight_l * phi_l(x_i)`` of each row's cluster l,
     from those rows' own-cluster log-densities ``log_phi`` (length n)."""
-    with np.errstate(divide="ignore"):
-        logw = np.log(params.weights)
-    out = logw[labels]
+    out = params.log_weights[labels]
     out += log_phi
     return np.exp(out, out=out)
 
@@ -199,9 +202,8 @@ def pseudo_beta_likelihood(log_phi, params: MixtureParams, assignments, beta: fl
     """
     counts = np.bincount(assignments, minlength=params.k)
     used = counts > 0
-    with np.errstate(divide="ignore"):
-        log_weights = float(counts[used] @ np.log(params.weights[used]))
-    return component_fit_score(log_phi, params, assignments, beta) + log_weights / len(log_phi)
+    weight_term = float(counts[used] @ params.log_weights[used])
+    return component_fit_score(log_phi, params, assignments, beta) + weight_term / len(log_phi)
 
 
 def component_fit_score(log_phi, params: MixtureParams, assignments, beta: float) -> float:

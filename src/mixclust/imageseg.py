@@ -15,6 +15,7 @@ alpha discarded) using only the standard library.
 from __future__ import annotations
 
 import colorsys
+import re
 import struct
 import sys
 import zlib
@@ -29,6 +30,9 @@ from .gaussian import BLOCK
 OUTLIER_BASE_COLORS = [(1.0, 1.0, 1.0), (0.545, 0.271, 0.075)]  # white, brown
 # The assignment rule segment fits with, whatever the configuration says.
 IMAGE_RULE = "distance"
+# One PPM header field: whitespace and "#" comments (each to the end of its
+# line), then the field's run of non-whitespace bytes, empty at the end.
+_PPM_FIELD = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
 
 
 @dataclass
@@ -73,20 +77,13 @@ def load_image(path) -> PixelGrid:
 def _decode_ppm(blob: bytes) -> PixelGrid:
     pos = 2
     fields: list[int] = []
-    while len(fields) < 3:
-        while pos < len(blob) and blob[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(blob) and blob[pos : pos + 1] == b"#":
-            while pos < len(blob) and blob[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
+    for _ in range(3):
+        match = _PPM_FIELD.match(blob, pos)
+        token, pos = match[1], match.end()
+        if not token:
             raise ImageFormatError("truncated PPM header")
         try:
-            fields.append(int(blob[start:pos]))
+            fields.append(int(token))
         except ValueError as exc:
             raise ImageFormatError("malformed PPM header") from exc
     pos += 1  # single whitespace after maxval

@@ -41,6 +41,8 @@ MAX_CONDITION = 1e12
 # and fails if that takes more than SOLVE_MAX_ITER steps.
 SOLVE_TOL = 1e-9
 SOLVE_MAX_ITER = 80
+# Where the reduced system is defined; Newton starts, and stays, inside it.
+SOLVE_DOMAIN = "a < b, |log variance| <= 50 and pi1 more than 1e-12 from 0 and 1"
 
 
 def __getattr__(name):
@@ -210,20 +212,21 @@ def _crossing_points(pi1: float, pi2: float, mu1: float, mu2: float,
     return (min(r1, r2), max(r1, r2))
 
 
-def _system_residual(u: np.ndarray, measure: _Measure, beta: float) -> np.ndarray:
-    """Residuals of the six free equations at u = (mu1, mu2, log v1, log v2, a, b).
+def _system_residual(u: np.ndarray, measure: _Measure, beta: float) -> np.ndarray | None:
+    """Residuals of the six free equations at u = (mu1, mu2, log v1, log v2, a, b),
+    or None off the system's domain (:data:`SOLVE_DOMAIN`).
 
     The two weight equations are eliminated: pi1 is the measure's mass on
     (a, b) and pi2 its complement.
     """
     mu1, mu2, lv1, lv2, a, b = u
     if not (a < b) or max(abs(lv1), abs(lv2)) > 50:
-        return np.full(6, 1e6)
+        return None
     v1, v2 = np.exp(lv1), np.exp(lv2)
     pi1 = measure.mass_between(a, b)
     pi2 = 1.0 - pi1
     if not (1e-12 < pi1 < 1.0 - 1e-12):
-        return np.full(6, 1e6)
+        return None
     (loc1, spr1), (loc2, spr2) = measure.integrals(beta, a, b, mu1, mu2, v1, v2)
     r3 = _log_disc_gap(a, pi1, pi2, mu1, mu2, v1, v2)
     r4 = _log_disc_gap(b, pi1, pi2, mu1, mu2, v1, v2)
@@ -296,10 +299,13 @@ def _solve_system(measure: _Measure, beta: float, u0: np.ndarray) -> tuple[np.nd
     ``u0``; returns the solution ``u`` and its largest residual."""
     u = np.array(u0, dtype=float)
     res = _system_residual(u, measure, beta)
+    if res is None:
+        raise SolveError(f"functional solve starts outside its domain ({SOLVE_DOMAIN})")
     norm = float(np.linalg.norm(res))
     for _ in range(SOLVE_MAX_ITER):
-        if float(np.max(np.abs(res))) <= SOLVE_TOL:
-            return u, float(np.max(np.abs(res)))
+        worst = float(np.max(np.abs(res)))
+        if worst <= SOLVE_TOL:
+            return u, worst
         jac = _reduced_jacobian(u, measure, beta)
         try:
             step = np.linalg.solve(jac, -res)
@@ -309,16 +315,17 @@ def _solve_system(measure: _Measure, beta: float, u0: np.ndarray) -> tuple[np.nd
         while t > 1e-8:
             cand = u + t * step
             cand_res = _system_residual(cand, measure, beta)
-            cand_norm = float(np.linalg.norm(cand_res))
-            if cand_norm < norm:
+            # a candidate off the domain is no better
+            if cand_res is not None and (cand_norm := float(np.linalg.norm(cand_res))) < norm:
                 u, res, norm = cand, cand_res, cand_norm
                 break
             t *= 0.5
         else:
             break
-    if float(np.max(np.abs(res))) > SOLVE_TOL:
-        raise SolveError(f"functional solve stalled at residual {np.max(np.abs(res)):.3e}")
-    return u, float(np.max(np.abs(res)))
+    worst = float(np.max(np.abs(res)))
+    if worst > SOLVE_TOL:
+        raise SolveError(f"functional solve stalled at residual {worst:.3e}")
+    return u, worst
 
 
 def solve_functional(dist: TrueDistribution, beta: float,
@@ -330,7 +337,8 @@ def solve_functional(dist: TrueDistribution, beta: float,
     validated for interval geometry, residuals at or below ``SOLVE_TOL``,
     and strict interiority of the eigenvalue constraints (ratio strictly
     below ``cfg.c`` and smallest variance strictly above ``cfg.c1``). A law
-    so far out of scale that a float overflows raises :class:`SolveError`.
+    so far out of scale that a float overflows, or whose own parameters put
+    that start outside :data:`SOLVE_DOMAIN`, raises :class:`SolveError`.
     """
     if beta <= 0:
         raise ValueError("beta must be positive (the beta = 0 influence is unbounded)")

@@ -104,9 +104,9 @@ def _work_buffers(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def irls_weights(data, comp: GaussianComponent, beta: float, work=None) -> np.ndarray:
     """Observation weights ``exp(-beta/2 * mahalanobis_sq)``, each in (0, 1],
     for a finite float (n, p) ``data`` and ``beta`` in [0, 1] (as ``AlgoConfig`` bounds it).
-    They are computed in ``work``, buffers shaped as :func:`_work_buffers`
-    makes them (allocated when omitted), and returned in its (n,) buffer."""
-    w = mahalanobis_sq(data, comp, work if work is not None else _work_buffers(*data.shape))
+    They are computed in ``work``, buffers as :func:`~mixclust.gaussian.mahalanobis_sq`
+    takes them (allocated there when omitted), and returned in its (n,) buffer."""
+    w = mahalanobis_sq(data, comp, work)
     np.multiply(w, -0.5 * beta, out=w)
     return np.exp(w, out=w)
 

@@ -154,18 +154,14 @@ def contaminate_uniform_chisq(spec: ScenarioSpec, rng: np.random.Generator) -> n
     total = 0
     attempts = 0
     max_attempts = max(int(m / 1e-4), 100_000)
-    # Distances to one centre at a time in blocks of about 2**16 values; each
-    # row still sums its p contiguous values, so no bit moves.
-    step = max(1, 2**16 // spec.p)
+    # Batches of at most 4096 rows and about 2**16 values. The rows come
+    # from one stream whatever the batch size, so the first m kept are too.
+    size = max(1, min(4096, 2**16 // spec.p))
     while total < m:
         batch = rng.uniform(-UNIFORM_BOX_HALF_WIDTH, UNIFORM_BOX_HALF_WIDTH,
-                            size=(4096, spec.p))
-        attempts += len(batch)
-        d2 = np.empty(len(batch))
-        for rows in range(0, len(batch), step):
-            block = batch[rows:rows + step]
-            d2[rows:rows + step] = np.min([((block - mean) ** 2).sum(axis=1)
-                                           for mean in spec.means], axis=0)
+                            size=(size, spec.p))
+        attempts += size
+        d2 = np.min([((batch - mean) ** 2).sum(axis=1) for mean in spec.means], axis=0)
         kept = np.flatnonzero(d2 / spec.cov_scale > cutoff)
         accepted.append(batch[kept[:m - total]])  # copy only the rows still needed
         total += len(kept)

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import io
 import json
+import logging
 import os
 import re
 import struct
@@ -667,6 +668,28 @@ class TestInfluenceCommand:
         assert proc.stderr.startswith("computation failed:")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("flags", [["--pi1", "0.999999999999"], ["--var1", "1e-30"]])
+    def test_start_off_the_solve_domain_exits_3(self, tmp_path, capsys, flags):
+        # The law's own crossings give pi1 within 1e-12 of 1, or |log var1|
+        # past 50: Newton has no valid start, and says so, not a sentinel
+        # residual.
+        out = tmp_path / "o"
+        assert main(["influence", *flags, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("computation failed: functional solve starts outside its domain")
+        assert "1.000e+06" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("betas", [["0.1", "0.1000001"], ["0.2", "0.2"]])
+    def test_betas_sharing_a_curve_file_refused(self, tmp_path, capsys, betas):
+        # Curve files are named by {beta:g}: one would overwrite the other.
+        out = tmp_path / "o"
+        code = main(["influence", *(f for b in betas for f in ("--beta", b)),
+                     "--out", str(out)])
+        assert code == 2
+        assert "distinct curve files" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_far_grid_writes_no_nan(self, tmp_path):
         out = tmp_path / "inf"
         assert main(["influence", "--grid-lo=-1e200", "--grid-hi", "1e200",
@@ -822,3 +845,15 @@ def test_log_level_env_var(toy_csv, tmp_path, monkeypatch):
     code = main(["fit", str(toy_csv), "--k", "2", "--restarts", "1",
                  "--out", str(tmp_path / "run")])
     assert code == 0
+
+
+@pytest.mark.parametrize("level", ["verbose", "10"])
+def test_unknown_log_level_exits_2(tmp_path, monkeypatch, capsys, level):
+    # basicConfig reads the level only when the root logger has no handler,
+    # as in a fresh program; the test's own capture handlers are set aside.
+    monkeypatch.setenv("MIXCLUST_LOG", level)
+    monkeypatch.setattr(logging.root, "handlers", [])
+    out = tmp_path / "o"
+    assert main(["influence", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: Unknown level: {level.upper()!r}\n"
+    assert not out.exists()

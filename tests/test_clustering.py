@@ -181,6 +181,14 @@ class TestAssignBlocked:
         assert peak < (k + 1) * 8 * n + 2 * 8 * (p + 2) * BLOCK + BLOCK
 
 
+def test_log_weights_of_a_zero_weight_is_minus_inf():
+    # The suite turns warnings into errors, so a divide warning would fail here.
+    params = MixtureParams(np.array([0.0, 0.25, 0.75]), [GaussianComponent([0.0], [[1.0]])] * 3)
+    logw = params.log_weights
+    assert logw[0] == -np.inf
+    assert logw[1:].tolist() == [np.log(0.25), np.log(0.75)]
+
+
 class TestWeightsUpdate:
     def test_counts(self):
         a = np.concatenate([np.zeros(30, dtype=int), np.ones(70, dtype=int)])

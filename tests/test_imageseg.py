@@ -7,6 +7,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixclust import (
     AlgoConfig,
@@ -19,6 +21,7 @@ from mixclust import (
 )
 from mixclust.imageseg import (
     PixelGrid,
+    _decode_ppm,
     encode_ppm,
     outlier_palette,
     reconstruct,
@@ -427,3 +430,78 @@ class TestSidecar:
         assert payload["cluster_colors"] == [[0.0, 0.2, 1.0], [0.5, 0.5, 0.5]]
         assert payload["outlier_colors"] == outlier_palette(2).tolist()
         assert payload["outliers_per_type"] == [0, 1]
+
+
+def byte_walker_ppm(blob: bytes):
+    """The PPM header reader the package once had, one byte at a time:
+    ``(width, height, maxval)`` and the offset of the pixel data."""
+    pos = 2
+    fields: list[int] = []
+    while len(fields) < 3:
+        while pos < len(blob) and blob[pos : pos + 1].isspace():
+            pos += 1
+        if pos < len(blob) and blob[pos : pos + 1] == b"#":
+            while pos < len(blob) and blob[pos] != 0x0A:
+                pos += 1
+            continue
+        start = pos
+        while pos < len(blob) and not blob[pos : pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise ImageFormatError("truncated PPM header")
+        try:
+            fields.append(int(blob[start:pos]))
+        except ValueError as exc:
+            raise ImageFormatError("malformed PPM header") from exc
+    return fields, pos + 1
+
+
+# A header field is a gap of whitespace and comments, then a token: a
+# number, or signs, underscores and digits mixed with "#" and bytes that are
+# whitespace only to str. The gaps use every byte bytes.isspace accepts.
+PPM_GAP = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#\n", b"# note\r\n", b"#1 2\n", b"#"]
+PPM_TOKEN = [b"+", b"-", b"_", b"0", b"1", b"2", b"3", b"9", b"#", b"a", b"\x1c", b"\x85", b"\xa0"]
+# Pixel bytes of 0 and 1, within any maxval, so an offset moved by one shows.
+PPM_PIXELS = bytes(np.random.default_rng(0).integers(0, 2, 800, dtype=np.uint8))
+
+
+def ppm_headers():
+    def run(pieces, least):
+        return st.lists(st.sampled_from(pieces), min_size=least, max_size=3).map(b"".join)
+
+    number = st.sampled_from([-1, 0, 1, 2, 3, 5, 8, 12, 255, 256]).map(lambda v: b"%d" % v)
+    field = st.tuples(run(PPM_GAP, 1), st.one_of(number, number, run(PPM_TOKEN, 0)))
+    return st.lists(field.map(b"".join), min_size=3, max_size=3).map(b"".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(header=ppm_headers(), end=st.sampled_from(b" \t\n\r"),
+       cut=st.one_of(st.none(), st.none(), st.integers(0, 40)))
+def test_ppm_header_matches_byte_walker(header, end, cut):
+    # The same fields (so the same image, read from the same offset), or the
+    # same error, as the byte walker, on headers cut anywhere.
+    blob = b"P6" + (header + bytes([end]) + PPM_PIXELS)[:cut]
+    try:
+        (width, height, maxval), pos = byte_walker_ppm(blob)
+    except ImageFormatError as exc:
+        with pytest.raises(ImageFormatError) as got:
+            _decode_ppm(blob)
+        assert str(got.value) == str(exc)
+        return
+    refusal = (f"PPM image has no pixels ({width}x{height})" if width <= 0 or height <= 0
+               else f"unsupported PPM maxval {maxval}" if not 0 < maxval <= 255
+               else "truncated PPM pixel data" if len(blob) - pos < width * height * 3
+               else None)
+    if refusal is not None:
+        with pytest.raises(ImageFormatError) as got:
+            _decode_ppm(blob)
+        assert str(got.value) == refusal
+        return
+    raw = np.frombuffer(blob, np.uint8, count=width * height * 3, offset=pos)
+    if raw.max() > maxval:  # a channel above 1, which PixelGrid refuses
+        with pytest.raises(ValueError, match=r"channels must lie in \[0, 1\]"):
+            _decode_ppm(blob)
+        return
+    grid = _decode_ppm(blob)
+    assert (grid.width, grid.height) == (width, height)
+    assert np.array_equal(grid.pixels, raw.reshape(-1, 3) / maxval)

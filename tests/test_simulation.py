@@ -202,18 +202,20 @@ class TestGenerators:
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
 
     def test_chisq_memory_is_one_batch(self):
-        # 4 outliers at p = 300, k = 3: one (4096, p) batch is 9.4 MiB, and a
-        # (4096, k, p) block of differences, or a copy of every accepted
-        # row, would add another 9.4 MiB or more.
+        # 4 outliers at p = 300, k = 3: one batch of at most 2**16 values is
+        # 0.5 MiB, and the differences to one centre take as much again. A
+        # (4096, p) batch would be 9.4 MiB, and a (batch, k, p) block of
+        # differences k times the batch.
         spec = ScenarioSpec(p=300, n=40, contamination="uniform_chisq")
+        rng = np.random.default_rng(0)  # untraced: a process's first generator imports modules
         tracemalloc.start()
         try:
-            out = contaminate_uniform_chisq(spec, np.random.default_rng(0))
+            out = contaminate_uniform_chisq(spec, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert out.shape == (4, 300)
-        assert peak < 12 * 2**20
+        assert peak < 2 * 2**20
 
     def test_chisq_cutoff_matches_scipy(self):
         # Newton on the closed-form tail, up to p = 2000, where e^(-x/2) alone

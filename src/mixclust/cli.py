@@ -2,9 +2,10 @@
 influence curves, segment images.
 
 Exit codes are a stable contract: 0 success, 2 input error, 3 computation
-failure (running out of memory included). Every subcommand is
-deterministic given its inputs, flags and seed. The MIXCLUST_LOG
-environment variable sets the log level.
+failure (running out of memory, or a count past the index range,
+included). Every subcommand is deterministic given its inputs, flags and
+seed. The MIXCLUST_LOG environment variable sets the level of the
+``mixclust`` loggers.
 
 Cluster labels in emitted files are 1-based; arrays inside the library are
 0-based.
@@ -260,13 +261,8 @@ def cmd_simulate(args) -> int:
     report.to_csv(out / "replications.csv")
     aggregates = report.aggregates
     payload = {
-        "scenario": {
-            "n": spec.n, "p": spec.p, "k": spec.k,
-            "contamination": spec.contamination,
-            "contamination_level": spec.contamination_level,
-            "replications": spec.replications, "seed": spec.seed,
-            "cov_scale": spec.cov_scale,
-        },
+        "scenario": {field.name: getattr(spec, field.name) for field in dataclasses.fields(spec)
+                     if field.name not in ("means", "weights")},
         "configs": report.config_labels,
         "aggregates": aggregates,
     }
@@ -311,11 +307,7 @@ def cmd_influence(args) -> int:
     for name, table in curves.items():
         write_if_curve(out / name, table)
     payload = {
-        "model": {
-            "weights": [args.pi1, 1.0 - args.pi1],
-            "means": [args.mu1, args.mu2],
-            "variances": [args.var1, args.var2],
-        },
+        "model": {key: list(value) for key, value in dataclasses.asdict(dist).items()},
         "solutions": solutions,
     }
     _write_json(out / "solution.json", payload, schema="influence_solution")
@@ -417,11 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        logging.basicConfig(level=os.environ.get("MIXCLUST_LOG", "WARNING").upper())
+        logging.basicConfig()  # a handler for the root logger, if it has none
+        log.setLevel(os.environ.get("MIXCLUST_LOG", "WARNING").upper())
         return args.func(args)
     except (ImageFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (MixclustError, MemoryError) as exc:
+    except (MixclustError, MemoryError, OverflowError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

@@ -96,9 +96,12 @@ def _decode_ppm(blob: bytes) -> PixelGrid:
     raw = blob[pos : pos + need]
     if len(raw) < need:
         raise ImageFormatError("truncated PPM pixel data")
+    levels = np.frombuffer(raw, dtype=np.uint8)
+    if levels.max() > maxval:
+        raise ImageFormatError(f"PPM pixel value above maxval {maxval}")
     # One contiguous row per channel; the grid holds its column-major transpose.
     planes = np.empty((3, width * height))
-    np.divide(np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3).T, float(maxval), out=planes)
+    np.divide(levels.reshape(-1, 3).T, float(maxval), out=planes)
     return PixelGrid(width, height, planes.T)
 
 
@@ -176,21 +179,20 @@ def _decode_png(blob: bytes) -> PixelGrid:
         elif ftype == 2:  # Up
             np.add(line, out[row - 1], out=out[row])
         elif ftype in (3, 4):  # each byte needs its decoded left neighbour
-            cur, up = line.tolist(), out[row - 1].tolist()
-            # The first pixel's left and upper-left are 0: Average adds half
-            # the byte above, Paeth the byte above.
-            for i in range(channels):
-                cur[i] = (cur[i] + (up[i] >> 1 if ftype == 3 else up[i])) & 0xFF
+            # A zero pixel in front of both rows: the first pixel's left and
+            # upper-left neighbours, which are 0.
+            pad = [0] * channels
+            cur, up = pad + line.tolist(), pad + out[row - 1].tolist()
             if ftype == 3:  # Average
-                for i in range(channels, stride):
+                for i in range(channels, stride + channels):
                     cur[i] = (cur[i] + ((cur[i - channels] + up[i]) >> 1)) & 0xFF
             else:  # Paeth, inlined
-                for i in range(channels, stride):
+                for i in range(channels, stride + channels):
                     a, b, c = cur[i - channels], up[i], up[i - channels]
                     pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - 2 * c)
                     pred = a if pa <= pb and pa <= pc else b if pb <= pc else c
                     cur[i] = (cur[i] + pred) & 0xFF
-            out[row] = cur
+            out[row] = cur[channels:]
         else:
             raise ImageFormatError(f"unknown PNG filter {ftype}")
     # One contiguous row per RGB channel (gray repeated, alpha dropped); the

@@ -212,19 +212,22 @@ def _crossing_points(pi1: float, pi2: float, mu1: float, mu2: float,
     return (min(r1, r2), max(r1, r2))
 
 
-def _system_residual(u: np.ndarray, measure: _Measure, beta: float) -> np.ndarray | None:
-    """Residuals of the six free equations at u = (mu1, mu2, log v1, log v2, a, b),
-    or None off the system's domain (:data:`SOLVE_DOMAIN`).
-
-    The two weight equations are eliminated: pi1 is the measure's mass on
-    (a, b) and pi2 its complement.
-    """
+def _theta(u: np.ndarray, measure: _Measure) -> np.ndarray:
+    """(pi1, pi2, a, b, mu1, mu2, var1, var2) at the reduced unknowns
+    u = (mu1, mu2, log v1, log v2, a, b): the weight equations are eliminated,
+    pi1 being the measure's mass on (a, b) and pi2 its complement."""
     mu1, mu2, lv1, lv2, a, b = u
+    pi1 = measure.mass_between(a, b)
+    return np.array([pi1, 1.0 - pi1, a, b, mu1, mu2, np.exp(lv1), np.exp(lv2)])
+
+
+def _system_residual(u: np.ndarray, measure: _Measure, beta: float) -> np.ndarray | None:
+    """Residuals of the six free equations at u (see :func:`_theta`), or None
+    off the system's domain (:data:`SOLVE_DOMAIN`)."""
+    _, _, lv1, lv2, a, b = u
     if not (a < b) or max(abs(lv1), abs(lv2)) > 50:
         return None
-    v1, v2 = np.exp(lv1), np.exp(lv2)
-    pi1 = measure.mass_between(a, b)
-    pi2 = 1.0 - pi1
+    pi1, pi2, a, b, mu1, mu2, v1, v2 = _theta(u, measure)
     if not (1e-12 < pi1 < 1.0 - 1e-12):
         return None
     (loc1, spr1), (loc2, spr2) = measure.integrals(beta, a, b, mu1, mu2, v1, v2)
@@ -283,14 +286,11 @@ def _reduced_jacobian(u: np.ndarray, measure: _Measure, beta: float) -> np.ndarr
     variance columns scale by v = exp(log v), and a and b also move
     pi1 = mass(a, b), by minus the interval-mass row, and pi2 = 1 - pi1.
     """
-    mu1, mu2, lv1, lv2, a, b = u
-    v1, v2 = np.exp(lv1), np.exp(lv2)
-    pi1 = measure.mass_between(a, b)
-    full = _stationarity_jacobian(np.array([pi1, 1.0 - pi1, a, b, mu1, mu2, v1, v2]),
-                                  measure, beta)
+    theta = _theta(u, measure)
+    full = _stationarity_jacobian(theta, measure, beta)
     rows = full[2:]
     rows[:2] *= 0.5
-    return np.hstack([rows[:, 4:6], rows[:, 6:8] * [v1, v2],
+    return np.hstack([rows[:, 4:6], rows[:, 6:8] * theta[6:],
                       rows[:, 2:4] + np.outer(rows[:, 0] - rows[:, 1], -full[0, 2:4])])
 
 
@@ -350,10 +350,8 @@ def solve_functional(dist: TrueDistribution, beta: float,
                                     np.array([m1, m2, np.log(v1), np.log(v2), a0, b0]))
     except (OverflowError, ZeroDivisionError) as exc:
         raise SolveError(f"functional solve failed in floating point: {exc}") from exc
-    mu1, mu2, lv1, lv2, a, b = u
-    v1, v2 = float(np.exp(lv1)), float(np.exp(lv2))
-    pi1 = measure.mass_between(a, b)
-    pi2 = 1.0 - pi1
+    theta = _theta(u, measure).tolist()
+    pi1, pi2, a, b, mu1, mu2, v1, v2 = theta
     # The solved endpoints must coincide with the exact crossings (interval
     # geometry); a mismatch means the iteration drifted out of this case.
     ca, cb = _crossing_points(pi1, pi2, mu1, mu2, v1, v2)
@@ -365,9 +363,7 @@ def solve_functional(dist: TrueDistribution, beta: float,
         raise ConstraintBoundaryError(
             f"solution touches the constraint set: ratio {big / small:.4g} vs c={cfg.c}, "
             f"min variance {small:.4g} vs c1={cfg.c1}")
-    return FunctionalSolution(pi1=float(pi1), pi2=float(pi2), a=float(a), b=float(b),
-                              mu1=float(mu1), mu2=float(mu2), var1=v1, var2=v2,
-                              beta=float(beta), residual_norm=res_norm)
+    return FunctionalSolution(*theta, beta=float(beta), residual_norm=res_norm)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Shipped schemas for every JSON document the CLI emits, plus a validator.
 
-The validator understands the subset of JSON Schema the shipped schemas
-use: type, required, properties and items. A number must be finite, since
-JSON cannot carry NaN or infinity. Unknown object keys are allowed.
+Every property an object schema lists is required unless the schema names
+it optional. The validator understands the subset of JSON Schema the
+shipped schemas use: type, required, properties and items. A number must
+be finite, since JSON cannot carry NaN or infinity. Unknown object keys
+are allowed.
 """
 
 from __future__ import annotations
@@ -17,85 +19,58 @@ _STR = {"type": "string"}
 _VECTOR = {"type": "array", "items": _NUMBER}
 _MATRIX = {"type": "array", "items": _VECTOR}
 
-FIT_RESULT = {
-    "type": "object",
-    "required": ["n", "p", "k", "beta", "seed", "weights", "means", "covariances",
-                 "objective", "iterations", "stable", "restart_index", "outlier_count"],
-    "properties": {
-        "n": _INT, "p": _INT, "k": _INT, "beta": _NUMBER, "seed": _INT,
-        "threshold": _NUMBER,
-        "weights": _VECTOR,
-        "means": _MATRIX,
-        "covariances": {"type": "array", "items": _MATRIX},
-        "objective": _NUMBER,
-        "iterations": _INT,
-        "stable": {"type": "boolean"},
-        "restart_index": _INT,
-        "outlier_count": _INT,
-    },
-}
 
-SIMULATION_REPORT = {
-    "type": "object",
-    "required": ["scenario", "configs", "aggregates"],
-    "properties": {
-        "scenario": {
-            "type": "object",
-            "required": ["n", "p", "k", "contamination", "replications", "seed"],
-            "properties": {
-                "n": _INT, "p": _INT, "k": _INT,
-                "contamination": _STR,
-                "contamination_level": _NUMBER,
-                "replications": _INT, "seed": _INT,
-                "cov_scale": _NUMBER,
-            },
-        },
-        "configs": {"type": "array", "items": _STR},
-        "aggregates": {"type": "object"},
-    },
-}
+def _object(properties: dict, *optional: str) -> dict:
+    """An object schema that requires every listed property but ``optional``."""
+    return {"type": "object", "required": [key for key in properties if key not in optional],
+            "properties": properties}
 
-INFLUENCE_SOLUTION = {
-    "type": "object",
-    "required": ["model", "solutions"],
-    "properties": {
-        "model": {
-            "type": "object",
-            "required": ["weights", "means", "variances"],
-            "properties": {"weights": _VECTOR, "means": _VECTOR, "variances": _VECTOR},
-        },
-        "solutions": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["beta", "a", "b", "pi1", "pi2", "mu1", "mu2",
-                             "var1", "var2", "residual_norm"],
-                "properties": {
-                    "beta": _NUMBER, "a": _NUMBER, "b": _NUMBER,
-                    "pi1": _NUMBER, "pi2": _NUMBER, "mu1": _NUMBER, "mu2": _NUMBER,
-                    "var1": _NUMBER, "var2": _NUMBER, "residual_norm": _NUMBER,
-                },
-            },
-        },
-    },
-}
 
-IMAGE_SIDECAR = {
-    "type": "object",
-    "required": ["k", "config", "weights", "cluster_colors", "outlier_colors",
-                 "pixels_per_cluster", "outliers_per_type", "total_outliers"],
-    "properties": {
-        "k": _INT,
-        "config": {"type": "object"},
-        "objective": _NUMBER,
-        "weights": _VECTOR,
-        "cluster_colors": _MATRIX,
-        "outlier_colors": _MATRIX,
-        "pixels_per_cluster": {"type": "array", "items": _INT},
-        "outliers_per_type": {"type": "array", "items": _INT},
-        "total_outliers": _INT,
-    },
-}
+FIT_RESULT = _object({
+    "n": _INT, "p": _INT, "k": _INT, "beta": _NUMBER, "seed": _INT,
+    "threshold": _NUMBER,
+    "weights": _VECTOR,
+    "means": _MATRIX,
+    "covariances": {"type": "array", "items": _MATRIX},
+    "objective": _NUMBER,
+    "iterations": _INT,
+    "stable": {"type": "boolean"},
+    "restart_index": _INT,
+    "outlier_count": _INT,
+}, "threshold")
+
+SIMULATION_REPORT = _object({
+    "scenario": _object({
+        "n": _INT, "p": _INT, "k": _INT,
+        "contamination": _STR,
+        "contamination_level": _NUMBER,
+        "replications": _INT, "seed": _INT,
+        "cov_scale": _NUMBER,
+    }, "contamination_level", "cov_scale"),
+    "configs": {"type": "array", "items": _STR},
+    "aggregates": {"type": "object"},
+})
+
+INFLUENCE_SOLUTION = _object({
+    "model": _object({"weights": _VECTOR, "means": _VECTOR, "variances": _VECTOR}),
+    "solutions": {"type": "array", "items": _object({
+        "beta": _NUMBER, "a": _NUMBER, "b": _NUMBER,
+        "pi1": _NUMBER, "pi2": _NUMBER, "mu1": _NUMBER, "mu2": _NUMBER,
+        "var1": _NUMBER, "var2": _NUMBER, "residual_norm": _NUMBER,
+    })},
+})
+
+IMAGE_SIDECAR = _object({
+    "k": _INT,
+    "config": {"type": "object"},
+    "objective": _NUMBER,
+    "weights": _VECTOR,
+    "cluster_colors": _MATRIX,
+    "outlier_colors": _MATRIX,
+    "pixels_per_cluster": {"type": "array", "items": _INT},
+    "outliers_per_type": {"type": "array", "items": _INT},
+    "total_outliers": _INT,
+}, "objective")
 
 SCHEMAS = {
     "fit_result": FIT_RESULT,

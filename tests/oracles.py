@@ -15,6 +15,7 @@ from mixclust.influence import (
     TrueDistribution,
     _Measure,
     _solve_system,
+    _theta,
     _weighted,
     solve_functional,
 )
@@ -129,10 +130,8 @@ def numeric_if_oracle(dist: TrueDistribution, beta: float,
     quotients = []
     for eps in eps_list:
         measure = ContaminatedMeasure(dist, atom_y=float(y), atom_eps=float(eps))
-        (mu1, mu2, lv1, lv2, a, b), _ = _solve_system(measure, beta, u0)
-        pi1 = measure.mass_between(a, b)
-        theta = np.array([pi1, 1.0 - pi1, a, b, mu1, mu2, np.exp(lv1), np.exp(lv2)])
-        quotients.append((theta - theta0) / eps)
+        u, _ = _solve_system(measure, beta, u0)
+        quotients.append((_theta(u, measure) - theta0) / eps)
     est = quotients[0]
     for prev_eps, eps, quot in zip(eps_list, eps_list[1:], quotients[1:]):
         # One Richardson step per pair removes the first-order error term.

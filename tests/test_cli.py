@@ -1,11 +1,14 @@
 """CLI contract: subcommands, exit codes, deterministic outputs, schemas."""
 
 import contextlib
+import copy
 import csv
 import dataclasses
+import functools
 import io
 import json
 import logging
+import operator
 import os
 import re
 import struct
@@ -818,7 +821,65 @@ class TestImageCommand:
         assert err.startswith("error: ") and re.search(message, err)
         assert not out.exists() and not (tmp_path / "r.ppm.json").exists()
 
+
+# One valid document per schema, holding every key the schema lists, and the
+# keys of each that may be left out.
+SCHEMA_DOCUMENTS = {
+    "fit_result": {
+        "n": 6, "p": 2, "k": 2, "beta": 0.1, "seed": 0, "threshold": 0.05,
+        "weights": [0.5, 0.5], "means": [[0.0, 0.0], [8.0, 8.0]],
+        "covariances": [[[1.0, 0.0], [0.0, 1.0]]] * 2, "objective": -1.5,
+        "iterations": 3, "stable": True, "restart_index": 0, "outlier_count": 1},
+    "simulation_report": {
+        "scenario": {"n": 300, "p": 3, "k": 3, "contamination": "annulus",
+                     "contamination_level": 0.1, "replications": 2, "seed": 0,
+                     "cov_scale": 1.0},
+        "configs": ["beta=0", "beta=0.3"], "aggregates": {}},
+    "influence_solution": {
+        "model": {"weights": [0.5, 0.5], "means": [0.0, 5.0], "variances": [1.0, 4.0]},
+        "solutions": [{"beta": 0.1, "a": -2.0, "b": 2.0, "pi1": 0.5, "pi2": 0.5,
+                       "mu1": 0.0, "mu2": 5.0, "var1": 1.0, "var2": 4.0,
+                       "residual_norm": 1e-12}]},
+    "image_sidecar": {
+        "k": 2, "config": {}, "objective": -3.0, "weights": [0.4, 0.6],
+        "cluster_colors": [[0.1, 0.1, 0.1], [0.9, 0.9, 0.9]],
+        "outlier_colors": [[1.0, 1.0, 1.0], [0.545, 0.271, 0.075]],
+        "pixels_per_cluster": [4, 6], "outliers_per_type": [1, 0], "total_outliers": 1},
+}
+OPTIONAL_KEYS = {"fit_result": {("threshold",)},
+                 "simulation_report": {("scenario", "contamination_level"),
+                                       ("scenario", "cov_scale")},
+                 "image_sidecar": {("objective",)}}
+
+
+def key_paths(doc, path=()):
+    """The path (keys and list indices) of every key of every object in ``doc``."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield path + (key,)
+            yield from key_paths(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, item in enumerate(doc):
+            yield from key_paths(item, path + (i,))
+
+
 class TestSchemas:
+    @pytest.mark.parametrize("name", sorted(SCHEMA_DOCUMENTS))
+    def test_every_listed_key_required_but_the_optional(self, name):
+        doc = SCHEMA_DOCUMENTS[name]
+        validate(doc, name)
+        optional = OPTIONAL_KEYS.get(name, set())
+        for path in key_paths(doc):
+            cut = copy.deepcopy(doc)
+            parent = functools.reduce(operator.getitem, path[:-1], cut)
+            del parent[path[-1]]
+            named = tuple(step for step in path if isinstance(step, str))
+            if named in optional:
+                validate(cut, name)
+            else:
+                with pytest.raises(SchemaError, match=f"missing required key {path[-1]!r}"):
+                    validate(cut, name)
+
     def test_rejects_missing_key(self):
         with pytest.raises(SchemaError):
             validate({"n": 1}, "fit_result")
@@ -849,11 +910,50 @@ def test_log_level_env_var(toy_csv, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("level", ["verbose", "10"])
 def test_unknown_log_level_exits_2(tmp_path, monkeypatch, capsys, level):
-    # basicConfig reads the level only when the root logger has no handler,
-    # as in a fresh program; the test's own capture handlers are set aside.
+    # As in a fresh program, the root logger starts with no handler.
     monkeypatch.setenv("MIXCLUST_LOG", level)
     monkeypatch.setattr(logging.root, "handlers", [])
     out = tmp_path / "o"
     assert main(["influence", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: Unknown level: {level.upper()!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("level, code", [("verbose", 2), ("INFO", 0)])
+def test_log_level_set_beside_a_root_handler(tmp_path, monkeypatch, level, code):
+    # A caller that set up logging itself: its root handler stays the only
+    # one, and MIXCLUST_LOG still sets the level of the mixclust loggers.
+    stream = io.StringIO()
+    monkeypatch.setenv("MIXCLUST_LOG", level)
+    monkeypatch.setattr(logging.root, "handlers", [logging.StreamHandler(stream)])
+    assert main(["influence", "--out", str(tmp_path / "o")]) == code
+    assert len(logging.root.handlers) == 1
+    assert ("influence output written to" in stream.getvalue()) == (code == 0)
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("fit", None), ("simulate", "replications"), ("simulate", "restarts")])
+def test_count_past_the_index_range_exits_3(tmp_path, command, setting):
+    # A restart or replication count past sys.maxsize, which the worker pool
+    # cannot index, is a failed computation, reported on one line, never a
+    # traceback. 10**12 is not tried: a host that always overcommits would
+    # allocate a list that long.
+    if command == "fit":
+        data = tmp_path / "t.csv"
+        np.savetxt(data, np.random.default_rng(0).standard_normal((20, 2)), delimiter=",")
+        args = ["fit", str(data), "--k", "2", "--restarts", str(10**20)]
+    else:
+        data = tmp_path / "spec.json"
+        data.write_text(json.dumps({"p": 2, "n": 60, "replications": 1, "restarts": 1,
+                                    setting: 1e20}))
+        args = ["simulate", str(data)]
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mixclust.cli", *args, "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("computation failed:")
+    assert "Traceback" not in proc.stderr
     assert not out.exists()

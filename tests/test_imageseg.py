@@ -108,8 +108,9 @@ def png_bomb():
 def malformed_images():
     """File name -> (bytes, message pattern) of images the decoders must
     refuse: a PNG whose IHDR chunk is 9 bytes instead of 13 (its CRC is not
-    checked), 0x0 PNG and PPM images, :func:`png_bomb`, and a 2x2 PNG with
-    every pixel byte but its stream cut short before the zlib checksum."""
+    checked), 0x0 PNG and PPM images, :func:`png_bomb`, a 2x2 PNG with
+    every pixel byte but its stream cut short before the zlib checksum, and
+    a PPM with a pixel byte above its maxval."""
     good = filtered_png(np.zeros((2, 2, 3), dtype=np.uint8))
     return {
         "bomb.png": (png_bomb(), "wrong length"),
@@ -118,6 +119,8 @@ def malformed_images():
                            + good[33:], "header chunk is 9 bytes"),
         "empty.png": (filtered_png(np.zeros((0, 0, 3), dtype=np.uint8)), r"no pixels \(0x0\)"),
         "empty.ppm": (b"P6\n0 0\n255\n", r"no pixels \(0x0\)"),
+        "above_maxval.ppm": (b"P6 2 1 1\n" + bytes([0, 1, 1, 5, 0, 0]),
+                             "PPM pixel value above maxval 1"),
     }
 
 
@@ -498,9 +501,10 @@ def test_ppm_header_matches_byte_walker(header, end, cut):
         assert str(got.value) == refusal
         return
     raw = np.frombuffer(blob, np.uint8, count=width * height * 3, offset=pos)
-    if raw.max() > maxval:  # a channel above 1, which PixelGrid refuses
-        with pytest.raises(ValueError, match=r"channels must lie in \[0, 1\]"):
+    if raw.max() > maxval:
+        with pytest.raises(ImageFormatError) as got:
             _decode_ppm(blob)
+        assert str(got.value) == f"PPM pixel value above maxval {maxval}"
         return
     grid = _decode_ppm(blob)
     assert (grid.width, grid.height) == (width, height)

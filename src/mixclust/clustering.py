@@ -3,9 +3,14 @@
 Outer loop per restart: update weights from cluster counts, refit each
 component robustly on its current members, project the covariances onto
 the eigenvalue-constraint set, reassign by the weighted-density
-discriminant, and stop when the assignment stabilizes. The restart with
-the best selection score wins (see :class:`AlgoConfig`); outliers are
-flagged once, on the winner.
+discriminant, and stop when the assignment stabilizes. Each refit
+warm-starts from the cluster's previous unprojected fit, and while the
+labels still move it takes at most ``mdpde.WARM_STEP_CAP`` IRLS steps: a
+generalized EM step only has to move toward the block optimum (ECM, Meng &
+Rubin 1993). A restart stops only on labels that an M-step of uncut fits
+left unchanged, so its estimate is a converged fit on a stable partition.
+The restart with the best selection score wins (see :class:`AlgoConfig`);
+outliers are flagged once, on the winner.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .gaussian import (
     dpd_integral,
     log_density,
 )
-from .mdpde import fit_component
+from .mdpde import WARM_STEP_CAP, fit_component
 from .workers import fork_map
 
 log = logging.getLogger(__name__)
@@ -254,11 +259,31 @@ def detect_outliers(disc, threshold: float) -> np.ndarray:
     return disc * len(disc) <= threshold
 
 
-def _m_step(data, assignments, k: int, cfg: AlgoConfig,
-            prev: list[GaussianComponent] | None, cold_fits: dict) -> MixtureParams:
+@dataclass
+class _Step(MixtureParams):
+    """One M-step's mixture, with each cluster's unprojected fit (the next
+    M-step's warm start) and whether a capped fit stopped short of the
+    IRLS stop."""
+
+    fitted: list[GaussianComponent] = field(default_factory=list)
+    cut: bool = False
+
+
+def _m_step(data, assignments, k: int, cfg: AlgoConfig, prev: list[GaussianComponent] | None,
+            cold_fits: dict, cap: int | None = None) -> _Step:
+    """Refit each cluster on its members, then project the covariances.
+
+    ``prev`` is None on a restart's first M-step, whose fits are cold and
+    shared through ``cold_fits``, keyed by the packed membership mask.
+    Otherwise it holds the warm starts, and a warm fit takes at most
+    ``cap`` IRLS steps (no limit but the IRLS stop when None). A cluster of
+    fewer than p + 1 members, or whose first step trips the denominator
+    guard, keeps its start (cold: its mean and the identity).
+    """
     p = data.shape[1]
     weights = update_weights(assignments, k)
     comps: list[GaussianComponent] = []
+    converged = True
     for j in range(k):
         in_j = assignments == j
         # a cold fit reads the member rows alone: one per membership mask
@@ -271,7 +296,8 @@ def _m_step(data, assignments, k: int, cfg: AlgoConfig,
         comp = prev[j] if prev is not None else None
         if len(members) >= p + 1:
             try:
-                comp = fit_component(members, cfg.beta, init=comp).estimate
+                fit = fit_component(members, cfg.beta, init=comp, max_steps=cap)
+                comp, converged = fit.estimate, converged and fit.converged
             except NonPositiveDenominatorError:
                 pass
         if comp is None:
@@ -284,9 +310,10 @@ def _m_step(data, assignments, k: int, cfg: AlgoConfig,
     # and its component is kept. A projected one is the package's own: finite
     # and exactly symmetric, so only its Cholesky factor is computed.
     covs = enforce_constraints([c.cov for c in comps], cfg.constraint)
-    comps = [c if cov is c.cov else GaussianComponent.trusted(c.mean, cov)
-             for c, cov in zip(comps, covs)]
-    return MixtureParams(weights=weights, components=comps)
+    return _Step(weights=weights,
+                 components=[c if cov is c.cov else GaussianComponent.trusted(c.mean, cov)
+                             for c, cov in zip(comps, covs)],
+                 fitted=comps, cut=cap is not None and not converged)
 
 
 def _own_column(matrix: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -333,6 +360,13 @@ def fit_single(data, k: int, cfg: AlgoConfig, init_assignments: np.ndarray, *,
                cold_fits: dict | None = None) -> dict:
     """Run one restart of the outer loop from an initial assignment.
 
+    The first M-step's fits are cold and uncapped. After an assignment that
+    moved labels, each warm fit of the next M-step takes at most
+    ``WARM_STEP_CAP`` IRLS steps, from the cluster's last unprojected fit.
+    The restart stops when an assignment leaves the labels unchanged after
+    an M-step whose fits the cap did not cut; when the cap did cut one, the
+    next M-step runs uncapped first. ``stable`` says that stop was reached.
+
     Returns a dict with the degenerate flag and iterations and, unless the
     restart degenerated, params, assignments, ``log_phi`` (each row's
     log-density under the component it is assigned to, from the last
@@ -354,21 +388,26 @@ def fit_single(data, k: int, cfg: AlgoConfig, init_assignments: np.ndarray, *,
     # first reassignment.
     del init_assignments
     reseeds = np.zeros(k, dtype=int)
-    prev_comps: list[GaussianComponent] | None = None
+    fitted: list[GaussianComponent] | None = None
+    cap = None
     cold_fits = {} if cold_fits is None else cold_fits
     for iterations in range(1, cfg.max_outer_iter + 1):
-        params = _m_step(data, assignments, k, cfg, prev_comps, cold_fits)
-        prev_comps = params.components
-        labels, log_phi = assign(data, params, cfg.assignment_rule)
-        if _reseed_empty(labels, params, log_phi, reseeds):
+        step = _m_step(data, assignments, k, cfg, fitted, cold_fits, cap)
+        fitted = step.fitted
+        labels, log_phi = assign(data, step, cfg.assignment_rule)
+        if _reseed_empty(labels, step, log_phi, reseeds):
             return {"degenerate": True, "iterations": iterations}
-        stable = np.array_equal(labels, assignments)
+        moved = not np.array_equal(labels, assignments)
         assignments = labels
+        stable = not (moved or step.cut)
         if stable or iterations == cfg.max_outer_iter:
             break
+        # Capped while the labels move; once they hold, one uncapped M-step.
+        cap = WARM_STEP_CAP if moved else None
         del log_phi  # free the (n, k) matrix before the next assignment builds another
     # The own-cluster column, read after the reseed moved rows.
     log_phi = _own_column(log_phi, assignments)
+    params = MixtureParams(weights=step.weights, components=step.components)
     return {
         "degenerate": False,
         "params": params,
@@ -436,7 +475,7 @@ def fit(data, k: int, cfg: AlgoConfig | None = None, *, workers: int = 1) -> Clu
     finished outcome and that restart's working set. (In the pool, an
     outcome that arrives ahead of its turn waits there until it is
     compared.) A restart's exception reaches the caller with its own type.
-    The replications of :func:`~mixclust.simulation.run_experiment` call this serially,
+    The items of :func:`~mixclust.simulation.run_experiment` call this serially,
     because their pool is one level up, and so does
     :func:`~mixclust.imageseg.segment`: its few restarts are each about one
     outer iteration over every pixel, where forking and sending back the

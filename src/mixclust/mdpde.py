@@ -25,6 +25,9 @@ MIN_DENOMINATOR = 1e-8
 # at most IRLS_TOL, or after IRLS_MAX_ITER steps (read at call time).
 IRLS_TOL = 1e-6
 IRLS_MAX_ITER = 500
+# The step limit of a warm fit while the clustering's labels still move
+# (see mixclust.clustering.fit_single).
+WARM_STEP_CAP = 3
 
 
 @dataclass
@@ -119,6 +122,7 @@ def irls_step(data, comp: GaussianComponent, beta: float, work=None) -> Gaussian
     Raises :class:`NonPositiveDenominatorError` when that denominator falls
     below ``MIN_DENOMINATOR * n``, which signals a cluster too small for the
     requested downweighting; callers keep the previous estimate in that case.
+    At ``beta == 0`` every weight is exactly 1, so ``comp`` is not read.
     ``data`` is a finite float (n, p) array, as :func:`fit_component` passes it.
     The step computes on ``data.T`` in ``work`` (buffers shaped as
     :func:`_work_buffers` makes them, allocated per call when omitted): the
@@ -129,7 +133,12 @@ def irls_step(data, comp: GaussianComponent, beta: float, work=None) -> Gaussian
     """
     n, p = data.shape
     work = work if work is not None else _work_buffers(n, p)
-    w = irls_weights(data, comp, beta, work)
+    if beta == 0.0:
+        # exp(-0 * d) is exactly 1: the weights need no distances, nor ``comp``
+        w = work[2]
+        w.fill(1.0)
+    else:
+        w = irls_weights(data, comp, beta, work)
     total = w.sum()
     denom = total - n * beta / (1.0 + beta) ** (0.5 * p + 1.0)
     if denom <= MIN_DENOMINATOR * n:
@@ -149,15 +158,21 @@ def _norm(d: np.ndarray) -> float:
     return math.sqrt(d.dot(d))
 
 
-def fit_component(data, beta: float, init: GaussianComponent | None = None) -> ComponentFit:
+def fit_component(data, beta: float, init: GaussianComponent | None = None,
+                  max_steps: int | None = None) -> ComponentFit:
     """Fit one normal component by the reweighted iteration.
 
     Starts from :func:`robust_init` (or ``init`` when warm-starting) and
     iterates until both the Euclidean mean delta and Frobenius covariance
-    delta drop to ``IRLS_TOL``, or ``IRLS_MAX_ITER`` steps are taken.
-    Non-convergence is reported through ``converged=False``, not an error.
-    At ``beta == 0`` the weights do not depend on the start, so the first
-    step is the (unweighted) fixed point and the fit stops there, converged.
+    delta drop to ``IRLS_TOL``, or ``max_steps`` steps are taken
+    (``IRLS_MAX_ITER`` when None; the clustering passes ``WARM_STEP_CAP``
+    to warm fits while its labels move). It also stops, not converged, on
+    a 2-cycle: an iterate within ``IRLS_TOL`` of the one two steps back,
+    though not of the last one, which further steps would only repeat.
+    Non-convergence, a cut by ``max_steps`` included, is reported through
+    ``converged=False``, not an error. At ``beta == 0`` the weights do not
+    depend on the start, so no start is computed: the first step is the
+    (unweighted) fixed point and the fit stops there, converged.
 
     A denominator-guard failure on the very first step propagates (the
     start is already too downweighted to move); tripping later stops the
@@ -171,11 +186,12 @@ def fit_component(data, beta: float, init: GaussianComponent | None = None) -> C
     n, p = data.shape
     if n < 2:
         raise ValueError("covariance fitting needs at least two observations")
-    comp = init if init is not None else robust_init(data)
+    comp = init if init is not None or beta == 0.0 else robust_init(data)
     work = _work_buffers(n, p)
     converged = False
     iterations = 0
-    for iterations in range(1, IRLS_MAX_ITER + 1):
+    back = None  # the iterate two steps back
+    for iterations in range(1, (IRLS_MAX_ITER if max_steps is None else max_steps) + 1):
         try:
             new = irls_step(data, comp, beta, work)
         except NonPositiveDenominatorError:
@@ -188,10 +204,12 @@ def fit_component(data, beta: float, init: GaussianComponent | None = None) -> C
             # one bit for bit: the first step is the fixed point.
             comp, converged = new, True
             break
-        delta_mean = _norm(new.mean - comp.mean)
-        delta_cov = _norm(new.cov - comp.cov)
-        comp = new
-        if delta_mean <= IRLS_TOL and delta_cov <= IRLS_TOL:
-            converged = True
+        if _norm(new.mean - comp.mean) <= IRLS_TOL and _norm(new.cov - comp.cov) <= IRLS_TOL:
+            comp, converged = new, True
             break
+        if (back is not None and _norm(new.mean - back.mean) <= IRLS_TOL
+                and _norm(new.cov - back.cov) <= IRLS_TOL):
+            comp = new
+            break
+        back, comp = comp, new
     return ComponentFit(estimate=comp, iterations=iterations, converged=converged)

@@ -331,24 +331,23 @@ def aggregate_rows(rows: list[dict], config_labels: list[str],
     return out
 
 
-def _run_replication(spec: ScenarioSpec, rep: int, algo_cfgs: list[AlgoConfig],
-                     labels: list[str]) -> list[dict]:
-    rng = np.random.default_rng([spec.seed, rep])
-    data, truth = generate(spec, rng)
-    rows = []
-    for cfg, label in zip(algo_cfgs, labels):
-        row: dict = {"replication": rep, "config": label, "error": None}
-        try:
-            result = fit(data, spec.k, replace(cfg, seed=cfg.seed + 1000 * rep))
-            row["misclassification"] = regular_misclassification(result, truth)
-            row["undetected"] = undetected_outlier_proportion(result, truth)
-            row["detected"] = int(result.outlier_flags.sum())
-            row["objective"] = result.objective
-            row["fitted_means"] = np.stack([c.mean for c in result.params.components])
-        except (MixclustError, np.linalg.LinAlgError, ValueError) as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
-    return rows
+def _run_item(spec: ScenarioSpec, algo_cfgs: list[AlgoConfig], labels: list[str],
+              item: int) -> dict:
+    """The row of pool item ``item``: replication ``item // len(algo_cfgs)``
+    fitted with configuration ``item % len(algo_cfgs)``."""
+    rep, j = divmod(item, len(algo_cfgs))
+    data, truth = generate(spec, np.random.default_rng([spec.seed, rep]))
+    row: dict = {"replication": rep, "config": labels[j], "error": None}
+    try:
+        result = fit(data, spec.k, replace(algo_cfgs[j], seed=algo_cfgs[j].seed + 1000 * rep))
+        row["misclassification"] = regular_misclassification(result, truth)
+        row["undetected"] = undetected_outlier_proportion(result, truth)
+        row["detected"] = int(result.outlier_flags.sum())
+        row["objective"] = result.objective
+        row["fitted_means"] = np.stack([comp.mean for comp in result.params.components])
+    except (MixclustError, np.linalg.LinAlgError, ValueError) as exc:
+        row["error"] = f"{type(exc).__name__}: {exc}"
+    return row
 
 
 def run_experiment(spec: ScenarioSpec, algo_cfgs: list[AlgoConfig], *,
@@ -356,21 +355,23 @@ def run_experiment(spec: ScenarioSpec, algo_cfgs: list[AlgoConfig], *,
     """Run the replication pipeline: generate, contaminate, fit, score.
 
     Every replication derives its own generator from (seed, replication), so
-    results do not depend on the execution order or the worker count. With
-    ``workers > 1`` (Linux only) replications run in a pool of
-    ``min(workers, replications)`` forked processes
+    results do not depend on the execution order or the worker count. Each
+    work item is one (replication, configuration) pair, so the long fits of
+    one beta do not hold up their siblings in one worker; the item draws its
+    replication's sample itself. With ``workers > 1`` (Linux only) the items
+    run in a pool of ``min(workers, items)`` forked processes
     (:func:`~mixclust.workers.fork_map`); otherwise they run in this
     process. Either way they keep this process's BLAS settings. Each
-    replication fits its restarts serially: the pool is already one level
+    item fits its restarts serially: the pool is already one level
     up. Typed failures become rows inside the worker; any other exception
-    propagates to the caller. Each configuration is labelled ``beta=<beta>``, so their betas
+    propagates to the caller. Rows come in replication order, then
+    configuration order. Each configuration is labelled ``beta=<beta>``, so their betas
     must differ.
     """
     config_labels = [f"beta={cfg.beta:g}" for cfg in algo_cfgs]
     if len(set(config_labels)) != len(config_labels):
         raise ValueError(f"configurations need distinct betas, got {config_labels}")
     report = SimulationReport(spec=spec, config_labels=config_labels)
-    one_rep = partial(_run_replication, spec, algo_cfgs=algo_cfgs, labels=config_labels)
-    for chunk in fork_map(one_rep, range(spec.replications), workers):
-        report.rows.extend(chunk)
+    one_fit = partial(_run_item, spec, algo_cfgs, config_labels)
+    report.rows.extend(fork_map(one_fit, range(spec.replications * len(algo_cfgs)), workers))
     return report

@@ -1,6 +1,6 @@
 """The forked worker pool shared by :func:`~mixclust.clustering.fit` (its
 restarts) and :func:`~mixclust.simulation.run_experiment` (its
-replications).
+(replication, configuration) items).
 
 :func:`fork_map` runs one function over many items in forked processes
 and yields the results in item order. The function reaches the workers

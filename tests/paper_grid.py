@@ -36,6 +36,7 @@ import numpy as np
 from mixclust.clustering import AlgoConfig, default_threshold
 from mixclust.simulation import ScenarioSpec, _best_permutation, bias_mse, run_experiment
 
+N = 1000
 DIMS = (2, 6, 10)
 SCHEMES = ("none", "uniform_chisq", "annulus", "outlying_cluster")
 BETAS = (0.3, 0.0)
@@ -51,7 +52,7 @@ Z = 4.5
 
 def cell_summaries(p: int, scheme: str, replications: int, workers: int) -> dict[str, dict]:
     """Run one cell and summarise it per beta, keyed ``beta=<beta>``."""
-    spec = ScenarioSpec(p=p, contamination=scheme, replications=replications,
+    spec = ScenarioSpec(n=N, p=p, contamination=scheme, replications=replications,
                         seed=SCENARIO_SEED)
     cfgs = [AlgoConfig(beta=beta, outlier_threshold=default_threshold(p),
                        n_restarts=RESTARTS, seed=0) for beta in BETAS]
@@ -95,7 +96,7 @@ def summarize(rows: list[dict], spec: ScenarioSpec) -> dict:
     return out
 
 
-def _binom_tail_probs(n: int, q: float) -> list[float]:
+def _binom_pmf(n: int, q: float) -> list[float]:
     return [math.comb(n, c) * q**c * (1 - q) ** (n - c) for c in range(n + 1)]
 
 
@@ -106,7 +107,7 @@ def wrong_count_bounds(base: dict, n: int) -> tuple[int, int]:
     rate shrunk toward 1/2 by half a replication on each side, so a
     baseline count of 0 or all still allows a rare miss or hit."""
     q = (base["wrong"] + 0.5) / (base["replications"] + 1.0)
-    pmf = _binom_tail_probs(n, q)
+    pmf = _binom_pmf(n, q)
     lo, below = 0, 0.0
     while below + pmf[lo] <= TAIL:
         below += pmf[lo]
@@ -118,12 +119,12 @@ def wrong_count_bounds(base: dict, n: int) -> tuple[int, int]:
     return lo, hi
 
 
-def mis_band(base: dict, n_right: int, n: int) -> float:
+def mis_band(base: dict, n_right: int) -> float:
     """Half-width of the CLT band on the right-partition mean
-    misclassification, plus one observation in n as a resolution floor
+    misclassification, plus one observation in ``N`` as a resolution floor
     (a baseline whose right replications all read 0 has no spread)."""
     sd = base["right_mis_sd"] or 0.0
-    return Z * sd * math.sqrt(1 / n_right + 1 / (base["replications"] - base["wrong"])) + 1 / n
+    return Z * sd * math.sqrt(1 / n_right + 1 / (base["replications"] - base["wrong"])) + 1 / N
 
 
 def bias_band(base: dict, n_right: int) -> float:

@@ -303,14 +303,16 @@ class TestSimulateCommand:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
         outputs = []
-        # The pool is sized by CPU affinity alone, as for fit.
-        for workers in (1, 3):
+        # The pool is sized by CPU affinity alone, as for fit. Each of the six
+        # (replication, beta) items is one pool item, so two workers
+        # interleave each replication's betas.
+        for workers in (1, 2, 3):
             monkeypatch.setattr("mixclust.workers.default_workers", lambda: workers)
             out = tmp_path / f"sim{workers}"
             assert main(["simulate", str(spec_path), "--out", str(out)]) == 0
             outputs.append([(out / name).read_bytes()
                             for name in ("replications.csv", "report.json")])
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_invalid_spec_exit_2(self, tmp_path):
         spec_path = tmp_path / "spec.json"

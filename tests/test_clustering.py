@@ -20,12 +20,14 @@ from mixclust import (
     fit_component,
     fit_single,
     initialize,
+    irls_step,
     log_density,
     pseudo_beta_likelihood,
     update_weights,
 )
 from mixclust.clustering import (ASSIGNMENT_RULES, _m_step, _reseed_empty, _run_restart,
                                  component_fit_score, discriminants)
+import mixclust.mdpde as mdpde
 from mixclust.gaussian import BLOCK, LOG_2PI, as_data_matrix, cholesky_spd
 from oracles import check_constraints, component_beta_objective
 
@@ -318,11 +320,11 @@ class TestMStep:
         fitted, outside = [], []
         fitting = False
 
-        def counting_fit(members, beta, init=None):
+        def counting_fit(members, beta, init=None, max_steps=None):
             nonlocal fitting
             fitting = True
             try:
-                result = fit_component(members, beta, init=init)
+                result = fit_component(members, beta, init=init, max_steps=max_steps)
             finally:
                 fitting = False
             fitted.append(result.estimate)
@@ -401,10 +403,10 @@ class TestFit:
             initial.update(np.packbits(labels == j).tobytes() for j in range(k))
         cold = 0
 
-        def counting(members, beta, init=None):
+        def counting(members, beta, init=None, max_steps=None):
             nonlocal cold
             cold += init is None
-            return fit_component(members, beta, init=init)
+            return fit_component(members, beta, init=init, max_steps=max_steps)
 
         with monkeypatch.context() as patch:
             patch.setattr("mixclust.clustering.fit_component", counting)
@@ -508,12 +510,22 @@ class TestFit:
 
     # Fits whose last iteration reseeds an emptied cluster: the row moved
     # there must carry that cluster's discriminant, stable fit or capped.
-    @pytest.mark.parametrize("seed,max_outer_iter", [(140, 100), (171, 2), (171, 100)])
-    def test_discriminants_belong_to_written_cluster(self, seed, max_outer_iter):
+    @pytest.mark.parametrize("seed,max_outer_iter", [(2397, 100), (171, 2), (3679, 100)])
+    def test_discriminants_belong_to_written_cluster(self, monkeypatch, seed, max_outer_iter):
+        moved = []
+
+        def recording_reseed(labels, params, log_phi, reseeds):
+            before = labels.copy()
+            out = _reseed_empty(labels, params, log_phi, reseeds)
+            moved.append(not np.array_equal(before, labels))
+            return out
+
+        monkeypatch.setattr("mixclust.clustering._reseed_empty", recording_reseed)
         rng = np.random.default_rng(seed)
         data = np.vstack([rng.normal(0, 1, (25, 2)), rng.normal(4, 1, (25, 2))])
         cfg = AlgoConfig(n_restarts=1, seed=seed, max_outer_iter=max_outer_iter)
         res = fit(data, 4, cfg)
+        assert moved[-1] and res.stable == (max_outer_iter == 100)
         labels = res.assignments
         expected = np.exp(weighted_log_densities(data, res.params)[np.arange(50), labels])
         np.testing.assert_allclose(res.discriminants, expected, rtol=1e-12, atol=0)
@@ -673,6 +685,24 @@ class TestFit:
             assert np.all(params.weights >= 0.0)
             assert abs(params.weights.sum() - 1.0) <= 1e-12
             assert {comp.dim for comp in params.components} == {2}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stable_fit_is_a_converged_refit(self, seed):
+        # Warm fits are capped while the labels move, but a restart stops only
+        # after an M-step the cap did not cut. So with the projection inactive
+        # (c = 1e8), one more IRLS step on each cluster's members moves its
+        # returned component by at most IRLS_TOL.
+        rng = np.random.default_rng(seed)
+        data = np.vstack([blob_data(rng, [np.zeros(3), np.full(3, 4.0), np.full(3, -4.0)], 60),
+                          rng.uniform(-12.0, 12.0, (20, 3))])
+        cfg = AlgoConfig(beta=0.3, n_restarts=3, seed=seed,
+                         constraint=ConstraintConfig(c=1e8, c1=1e-8))
+        res = fit(data, 3, cfg)
+        assert res.stable
+        for j, comp in enumerate(res.params.components):
+            step = irls_step(data[res.assignments == j], comp, cfg.beta)
+            assert np.linalg.norm(step.mean - comp.mean) <= mdpde.IRLS_TOL
+            assert np.linalg.norm(step.cov - comp.cov) <= mdpde.IRLS_TOL
 
     def test_empty_cluster_reseeded_keeps_k(self):
         # two tight blobs, k=3: one cluster must be reseeded or carved out

@@ -171,6 +171,40 @@ class TestFitComponent:
         assert np.allclose(moved.mean, amat @ base.mean + shift, atol=1e-8)
         assert np.allclose(moved.cov, amat @ base.cov @ amat.T, atol=1e-8)
 
+    def test_two_cycle_stops_unconverged(self):
+        # 40 points on the 6-D unit sphere at beta 1, from a wide start: the
+        # iteration falls into an exact 2-cycle between covariance traces
+        # 1.046 and 4.910, and stops there unconverged instead of running
+        # to IRLS_MAX_ITER and returning the iterate its parity picks.
+        rng = np.random.default_rng(0)
+        sphere = rng.standard_normal((40, 6))
+        sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+        out = fit_component(sphere, 1.0, init=GaussianComponent(np.zeros(6), 1e4 * np.eye(6)))
+        assert not out.converged and out.iterations < mdpde.IRLS_MAX_ITER // 2
+        one = irls_step(sphere, out.estimate, 1.0)
+        two = irls_step(sphere, one, 1.0)
+        traces = sorted([np.trace(out.estimate.cov), np.trace(one.cov)])
+        assert traces == pytest.approx([1.046, 4.910], abs=1e-3)
+        assert np.linalg.norm(two.mean - out.estimate.mean) <= mdpde.IRLS_TOL
+        assert np.linalg.norm(two.cov - out.estimate.cov) <= mdpde.IRLS_TOL
+
+    def test_step_limit_stops_short(self):
+        # max_steps cuts the iteration after that many plain steps, reported
+        # unconverged; a start at the fixed point still converges inside it.
+        data = np.asfortranarray(contaminated(37, 250, 3))
+        start = GaussianComponent(np.ones(3), 2.0 * np.eye(3))
+        capped = fit_component(data, 0.3, init=start, max_steps=3)
+        want = start
+        for _ in range(3):
+            want = irls_step(data, want, 0.3)
+        assert (capped.iterations, capped.converged) == (3, False)
+        assert same_bits(capped.estimate.mean, want.mean)
+        assert same_bits(capped.estimate.cov, want.cov)
+        full = fit_component(data, 0.3, init=start)
+        assert full.iterations > 3 and full.converged
+        again = fit_component(data, 0.3, init=full.estimate, max_steps=3)
+        assert (again.iterations, again.converged) == (1, True)
+
     @pytest.mark.usefixtures("tight")
     def test_warm_start_used(self):
         rng = np.random.default_rng(9)
@@ -276,6 +310,7 @@ class AllocatingIrls:
     def __init__(self):
         self.floored = 0
         self.guard_tripped = False
+        self.cycled = False
         self.row_major_gap = 0.0
 
     def step(self, data, comp, beta):
@@ -319,10 +354,16 @@ class AllocatingIrls:
                 break
             delta_mean = float(np.linalg.norm(new.mean - comp.mean))
             delta_cov = float(np.linalg.norm(new.cov - comp.cov))
-            comp = new
+            back, comp = comp, new
             if delta_mean <= mdpde.IRLS_TOL and delta_cov <= mdpde.IRLS_TOL:
                 converged = True
                 break
+            # a 2-cycle: back where it was two steps ago, though not one
+            if (iterations > 1 and np.linalg.norm(new.mean - older.mean) <= mdpde.IRLS_TOL
+                    and np.linalg.norm(new.cov - older.cov) <= mdpde.IRLS_TOL):
+                self.cycled = True
+                break
+            older = back
         return comp, iterations, converged
 
 
@@ -372,8 +413,27 @@ class TestBitIdentity:
     @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("p", [1, 6])
     def test_cold_start(self, beta, p):
-        _, got = self.assert_matches_oracle(contaminated(31 + p, 400, p), beta)
+        oracle, got = self.assert_matches_oracle(contaminated(31 + p, 400, p), beta)
         assert got.iterations == 1 if beta == 0.0 else got.iterations > 1
+        # the 6-D fit at beta 1 falls into a 2-cycle, where both stop alike
+        assert oracle.cycled == (p == 6 and beta == 1.0)
+
+    @pytest.mark.parametrize("p", [1, 6])
+    def test_beta_zero_computes_no_start_or_distance(self, monkeypatch, p):
+        # At beta 0 every weight is exactly 1, so the fit equals the plain
+        # iteration from the robust start bit for bit, and computes neither
+        # that start nor a distance.
+        data = np.asfortranarray(contaminated(31 + p, 400, p))
+        want, _, _ = AllocatingIrls().fit(data, 0.0, robust_init(data))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed at beta 0")
+
+        monkeypatch.setattr(mdpde, "robust_init", refuse)
+        monkeypatch.setattr(mdpde, "mahalanobis_sq", refuse)
+        got = fit_component(data, 0.0)
+        assert same_bits(got.estimate.mean, want.mean) and same_bits(got.estimate.cov, want.cov)
+        assert (got.iterations, got.converged) == (1, True)
 
     @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
     def test_warm_start(self, beta):

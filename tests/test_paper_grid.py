@@ -9,6 +9,7 @@ per-replication values are the baseline's own.
 
 import json
 from pathlib import Path
+from statistics import median
 
 import pytest
 
@@ -44,7 +45,7 @@ def test_cell_within_baseline_bounds(p, scheme):
                             f"{base['replications']})")
         n_right = REPLICATIONS - now["wrong"]
         if n_right and base["right_mis_mean"] is not None:
-            band = mis_band(base, n_right, 1000)
+            band = mis_band(base, n_right)
             if abs(now["right_mis_mean"] - base["right_mis_mean"]) > band:
                 problems.append(f"{where}: right-partition misclassification "
                                 f"{now['right_mis_mean']:.5f} against {base['right_mis_mean']:.5f}"
@@ -59,9 +60,8 @@ def test_cell_within_baseline_bounds(p, scheme):
     # low-dimensional uniform noise, which sits far from the clusters.
     # Medians, because one replication that misses the best partition is
     # what the wrong-partition count judges.
-    robust = sorted(got["beta=0.3"]["misclassification"])
-    plain = sorted(got["beta=0"]["misclassification"])
-    median = lambda xs: (xs[(len(xs) - 1) // 2] + xs[len(xs) // 2]) / 2  # noqa: E731
+    robust = got["beta=0.3"]["misclassification"]
+    plain = got["beta=0"]["misclassification"]
     if median(robust) > 0.01:
         problems.append(f"{cell}: beta=0.3 median misclassification {median(robust):.4f} > 0.01")
     if scheme != "none" and (p, scheme) != (2, "uniform_chisq") and median(plain) < 0.3:

@@ -461,7 +461,8 @@ class TestRunExperiment:
             cov_scale=1.0, weights=np.full(9, 1.0 / 9),
             contamination="none", contamination_level=0.0,
             replications=2, seed=1)
-        cfgs = [AlgoConfig(beta=0.5, n_restarts=2, seed=0)]
+        # three restarts: both restarts of replication 1 empty a cluster twice
+        cfgs = [AlgoConfig(beta=0.5, n_restarts=3, seed=0)]
         for workers in (1, 2):
             report = run_experiment(spec, cfgs, workers=workers)
             assert [r["replication"] for r in report.rows] == [0, 1]
